@@ -23,7 +23,6 @@ from .formclass import (
     FormClass,
     PolyaReport,
     class_group,
-    compose,
     minkowski_class_number,
     polya_report,
     prime_form,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 when every verdict passes (or the command has no verdicts),
-1 when a discrepancy was recorded, 2 on usage or configuration errors.
+1 when a discrepancy was recorded, 2 on usage, configuration or domain
+errors, including a computation that exceeds its step cap.
 """
 
 from __future__ import annotations
@@ -11,17 +12,10 @@ import csv
 import sys
 
 from . import harness, normtest
-from .cyclicext import (
-    ConductorInvalidError,
-    cyclic_descriptor,
-    period_polynomial,
-    tower_certificate,
-)
+from .cyclicext import cyclic_descriptor, period_polynomial, tower_certificate
 from .formclass import class_group
 from .harness import (
     CONFIG_ENV_VAR,
-    EmptyInputError,
-    InvalidConfigError,
     Report,
     ScanRecord,
     config_from_sources,
@@ -264,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "scan":
             return _cmd_scan(args, args.config)
         return handlers[args.command](args)
-    except (ValueError, InvalidConfigError, EmptyInputError, ConductorInvalidError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cyclicext import CyclicExtensionDescriptor
-from .formclass import FormClass
-from .intmath import is_prime
+from .formclass import FormClass, principal_class, sign_class, wide_rep
+from .intmath import element_order, is_prime
 from .quadfield import QuadInteger, QuadraticField, fundamental_unit
 
 
@@ -32,6 +32,7 @@ class IncompatibleBasisError(ValueError):
 
 
 NOT_FOUND = "NOT_FOUND"
+_MAX_CLASS_ORDER = 10_000  # composition_check gives up on larger class orders
 
 
 @dataclass(frozen=True)
@@ -382,38 +383,28 @@ def composition_check(
     if P.attached_class is None or Q.attached_class is None or W.attached_class is None:
         raise ValueError("all three polynomials need attached classes")
     e = P.descriptor.degree
-    if _class_order(P.attached_class) != e or _class_order(Q.attached_class) != e:
+    J = sign_class(P.attached_class.disc)
+    one = wide_rep(principal_class(J.disc), J)
+
+    def wide_order(cls: FormClass) -> int:
+        """Order of the class in the ideal class group (wide)."""
+        return element_order(
+            wide_rep(cls, J), lambda x, y: wide_rep(x * y, J), one, _MAX_CLASS_ORDER
+        )
+
+    if wide_order(P.attached_class) != e or wide_order(Q.attached_class) != e:
         raise OrderViolationError("attached classes must have order p^n")
     product = P.attached_class * Q.attached_class
-    if _class_order(product) != e:
+    if wide_order(product) != e:
         raise OrderViolationError("product class does not have order p^n")
     lhs = P.certified_constant * Q.certified_constant
     rhs = W.certified_constant * W.certified_constant
     constant_ok = lhs == rhs
-    class_ok = _wide_rep(product) == _wide_rep(W.attached_class)
+    class_ok = W.attached_class.disc == J.disc and (
+        wide_rep(product, J) == wide_rep(W.attached_class, J)
+    )
     return CompositionCheck(
         constant_identity=constant_ok,
         class_correspondence=class_ok,
         passed=constant_ok and class_ok,
     )
-
-
-def _wide_rep(cls: FormClass) -> FormClass:
-    from .formclass import _canonical_key, sign_class
-
-    other = cls * sign_class(cls.disc)
-    return min(cls, other, key=lambda c: _canonical_key(c.canonical))
-
-
-def _class_order(cls: FormClass) -> int:
-    """Order of the class in the ideal class group (wide), by composition."""
-    from .formclass import principal_class, sign_class
-
-    ident = principal_class(cls.disc)
-    J = sign_class(cls.disc)
-    acc = cls
-    for k in range(1, 10_000):
-        if acc == ident or acc == J:
-            return k
-        acc = acc * cls
-    raise ArithmeticError("class order out of range")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .intmath import is_prime, kronecker, poly_discriminant
+from .intmath import factorize, is_prime, kronecker, poly_discriminant
 from .quadfield import NotPrimeError, QuadraticField, SplittingType, splitting_type
 
 
@@ -35,17 +35,7 @@ class ClassPrimeNotSplitError(ValueError):
 
 def _primitive_root(q: int) -> int:
     phi = q - 1
-    prime_divs = []
-    m = phi
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            prime_divs.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        prime_divs.append(m)
+    prime_divs = factorize(phi)
     for g in range(2, q):
         if all(pow(g, phi // pd, q) != 1 for pd in prime_divs):
             return g
@@ -243,11 +233,6 @@ def period_polynomial(q: int, p: int, n: int) -> CyclicExtensionDescriptor:
 def cyclic_descriptor(q: int, p: int, n: int) -> CyclicExtensionDescriptor:
     """Cheap descriptor (labels only); the polynomial stays lazy."""
     return CyclicExtensionDescriptor(q, p, n)
-
-
-def splitting_in_cyclic_field(desc: CyclicExtensionDescriptor, ell: int) -> int:
-    """Residue degree of ell in the period field (0 means ramified)."""
-    return desc.residue_degree(ell)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .intmath import divisors, factorize, floor_quadsurd, is_prime, is_square
+from .intmath import (
+    closure,
+    divisors,
+    element_order,
+    factorize,
+    floor_quadsurd,
+    is_prime,
+    is_square,
+    power,
+)
 from .quadfield import NotPrimeError, QuadraticField
 
 _MAX_REDUCE_STEPS = 10_000
@@ -113,17 +122,6 @@ class FormClass:
     def inverse(self) -> "FormClass":
         return reduction_cycle(self.canonical.inverse_form())
 
-    def __pow__(self, k: int) -> "FormClass":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = principal_class(self.disc)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
 
 def reduction_cycle(f: BinaryQuadraticForm) -> FormClass:
     """Canonical representative of the proper equivalence class of f.
@@ -140,6 +138,11 @@ def reduction_cycle(f: BinaryQuadraticForm) -> FormClass:
         g = g.rho()
     else:
         raise ArithmeticError(f"reduction did not terminate for {f.as_tuple()}")
+    return _cycle_class(_rho_cycle(g))
+
+
+def _rho_cycle(g: BinaryQuadraticForm) -> list[BinaryQuadraticForm]:
+    """The rho-orbit of the reduced form g, starting at g."""
     cycle = [g]
     h = g.rho()
     while h != g:
@@ -147,6 +150,10 @@ def reduction_cycle(f: BinaryQuadraticForm) -> FormClass:
         h = h.rho()
         if len(cycle) > _MAX_REDUCE_STEPS:
             raise ArithmeticError("cycle walk did not close")
+    return cycle
+
+
+def _cycle_class(cycle: list[BinaryQuadraticForm]) -> FormClass:
     return FormClass(canonical=min(cycle, key=_canonical_key), cycle_length=len(cycle))
 
 
@@ -189,10 +196,6 @@ def _compose_forms(
     return BinaryQuadraticForm(s * t, w * u - (k * t + ell * s), k * ell - w * m)
 
 
-def compose(c1: FormClass, c2: FormClass) -> FormClass:
-    return c1 * c2
-
-
 def all_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
     """Every reduced primitive form of positive non-square discriminant D."""
     if D <= 0 or is_square(D):
@@ -215,23 +218,26 @@ def _narrow_classes(D: int) -> list[FormClass]:
     forms = set(all_reduced_forms(D))
     classes = []
     while forms:
-        start = forms.pop()
-        cycle = [start]
-        g = start.rho()
-        while g != start:
-            forms.discard(g)
-            cycle.append(g)
-            g = g.rho()
-        classes.append(
-            FormClass(canonical=min(cycle, key=_canonical_key), cycle_length=len(cycle))
-        )
-    return sorted(classes, key=lambda c: _canonical_key(c.canonical))
+        cycle = _rho_cycle(forms.pop())
+        forms.difference_update(cycle)
+        classes.append(_cycle_class(cycle))
+    return sorted(classes, key=_class_key)
 
 
 def sign_class(D: int) -> FormClass:
     """Class of a form representing -1; principal exactly when h+ = h."""
     s = D % 2
     return reduction_cycle(BinaryQuadraticForm(-1, s, (D - s * s) // 4))
+
+
+def _class_key(c: FormClass) -> tuple[int, int, int, int]:
+    return _canonical_key(c.canonical)
+
+
+def wide_rep(cls: FormClass, J: FormClass) -> FormClass:
+    """Representative of cls in the wide group, the quotient of the narrow
+    group by the sign class J: the lesser of cls and cls*J."""
+    return min(cls, cls * J, key=_class_key)
 
 
 @dataclass(frozen=True)
@@ -247,8 +253,7 @@ class ClassGroupStructure:
         """Canonical representative of cls inside this group's element set."""
         if self.flavor == "narrow" or self._sign_class is None:
             return cls
-        other = cls * self._sign_class
-        return min(cls, other, key=lambda c: _canonical_key(c.canonical))
+        return wide_rep(cls, self._sign_class)
 
     def mul(self, x: FormClass, y: FormClass) -> FormClass:
         return self.rep(x * y)
@@ -258,14 +263,7 @@ class ClassGroupStructure:
         return self.rep(principal_class(D))
 
     def order_of(self, cls: FormClass) -> int:
-        e = self.identity()
-        x = self.rep(cls)
-        acc = x
-        for k in range(1, self.h + 1):
-            if acc == e:
-                return k
-            acc = self.mul(acc, x)
-        raise ArithmeticError("element order exceeds group order")
+        return element_order(self.rep(cls), self.mul, self.identity(), bound=self.h)
 
 
 def _abelian_basis(elements, mul, identity):
@@ -277,24 +275,7 @@ def _abelian_basis(elements, mul, identity):
     n = len(elements)
     if n == 1:
         return []
-
-    def order_of(x):
-        k, acc = 1, x
-        while acc != identity:
-            acc = mul(acc, x)
-            k += 1
-        return k
-
-    def power(x, k):
-        acc, base = identity, x
-        while k:
-            if k & 1:
-                acc = mul(acc, base)
-            base = mul(base, base)
-            k >>= 1
-        return acc
-
-    orders = {x: order_of(x) for x in elements}
+    orders = {x: element_order(x, mul, identity, bound=n) for x in elements}
     basis = []
     ordering = sorted(elements, key=lambda x: (-orders[x], repr(x)))
     x = ordering[0]  # maximal order = exponent of the group
@@ -310,7 +291,7 @@ def _abelian_basis(elements, mul, identity):
         cyc[acc] = k
     coset_rep = {}
     for y in elements:
-        orbit = sorted((mul(y, power(x, k)) for k in range(m)), key=repr)
+        orbit = sorted((mul(y, power(x, k, mul, identity)) for k in range(m)), key=repr)
         coset_rep[y] = orbit[0]
     quotient = sorted(set(coset_rep.values()), key=repr)
 
@@ -318,10 +299,10 @@ def _abelian_basis(elements, mul, identity):
         return coset_rep[mul(u, v)]
 
     for gen_bar, order_bar in _abelian_basis(quotient, qmul, coset_rep[identity]):
-        t = cyc[power(gen_bar, order_bar)]
+        t = cyc[power(gen_bar, order_bar, mul, identity)]
         if t % order_bar:
             raise ArithmeticError("abelian basis lifting failed")
-        lifted = mul(gen_bar, power(x, (m - t // order_bar) % m))
+        lifted = mul(gen_bar, power(x, (m - t // order_bar) % m, mul, identity))
         basis.append((lifted, order_bar))
     return basis
 
@@ -333,7 +314,7 @@ def _structure(elements: list[FormClass], mul, identity) -> tuple[tuple[int, ...
     for gen, order in basis:
         for p, e in factorize(order).items():
             q = p**e
-            comp = power_class(gen, order // q, mul, identity)
+            comp = power(gen, order // q, mul, identity)
             primary.setdefault(p, []).append((q, comp))
     for p in primary:
         primary[p].sort(key=lambda t: -t[0])
@@ -352,34 +333,17 @@ def _structure(elements: list[FormClass], mul, identity) -> tuple[tuple[int, ...
     return tuple(reversed(divisors_desc)), tuple(reversed(gens_desc))
 
 
-def power_class(x, k, mul, identity):
-    acc, base = identity, x
-    while k:
-        if k & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        k >>= 1
-    return acc
-
-
 def _wide_structure(D: int, narrow: list[FormClass]) -> ClassGroupStructure:
     ident = principal_class(D)
     J = sign_class(D)
     if J == ident:
         elements = narrow
+        divs, gens = _structure(elements, lambda x, y: x * y, ident)
     else:
-        reps = {}
-        for c in narrow:
-            r = min(c, c * J, key=lambda x: _canonical_key(x.canonical))
-            reps[r] = True
-        elements = sorted(reps, key=lambda c: _canonical_key(c.canonical))
-
-    def wmul(x, y):
-        z = x * y
-        return min(z, z * J, key=lambda c: _canonical_key(c.canonical)) if J != ident else z
-
-    wident = wmul(ident, ident)
-    divs, gens = _structure(elements, wmul, wident)
+        elements = sorted({wide_rep(c, J) for c in narrow}, key=_class_key)
+        divs, gens = _structure(
+            elements, lambda x, y: wide_rep(x * y, J), wide_rep(ident, J)
+        )
     return ClassGroupStructure("wide", len(elements), divs, gens, tuple(elements), J)
 
 
@@ -440,16 +404,7 @@ def polya_report(F: QuadraticField) -> PolyaReport:
     group = class_group(F, "wide")
     ident = group.identity()
     gens = [group.rep(prime_form(F, p)) for p in ram]
-    subgroup = {ident}
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.mul(x, g)
-            if y not in subgroup:
-                subgroup.add(y)
-                frontier.append(y)
-    po = len(subgroup)
+    po = len(closure(gens, group.mul, ident))
     total = 2 ** len(ram)
     q, r = divmod(total, po)
     if r:
@@ -481,11 +436,7 @@ def minkowski_class_number(F: QuadraticField) -> int:
     D = F.disc
     s0 = D % 2
     c4 = (s0 * s0 - D) // 4
-    a_max = isqrt(D) // 2
-    while 4 * (a_max + 1) ** 2 <= D:
-        a_max += 1
-    while a_max >= 1 and 4 * a_max * a_max > D:
-        a_max -= 1
+    a_max = isqrt(D // 4)  # largest a with 4a^2 <= D
     reps = set()
     for a in range(1, a_max + 1):
         for b in range(a):

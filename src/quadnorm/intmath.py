@@ -1,7 +1,8 @@
 """Exact integer arithmetic helpers shared across the package.
 
 Everything here is plain ``int`` arithmetic: no floats are used anywhere,
-so results are bit-exact at any size.
+so results are bit-exact at any size.  The generic group routines at the
+end (powering, element order, closure) serve every group in the package.
 """
 
 from __future__ import annotations
@@ -214,3 +215,55 @@ def poly_discriminant(f: list[int]) -> int:
 
 def lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
+
+
+# --- generic group routines -------------------------------------------------
+# Each takes the group law as a callback ``mul`` and its identity ``one``, so
+# class groups, finite tables, quadratic rings and residue fields share them.
+
+
+def power(x, k: int, mul, one):
+    """x**k for k >= 0 by binary powering (square and multiply)."""
+    if k < 0:
+        raise ValueError("power expects k >= 0")
+    acc = one
+    while k:
+        if k & 1:
+            acc = mul(acc, x)
+        x = mul(x, x)
+        k >>= 1
+    return acc
+
+
+def element_order(x, mul, one, bound: int | None = None) -> int:
+    """Least k >= 1 with x**k == one, by repeated multiplication.
+
+    Raises ArithmeticError when the order would exceed ``bound``.
+    """
+    k, acc = 1, x
+    while acc != one:
+        if bound is not None and k >= bound:
+            raise ArithmeticError(f"element order exceeds {bound}")
+        acc = mul(acc, x)
+        k += 1
+    return k
+
+
+def closure(gens, mul, one) -> frozenset:
+    """All products of the generators, the identity included.
+
+    In a finite group this is the subgroup the generators generate: the
+    inverse of g is a positive power of g, so right multiplication by the
+    generators alone reaches every element.
+    """
+    gens = tuple(gens)
+    out = {one}
+    frontier = [one]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mul(x, g)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return frozenset(out)

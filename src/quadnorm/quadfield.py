@@ -8,11 +8,20 @@ as integer triples (a, b, den) meaning (a + b*sqrt(d)) / den.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, isqrt
 
-from .intmath import floor_quadsurd, is_prime, is_squarefree, kronecker, sqrt_mod_prime
+from .intmath import (
+    divisors,
+    floor_quadsurd,
+    is_prime,
+    is_squarefree,
+    kronecker,
+    power,
+    sqrt_mod_prime,
+)
 
 
 class NonSquarefreeError(ValueError):
@@ -171,14 +180,7 @@ class QuadInteger:
 
     def __pow__(self, k: int) -> "QuadInteger":
         base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = QuadInteger(self.d, 1, 0)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(base, abs(k), operator.mul, QuadInteger(self.d, 1, 0))
 
     def height(self) -> int:
         return max(abs(self.a), abs(self.b))
@@ -340,22 +342,14 @@ class ResidueFieldElement:
     def __pow__(self, k: int) -> "ResidueFieldElement":
         if k < 0:
             raise ValueError("negative powers not needed")
-        out = ResidueFieldElement(self.q, 1, 0, self.dmod, self.root)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        one = ResidueFieldElement(self.q, 1, 0, self.dmod, self.root)
+        return power(self, k, operator.mul, one)
 
     def is_one(self) -> bool:
         return self.c0 == 1 and self.c1 == 0
 
     def multiplicative_order_dividing(self, m: int) -> int:
         """Smallest k dividing m with self**k = 1; raises if none divides."""
-        from .intmath import divisors
-
         for k in divisors(m):
             if (self**k).is_one():
                 return k

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .intmath import closure, element_order, power
+
 DEFAULT_MAX_ORDER = 64
 
 
@@ -79,21 +81,10 @@ class FiniteGroup:
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self.inverse[a], -k)
-        acc = self.identity
-        base = a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
+        return power(a, k, self.mul, self.identity)
 
     def order_of(self, a: int) -> int:
-        k, acc = 1, a
-        while acc != self.identity:
-            acc = self.mul(acc, a)
-            k += 1
-        return k
+        return element_order(a, self.mul, self.identity, bound=self.n)
 
     def is_abelian(self) -> bool:
         return all(
@@ -121,24 +112,10 @@ class FiniteGroup:
         )
 
     def derived_subgroup(self) -> frozenset[int]:
-        gens = {
-            self.mul(self.mul(a, b), self.mul(self.inverse[a], self.inverse[b]))
-            for a in range(self.n)
-            for b in range(self.n)
-        }
-        return self.subgroup_closure(gens)
+        return _derived_of_subgroup(self, range(self.n))
 
     def subgroup_closure(self, seed) -> frozenset[int]:
-        out = {self.identity} | set(seed)
-        frontier = list(out)
-        while frontier:
-            x = frontier.pop()
-            for y in list(out):
-                for z in (self.mul(x, y), self.mul(y, x), self.inverse[x]):
-                    if z not in out:
-                        out.add(z)
-                        frontier.append(z)
-        return frozenset(out)
+        return closure(seed, self.mul, self.identity)
 
     def coset_representatives(self, H) -> list[int]:
         """Left coset representatives, each the least element of its coset."""
@@ -247,16 +224,7 @@ def _derived_of_subgroup(G: FiniteGroup, Hset: frozenset[int]) -> frozenset[int]
         for a in Hset
         for b in Hset
     }
-    out = {G.identity} | {x for x in gens}
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            z = G.mul(x, y)
-            if z not in out:
-                out.add(z)
-                frontier.append(z)
-    return frozenset(out)
+    return closure(gens, G.mul, G.identity)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 
+from quadnorm import formclass
 from quadnorm.cli import main
 from quadnorm.transfer import FiniteGroup
 
@@ -46,6 +47,21 @@ class TestExitCodes:
     def test_domain_error_is_2(self, capsys):
         code, _, err = run(capsys, "field", "--d", "12")
         assert code == 2 and "squarefree" in err
+
+    def test_unknown_config_key_is_2(self, capsys, tmp_path):
+        cfg = tmp_path / "scan.conf"
+        cfg.write_text("dmax=10\nsearch_bound=2\n")
+        code, out, err = run(capsys, "--config", str(cfg), "scan")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "search_bound" in err
+
+    def test_cycle_walk_past_step_cap_is_2(self, capsys, monkeypatch):
+        # both rho cycles of discriminant 376 have 16 reduced forms
+        monkeypatch.setattr(formclass, "_MAX_REDUCE_STEPS", 4)
+        code, out, err = run(capsys, "classgroup", "--d", "94")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_verify_ex79_records_discrepancy(self, capsys):
         code, out, _ = run(capsys, "verify", "ex79")

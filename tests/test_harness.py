@@ -94,7 +94,6 @@ class TestScan:
 
     def test_timing_not_serialized(self):
         rec = next(iter(scan(RunConfig(dmax=5))))
-        assert rec.timing_ms is not None
         assert "timing" not in rec.to_json_line()
 
 
@@ -121,6 +120,18 @@ class TestConfig:
             RunConfig(dmax=1).validate()
         with pytest.raises(InvalidConfigError):
             RunConfig(p_list=(2,)).validate()
+
+    def test_removed_key_rejected(self, tmp_path):
+        stale = tmp_path / "stale.conf"
+        stale.write_text("dmax=50\ngroup_cap=64\n")
+        with pytest.raises(InvalidConfigError, match="group_cap"):
+            config_from_sources(str(stale), {})
+
+    def test_misspelt_key_rejected(self, tmp_path):
+        typo = tmp_path / "typo.conf"
+        typo.write_text("qmx=40\n")
+        with pytest.raises(InvalidConfigError, match="qmx"):
+            config_from_sources(str(typo), {})
 
 
 class TestStats:
