@@ -1,15 +1,18 @@
 """Cyclic fields of odd prime-power degree and prime conductor.
 
 The degree-p^n subfield of the q-th cyclotomic field is realized through
-its Gaussian periods.  The period polynomial is computed exactly by
-group-ring arithmetic (power sums of periods are integers, turned into
-coefficients by Newton's identities).  On construction its discriminant
-is verified to be the field discriminant q^(p^n - 1) times a perfect
-square, the square of the index of one period's power basis in the ring of
-integers; the literal identity disc = q^(p^n - 1) holds only where that
-index is 1.  Admissibility conditions on a
-compositum with a real quadratic field (class prime inert, tower, inert
-conductor) are decided here.
+its Gaussian periods.  A descriptor keeps O(p^n) state: a residue x mod q
+is labelled by its p^n-th power-residue class, the discrete log of
+x^((q-1)/p^n) in the subgroup of order p^n.  The period multiplication
+table comes from cyclotomic numbers, and the period polynomial is computed
+exactly by group-ring arithmetic (power sums of periods are integers,
+turned into coefficients by Newton's identities).  On construction its
+discriminant is verified to be the field discriminant q^(p^n - 1) times a
+perfect square, the square of the index of one period's power basis in the
+ring of integers; the literal identity disc = q^(p^n - 1) holds only where
+that index is 1.  Admissibility conditions on a compositum with a real
+quadratic field (class prime inert, tower, inert conductor) are decided
+here.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .intmath import factorize, is_prime, kronecker, poly_discriminant
+from .intmath import factorize, is_prime, kronecker, poly_discriminant, primes_up_to
 from .quadfield import NotPrimeError, QuadraticField, SplittingType, splitting_type
 
 
@@ -45,9 +48,9 @@ def _primitive_root(q: int) -> int:
 class CyclicExtensionDescriptor:
     """Degree p^n cyclic field of prime conductor q (q = 1 mod p^n).
 
-    Stores the index-p^n subgroup of (Z/q)^* via discrete-log labels; the
-    period polynomial and the period multiplication table are materialized
-    lazily and cached.
+    Labels residues by power-residue class through a p^n-entry discrete-log
+    table; the index-p^n subgroup, the period multiplication table and the
+    period polynomial are materialized lazily and cached.
     """
 
     def __init__(self, q: int, p: int, n: int):
@@ -66,14 +69,11 @@ class CyclicExtensionDescriptor:
         self.degree = degree
         self.f = (q - 1) // degree
         self.g = _primitive_root(q)
-        # labels[x] = discrete log of x base g, reduced mod degree
-        labels = [0] * q
-        acc = 1
-        for k in range(q - 1):
-            labels[acc] = k % degree
-            acc = acc * self.g % q
-        self._labels = labels
-        self.subgroup = tuple(sorted(pow(self.g, degree * j, q) for j in range(self.f)))
+        # x^f lies in the order-degree subgroup generated by g^f, and its
+        # discrete log there is the discrete log of x base g, mod degree
+        gf = pow(self.g, self.f, q)
+        self._dlog = {pow(gf, k, q): k for k in range(degree)}
+        self._subgroup: tuple[int, ...] | None = None
         self._period_poly: tuple[int, ...] | None = None
         self._struct: tuple[tuple[tuple[int, ...], ...], ...] | None = None
         self._power_basis_index: int | None = None
@@ -85,7 +85,7 @@ class CyclicExtensionDescriptor:
         x %= self.q
         if x == 0:
             raise ValueError("0 has no coset label")
-        return self._labels[x]
+        return self._dlog[pow(x, self.f, self.q)]
 
     def residue_degree(self, ell: int) -> int:
         """Order of ell in (Z/q)^* modulo the period subgroup.
@@ -99,6 +99,14 @@ class CyclicExtensionDescriptor:
         return self.degree // gcd(k, self.degree)
 
     @property
+    def subgroup(self) -> tuple[int, ...]:
+        """The f elements of the index-p^n subgroup of (Z/q)^*, ascending."""
+        if self._subgroup is None:
+            gd = pow(self.g, self.degree, self.q)
+            self._subgroup = tuple(sorted(pow(gd, j, self.q) for j in range(self.f)))
+        return self._subgroup
+
+    @property
     def struct_constants(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """T[i][j][k]: coefficient of period_k in period_i * period_j."""
         if self._struct is None:
@@ -106,30 +114,25 @@ class CyclicExtensionDescriptor:
         return self._struct
 
     def _build_struct(self):
+        # Substituting h2 = h1 * h in period_0 * period_m, the sum over
+        # h1, h2 in H of zeta^(h1 + g^m h2), gives the cyclotomic-number
+        # identity period_0 * period_m = sum over h in H of
+        # period_label(1 + g^m h).  The one h with 1 + g^m h = 0 contributes
+        # f * 1 = -f * (sum of periods).
         q, e, f, g = self.q, self.degree, self.f, self.g
-        H = self.subgroup
-        labels = self._labels
+        dlog = self._dlog
         rows = []
         gm = 1
         for _ in range(e):  # row m: period_0 * period_m
             cnt = [0] * e
             zero_hits = 0
-            for h1 in H:
-                base = h1
-                for h2 in H:
-                    sidx = (base + gm * h2) % q
-                    if sidx == 0:
-                        zero_hits += 1
-                    else:
-                        cnt[labels[sidx]] += 1
-            n0 = zero_hits  # each zero-sum pair contributes the constant 1
-            row = []
-            for k in range(e):
-                val, rem = divmod(cnt[k], f)
-                if rem:
-                    raise ArithmeticError("period product is not an integer combination")
-                row.append(val - n0)  # 1 = -(sum of periods)
-            rows.append(tuple(row))
+            for h in self.subgroup:
+                y = (1 + gm * h) % q
+                if y:
+                    cnt[dlog[pow(y, f, q)]] += 1
+                else:
+                    zero_hits += 1
+            rows.append(tuple(c - f * zero_hits for c in cnt))
             gm = gm * g % q
         # T[i][j][k] = rows[j - i][k - i] by the cyclic Galois action
         full = []
@@ -231,7 +234,7 @@ def period_polynomial(q: int, p: int, n: int) -> CyclicExtensionDescriptor:
 
 
 def cyclic_descriptor(q: int, p: int, n: int) -> CyclicExtensionDescriptor:
-    """Cheap descriptor (labels only); the polynomial stays lazy."""
+    """Cheap descriptor (O(p^n) state); the polynomial stays lazy."""
     return CyclicExtensionDescriptor(q, p, n)
 
 
@@ -338,8 +341,6 @@ def same_field_by_split_patterns(
     full set of roots and inert when it has none; primes dividing the
     polynomial discriminant or the conductor are skipped.
     """
-    from .intmath import poly_discriminant, primes_up_to
-
     pd = abs(poly_discriminant(coeffs))
     e = desc.degree
     for ell in primes_up_to(bound - 1):

@@ -23,7 +23,7 @@ from .cyclicext import (
     same_field_by_split_patterns,
 )
 from .formclass import class_data, class_group, minkowski_class_number, prime_form
-from .intmath import is_squarefree, poly_discriminant
+from .intmath import factorize, is_squarefree, poly_discriminant
 from .quadfield import fundamental_unit, make_field
 from .transfer import FiniteGroup, diagram_check, restricted_transfer, transfer
 
@@ -179,8 +179,6 @@ def reproduce_appendix_a() -> Report:
 
 def abelian_group_types(max_order: int) -> list[tuple[int, ...]]:
     """All abelian groups of order 2..max_order as cyclic factor tuples."""
-    from .intmath import factorize
-
     def partitions(k: int) -> list[list[int]]:
         out = [[]] if k == 0 else []
         for first in range(k, 0, -1):

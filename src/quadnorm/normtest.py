@@ -23,7 +23,7 @@ from .cyclicext import (
     properness_report,
 )
 from .formclass import class_group, prime_form
-from .intmath import is_prime, lcm, p_part
+from .intmath import lcm, p_part, primes_up_to
 from .quadfield import (
     FundamentalUnit,
     QuadInteger,
@@ -173,13 +173,7 @@ class ClassOrderComparison:
 def admissible_conductors(F: QuadraticField, p: int, n: int, qmax: int) -> list[int]:
     """Primes q <= qmax with q = 1 mod p^n, tame and unramified for the field."""
     e = p**n
-    out = []
-    q = 2
-    while q <= qmax:
-        if q % e == 1 and is_prime(q) and F.disc % q and q != p and q % 2:
-            out.append(q)
-        q += 1
-    return out
+    return [q for q in primes_up_to(qmax) if q % e == 1 and F.disc % q and q != p and q % 2]
 
 
 def verify_class_order(

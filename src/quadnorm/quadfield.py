@@ -378,10 +378,8 @@ def reduce_mod_prime(
         c0 = x.a * inv_den % q
         c1 = x.b * inv_den % q
         return ResidueFieldElement(q, c0, c1, F.d % q, None)
-    r0 = sqrt_mod_prime(F.d, q)
-    roots = sorted({r0, (q - r0) % q})
     if which_root is None:
-        root = roots[0]
+        root = sqrt_mod_prime(F.d, q)  # the smaller root
     else:
         root = which_root % q
         if root * root % q != F.d % q:

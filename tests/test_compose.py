@@ -96,7 +96,10 @@ class TestRelativeNorm:
 
 
 class TestStructConstants:
-    @pytest.mark.parametrize("q,p,n", [(7, 3, 1), (13, 3, 1), (11, 5, 1)])
+    @pytest.mark.parametrize(
+        "q,p,n",
+        [(7, 3, 1), (13, 3, 1), (11, 5, 1), (19, 3, 2), (101, 5, 2), (997, 3, 1)],
+    )
     def test_match_brute_cyclotomic(self, q, p, n):
         desc = period_polynomial(q, p, n)
         e = desc.degree

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from quadnorm.cyclicext import (
@@ -103,6 +105,20 @@ class TestSplitting:
         primes = [ell for ell in primes_up_to(10_000) if ell != q]
         inert = sum(1 for ell in primes if desc.residue_degree(ell) == p)
         assert abs(inert / len(primes) - (1 - 1 / p)) < 0.05
+
+
+class TestDescriptorMemory:
+    def test_large_conductor_keeps_degree_sized_state(self):
+        q = 2_000_029  # prime, 1 mod 3
+        tracemalloc.start()
+        try:
+            desc = cyclic_descriptor(q, 3, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert desc.residue_degree(8) == 1  # a cube lies in the subgroup
+        assert (desc.residue_degree(2) == 3) == (pow(2, desc.f, q) != 1)
 
 
 class TestTower:

@@ -192,3 +192,5 @@ class TestDetect:
         qs = admissible_conductors(field79, 3, 1, 50)
         assert qs == [7, 13, 19, 31, 37, 43]
         assert admissible_conductors(field79, 3, 2, 50) == [19, 37]
+        assert admissible_conductors(field79, 3, 1, 0) == []
+        assert admissible_conductors(field79, 3, 1, 2) == []
