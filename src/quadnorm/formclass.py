@@ -8,7 +8,7 @@ Minkowski bound provides an independent class-number oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from .intmath import (
@@ -202,32 +202,92 @@ def all_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
         raise SquareDiscriminantError(f"{D} is not a valid indefinite discriminant")
     out = []
     s = isqrt(D)
-    for b in range(1, s + 1):
-        if (b - D) % 2:
-            continue
+    for b in range(2 - D % 2, s + 1, 2):
         m = (D - b * b) // 4
+        # (a, b, -m/a) and (-a, b, m/a) are reduced together exactly when
+        # sqrt(D) - b < 2a < sqrt(D) + b, that is when lo <= a <= hi
+        lo, hi = (s - b) // 2 + 1, (s + b) // 2
         for a in divisors(m):
-            c = -(m // a)
-            for f in (BinaryQuadraticForm(a, b, c), BinaryQuadraticForm(-a, b, -c)):
-                if f.is_reduced() and f.is_primitive():
-                    out.append(f)
+            if a > hi:
+                break
+            c = m // a
+            if a >= lo and gcd(gcd(a, b), c) == 1:
+                out.append(BinaryQuadraticForm(a, b, -c))
+                out.append(BinaryQuadraticForm(-a, b, c))
     return out
 
 
-def _narrow_classes(D: int) -> list[FormClass]:
-    forms = set(all_reduced_forms(D))
-    classes = []
-    while forms:
-        cycle = _rho_cycle(forms.pop())
-        forms.difference_update(cycle)
-        classes.append(_cycle_class(cycle))
-    return sorted(classes, key=_class_key)
+class _ClassTable:
+    """The narrow class group of one discriminant on class indices.
+
+    Classes are numbered in ``_class_key`` order, and every reduced form
+    maps to the index of its rho cycle.  A product composes the two
+    canonical forms, takes the few rho steps to the first reduced form and
+    looks it up; products are memoised, so the table is a lazily filled
+    Cayley table that lives as long as the structure that owns it.
+    """
+
+    def __init__(self, D: int):
+        forms = set(all_reduced_forms(D))
+        cycles = []
+        while forms:
+            cycle = _rho_cycle(forms.pop())
+            forms.difference_update(cycle)
+            cycles.append((_cycle_class(cycle), cycle))
+        cycles.sort(key=lambda named: _class_key(named[0]))
+        self.D = D
+        self.classes = [cls for cls, _ in cycles]
+        self.index = {f: i for i, (_, cycle) in enumerate(cycles) for f in cycle}
+        # the FormClass reprs, the order in which _abelian_basis picks
+        # generators
+        self.reprs = [repr(cls) for cls in self.classes]
+        self._products: dict[tuple[int, int], int] = {}
+        self.identity = self.class_of(principal_form(D))
+        self.sign = self.class_of(_sign_form(D))
+
+    def class_of(self, f: BinaryQuadraticForm) -> int:
+        """Index of the class of f, a primitive form of discriminant D."""
+        for _ in range(_MAX_REDUCE_STEPS):
+            i = self.index.get(f)  # holds exactly the reduced forms
+            if i is not None:
+                return i
+            f = f.rho()
+        raise ArithmeticError(f"reduction did not terminate for {f.as_tuple()}")
+
+    def index_of(self, cls: FormClass) -> int:
+        if cls.disc != self.D:
+            raise DiscriminantMismatchError(
+                f"discriminants differ: {cls.disc} vs {self.D}"
+            )
+        return self.class_of(cls.canonical)
+
+    def mul(self, i: int, j: int) -> int:
+        key = (i, j) if i <= j else (j, i)
+        k = self._products.get(key)
+        if k is None:
+            f, g = self.classes[i].canonical, self.classes[j].canonical
+            k = self._products[key] = self.class_of(_compose_forms(f, g))
+        return k
+
+    def wide_rep(self, i: int) -> int:
+        """``wide_rep`` on indices: index order is ``_class_key`` order."""
+        return min(i, self.mul(i, self.sign))
+
+    def law(self, flavor: str):
+        """(representative, product) on indices in the narrow or wide group."""
+        if flavor == "narrow":
+            return (lambda i: i), self.mul
+        return self.wide_rep, lambda i, j: self.wide_rep(self.mul(i, j))
+
+
+def _sign_form(D: int) -> BinaryQuadraticForm:
+    s = D % 2
+    return BinaryQuadraticForm(-1, s, (D - s * s) // 4)
 
 
 def sign_class(D: int) -> FormClass:
     """Class of a form representing -1; principal exactly when h+ = h."""
-    s = D % 2
-    return reduction_cycle(BinaryQuadraticForm(-1, s, (D - s * s) // 4))
+    return reduction_cycle(_sign_form(D))
 
 
 def _class_key(c: FormClass) -> tuple[int, int, int, int]:
@@ -248,69 +308,70 @@ class ClassGroupStructure:
     generators: tuple[FormClass, ...]
     elements: tuple[FormClass, ...]
     _sign_class: FormClass | None = None
+    _table: _ClassTable = field(kw_only=True, compare=False, repr=False)
+
+    def _index(self, cls: FormClass) -> int:
+        rep, _ = self._table.law(self.flavor)
+        return rep(self._table.index_of(cls))
 
     def rep(self, cls: FormClass) -> FormClass:
         """Canonical representative of cls inside this group's element set."""
-        if self.flavor == "narrow" or self._sign_class is None:
-            return cls
-        return wide_rep(cls, self._sign_class)
+        return self._table.classes[self._index(cls)]
 
     def mul(self, x: FormClass, y: FormClass) -> FormClass:
-        return self.rep(x * y)
+        _, mul = self._table.law(self.flavor)
+        return self._table.classes[mul(self._index(x), self._index(y))]
 
     def identity(self) -> FormClass:
-        D = self.elements[0].disc
-        return self.rep(principal_class(D))
+        return self.rep(self._table.classes[self._table.identity])
 
     def order_of(self, cls: FormClass) -> int:
-        return element_order(self.rep(cls), self.mul, self.identity(), bound=self.h)
+        rep, mul = self._table.law(self.flavor)
+        one = rep(self._table.identity)
+        return element_order(self._index(cls), mul, one, bound=self.h)
 
 
-def _abelian_basis(elements, mul, identity):
+def _abelian_basis(elements, mul, identity, key=repr):
     """Basis (generators with orders) of a finite abelian group, exactly.
 
     Works on any hashable element list with a multiplication callback;
-    intended for desk-scale orders.
+    ``key`` orders the elements where a choice is made.  Intended for
+    desk-scale orders.
     """
     n = len(elements)
     if n == 1:
         return []
     orders = {x: element_order(x, mul, identity, bound=n) for x in elements}
     basis = []
-    ordering = sorted(elements, key=lambda x: (-orders[x], repr(x)))
-    x = ordering[0]  # maximal order = exponent of the group
+    x = min(elements, key=lambda y: (-orders[y], key(y)))  # order = exponent
     m = orders[x]
     basis.append((x, m))
     if m == n:
         return basis
     # quotient by <x>, recurse, and lift generators back
-    cyc = {identity: 0}
-    acc = identity
-    for k in range(1, m):
-        acc = mul(acc, x)
-        cyc[acc] = k
-    coset_rep = {}
-    for y in elements:
-        orbit = sorted((mul(y, power(x, k, mul, identity)) for k in range(m)), key=repr)
-        coset_rep[y] = orbit[0]
-    quotient = sorted(set(coset_rep.values()), key=repr)
+    xpow = [identity]
+    for _ in range(1, m):
+        xpow.append(mul(xpow[-1], x))
+    cyc = {acc: k for k, acc in enumerate(xpow)}
+    coset_rep = {y: min((mul(y, acc) for acc in xpow), key=key) for y in elements}
+    quotient = sorted(set(coset_rep.values()), key=key)
 
     def qmul(u, v):
         return coset_rep[mul(u, v)]
 
-    for gen_bar, order_bar in _abelian_basis(quotient, qmul, coset_rep[identity]):
+    for gen_bar, order_bar in _abelian_basis(quotient, qmul, coset_rep[identity], key):
         t = cyc[power(gen_bar, order_bar, mul, identity)]
         if t % order_bar:
             raise ArithmeticError("abelian basis lifting failed")
-        lifted = mul(gen_bar, power(x, (m - t // order_bar) % m, mul, identity))
+        lifted = mul(gen_bar, xpow[(m - t // order_bar) % m])
         basis.append((lifted, order_bar))
     return basis
 
 
-def _structure(elements: list[FormClass], mul, identity) -> tuple[tuple[int, ...], tuple[FormClass, ...]]:
-    basis = _abelian_basis(elements, mul, identity)
+def _structure(elements, mul, identity, key=repr) -> tuple[tuple[int, ...], tuple]:
+    basis = _abelian_basis(elements, mul, identity, key)
     # merge into an elementary-divisor chain d1 | d2 | ... (ascending)
-    primary: dict[int, list[tuple[int, FormClass]]] = {}
+    primary: dict[int, list] = {}
     for gen, order in basis:
         for p, e in factorize(order).items():
             q = p**e
@@ -333,18 +394,23 @@ def _structure(elements: list[FormClass], mul, identity) -> tuple[tuple[int, ...
     return tuple(reversed(divisors_desc)), tuple(reversed(gens_desc))
 
 
-def _wide_structure(D: int, narrow: list[FormClass]) -> ClassGroupStructure:
-    ident = principal_class(D)
-    J = sign_class(D)
-    if J == ident:
-        elements = narrow
-        divs, gens = _structure(elements, lambda x, y: x * y, ident)
-    else:
-        elements = sorted({wide_rep(c, J) for c in narrow}, key=_class_key)
-        divs, gens = _structure(
-            elements, lambda x, y: wide_rep(x * y, J), wide_rep(ident, J)
-        )
-    return ClassGroupStructure("wide", len(elements), divs, gens, tuple(elements), J)
+def _group_structure(table: _ClassTable, flavor: str) -> ClassGroupStructure:
+    """The narrow group, or the wide group as the quotient of the narrow one
+    by the sign class, with the group law run on class indices."""
+    rep, mul = table.law(flavor)
+    elements = sorted({rep(i) for i in range(len(table.classes))})
+    one = rep(table.identity)
+    divs, gens = _structure(elements, mul, one, table.reprs.__getitem__)
+    classes = table.classes
+    return ClassGroupStructure(
+        flavor,
+        len(elements),
+        divs,
+        tuple(classes[i] for i in gens),
+        tuple(classes[i] for i in elements),
+        None if flavor == "narrow" else classes[table.sign],
+        _table=table,
+    )
 
 
 def class_group(F: QuadraticField, flavor: str = "wide") -> ClassGroupStructure:
@@ -356,19 +422,13 @@ def class_group(F: QuadraticField, flavor: str = "wide") -> ClassGroupStructure:
     """
     if flavor not in ("narrow", "wide"):
         raise ValueError("flavor must be 'narrow' or 'wide'")
-    D = F.disc
-    narrow = _narrow_classes(D)
-    if flavor == "narrow":
-        ident = principal_class(D)
-        divs, gens = _structure(narrow, lambda x, y: x * y, ident)
-        return ClassGroupStructure("narrow", len(narrow), divs, gens, tuple(narrow))
-    return _wide_structure(D, narrow)
+    return _group_structure(_ClassTable(F.disc), flavor)
 
 
 def class_data(F: QuadraticField) -> tuple[int, ClassGroupStructure]:
     """(narrow class number, wide structure) with one forms enumeration."""
-    narrow = _narrow_classes(F.disc)
-    return len(narrow), _wide_structure(F.disc, narrow)
+    table = _ClassTable(F.disc)
+    return len(table.classes), _group_structure(table, "wide")
 
 
 def prime_form_raw(F: QuadraticField, ell: int) -> BinaryQuadraticForm:

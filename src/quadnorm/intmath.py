@@ -124,16 +124,33 @@ def kronecker(a: int, n: int) -> int:
 
 
 def sqrt_mod_prime(a: int, q: int) -> int:
-    """Smallest square root of a modulo an odd prime q (linear scan).
+    """Smallest square root of a modulo an odd prime q (Tonelli-Shanks,
+    Cohen GTM 138, Alg. 1.5.1).
 
-    Raises ValueError when a is a non-residue.  Desk scale only: q here is
-    a conductor or class prime, never large.
+    Raises ValueError when a is a non-residue.
     """
     a %= q
-    for r in range(q):
-        if r * r % q == a:
-            return r
-    raise ValueError(f"{a} is not a square modulo {q}")
+    if a == 0:
+        return 0
+    if pow(a, (q - 1) // 2, q) != 1:
+        raise ValueError(f"{a} is not a square modulo {q}")
+    e, t = 0, q - 1  # q - 1 = 2^e * t with t odd
+    while t % 2 == 0:
+        e, t = e + 1, t // 2
+    n = 2
+    while pow(n, (q - 1) // 2, q) == 1:
+        n += 1
+    z = pow(n, t, q)  # generates the 2-Sylow subgroup of (Z/q)*
+    r, b = pow(a, (t + 1) // 2, q), pow(a, t, q)
+    while b != 1:
+        # least m with b^(2^m) = 1; then m < e
+        m, b2 = 0, b
+        while b2 != 1:
+            m, b2 = m + 1, b2 * b2 % q
+        y = pow(z, 1 << (e - m - 1), q)
+        z = y * y % q
+        r, b, e = r * y % q, b * z % q, m
+    return min(r, q - r)
 
 
 def floor_quadsurd(P: int, Q: int, D: int) -> int:

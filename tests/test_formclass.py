@@ -1,7 +1,10 @@
+from math import isqrt
+
 import pytest
 
 from quadnorm.formclass import (
     BinaryQuadraticForm,
+    ClassGroupStructure,
     DiscriminantMismatchError,
     ImprimitiveError,
     InertPrimeError,
@@ -15,7 +18,9 @@ from quadnorm.formclass import (
     principal_class,
     reduction_cycle,
     sign_class,
+    wide_rep,
 )
+from quadnorm.formclass import _class_key, _ClassTable, _structure
 from quadnorm.intmath import is_squarefree
 from quadnorm.quadfield import fundamental_unit, make_field
 
@@ -103,6 +108,58 @@ class TestComposition:
                 for c in elems:
                     assert table[(table[(a, b)], c)] == table[(a, table[(b, c)])]
             assert table[(a, a.inverse())] == e
+
+
+# fields with non-cyclic groups, a sign class off the identity, or larger h
+TABLE_D = [79, 130, 210, 226, 399, 442, 2379, 3458, 4002, 9994]
+
+
+class TestClassTable:
+    """The integer class table against the FormClass law, which walks the
+    whole rho cycle of every product."""
+
+    @pytest.mark.parametrize("d", TABLE_D)
+    def test_lookups_and_products_match_reduction_cycle(self, d):
+        D = make_field(d).disc
+        table = _ClassTable(D)
+        for f in all_reduced_forms(D):
+            assert table.classes[table.class_of(f)] == reduction_cycle(f)
+        for i, x in enumerate(table.classes):
+            for j, y in enumerate(table.classes):
+                assert table.classes[table.mul(i, j)] == x * y
+
+    @pytest.mark.parametrize("d", TABLE_D)
+    @pytest.mark.parametrize("flavor", ["narrow", "wide"])
+    def test_structure_matches_form_class_law(self, d, flavor):
+        F = make_field(d)
+        narrow = sorted(
+            {reduction_cycle(f) for f in all_reduced_forms(F.disc)}, key=_class_key
+        )
+        one = principal_class(F.disc)
+        if flavor == "narrow":
+            J, elements = None, narrow
+            divs, gens = _structure(elements, lambda x, y: x * y, one)
+        else:
+            J = sign_class(F.disc)
+            elements = sorted({wide_rep(c, J) for c in narrow}, key=_class_key)
+            divs, gens = _structure(
+                elements, lambda x, y: wide_rep(x * y, J), wide_rep(one, J)
+            )
+        expected = ClassGroupStructure(
+            flavor, len(elements), divs, gens, tuple(elements), J, _table=None
+        )
+        assert class_group(F, flavor) == expected
+
+    def test_class_of_another_discriminant_rejected(self, field79, field10):
+        group = class_group(field79, "wide")
+        other = prime_form(field10, 3)
+        for call in (
+            lambda: group.rep(other),
+            lambda: group.mul(other, other),
+            lambda: group.order_of(other),
+        ):
+            with pytest.raises(DiscriminantMismatchError):
+                call()
 
 
 class TestClassGroup:
@@ -230,6 +287,28 @@ class TestNonCyclicStructure:
             for dv in divs:
                 expected *= gcd(k, dv)
             assert count == expected, f"d={d}, k={k}"
+
+
+class TestReducedFormEnumeration:
+    def test_matches_brute_force_to_2000(self):
+        # a reduced form has |a| < sqrt(D) and b < sqrt(D), so the double
+        # loop below sees every one
+        for d in range(2, 2001):
+            if not is_squarefree(d):
+                continue
+            D = make_field(d).disc
+            s = isqrt(D)
+            naive = set()
+            for a in range(1, s + 1):
+                for b in range(1, s + 1):
+                    if (b * b - D) % (4 * a):
+                        continue
+                    for sa in (a, -a):
+                        f = BinaryQuadraticForm(sa, b, (b * b - D) // (4 * sa))
+                        if f.is_reduced() and f.is_primitive():
+                            naive.add(f)
+            got = all_reduced_forms(D)
+            assert len(got) == len(naive) and set(got) == naive, f"d={d}"
 
 
 class TestMinkowskiOracle:

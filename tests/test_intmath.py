@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from quadnorm.harness import abelian_group_types
-from quadnorm.intmath import closure, element_order, power
+from quadnorm.intmath import closure, element_order, power, primes_up_to, sqrt_mod_prime
 from quadnorm.transfer import FiniteGroup
 
 
@@ -98,3 +98,26 @@ class TestClosure:
 
     def test_residue_powers(self):
         assert closure([2], mulmod(7), 1) == frozenset({1, 2, 4})
+
+
+class TestSqrtModPrime:
+    @staticmethod
+    def smallest_roots(q):
+        """Least root of every square mod q, by one linear scan of r."""
+        roots = {}
+        for r in range(q):
+            roots.setdefault(r * r % q, r)
+        return roots
+
+    # 257, 7681 and 12289 have q - 1 divisible by 2^8, 2^9 and 2^12, so
+    # Tonelli-Shanks runs many rounds of its 2-Sylow loop
+    @pytest.mark.parametrize("q", primes_up_to(400)[1:] + [7681, 12289])
+    def test_matches_linear_scan(self, q):
+        roots = self.smallest_roots(q)
+        for a in range(q):
+            if a in roots:
+                assert sqrt_mod_prime(a, q) == roots[a]
+                assert sqrt_mod_prime(a + 5 * q, q) == roots[a]
+            else:
+                with pytest.raises(ValueError):
+                    sqrt_mod_prime(a, q)
