@@ -1,10 +1,16 @@
 """Exact relative arithmetic in the compositum of the quadratic field with
 a period field, and the composition-law checks on the polynomial family.
 
-Elements of the compositum are integer vectors over the period basis with
+Elements of the compositum are vectors over the period basis with
 coefficients in the quadratic ring; this product basis is valid exactly
 when the two discriminants are coprime, which is checked on construction.
-Relative norms, Galois action and characteristic polynomials are all exact.
+Arithmetic runs on integer pair vectors, the pair (u, v) standing for the
+coordinate (u + v*sqrt(d))/2, through the one period product
+``cyclicext.period_mul``; ``QuadInteger`` coordinates are converted once on
+entry and once on exit.  Relative norms multiply the Galois conjugates, and
+characteristic polynomials come from Newton's identities
+(``intmath.newton_charpoly``) on the relative traces of the powers of an
+element.  All of it is exact.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclicext import CyclicExtensionDescriptor
+from .cyclicext import CyclicExtensionDescriptor, period_mul
 from .formclass import FormClass, principal_class, sign_class, wide_rep
-from .intmath import element_order, is_prime
+from .intmath import element_order, newton_charpoly
 from .quadfield import QuadInteger, QuadraticField, fundamental_unit
 
 
@@ -134,111 +140,52 @@ class RelativeExtension:
     def from_int(self, k: int) -> RelativeElement:
         return self.scalar(QuadInteger(self.field.d, k, 0))
 
+    def _quad(self, u: int, v: int) -> QuadInteger:
+        return QuadInteger(self.field.d, u, v, 2)
+
     def _mul(self, x: RelativeElement, y: RelativeElement) -> RelativeElement:
-        e = self.degree
-        T = self._T
-        d = self.field.d
-        # accumulate (a, b) numerators over a common denominator of 2
-        acc_a = [0] * e
-        acc_b = [0] * e
-        for i in range(e):
-            xi = x.coords[i]
-            if xi.a == 0 and xi.b == 0:
-                continue
-            Ti = T[i]
-            for j in range(e):
-                yj = y.coords[j]
-                if yj.a == 0 and yj.b == 0:
-                    continue
-                pa = xi.a * yj.a + xi.b * yj.b * d
-                pb = xi.a * yj.b + xi.b * yj.a
-                scale = 4 // (xi.den * yj.den)
-                pa *= scale
-                pb *= scale
-                row = Ti[j]
-                for k in range(e):
-                    t = row[k]
-                    if t:
-                        acc_a[k] += t * pa
-                        acc_b[k] += t * pb
-        coords = []
-        for k in range(e):
-            a, b = acc_a[k], acc_b[k]
-            if a % 4 == 0 and b % 4 == 0:
-                coords.append(QuadInteger(d, a // 4, b // 4, 1))
-            elif a % 2 == 0 and b % 2 == 0:
-                coords.append(QuadInteger(d, a // 2, b // 2, 2))
-            else:
-                raise ArithmeticError("non-integral product coordinate")
-        return RelativeElement(self, tuple(coords))
+        prod = period_mul(_pairs(x.coords), _pairs(y.coords), self._T, self.field.d)
+        return RelativeElement(self, tuple(self._quad(u, v) for u, v in prod))
 
     def galois_apply(self, i: int, alpha: RelativeElement) -> RelativeElement:
         """Generator of the relative Galois group acts by shifting the
         period basis; coefficients in the quadratic ring are fixed."""
         self._same(alpha.ext)
-        e = self.degree
-        i %= e
-        coords = [None] * e
-        for k in range(e):
-            coords[(k + i) % e] = alpha.coords[k]
-        return RelativeElement(self, tuple(coords))
+        i %= self.degree
+        return RelativeElement(self, alpha.coords[-i:] + alpha.coords[:-i])
+
+    def _pair_norm(self, x) -> tuple[int, int]:
+        """Relative norm of a pair vector, as a pair."""
+        acc = x
+        for i in range(1, self.degree):
+            # times the conjugate sigma^i(x): x moved i places
+            acc = period_mul(acc, x[-i:] + x[:-i], self._T, self.field.d)
+        if acc.count(acc[0]) != len(acc):
+            raise ArithmeticError("norm did not come out scalar")
+        u, v = acc[0]
+        return (-u, -v)  # a scalar c is -c * (sum of periods)
 
     def relative_norm(self, alpha: RelativeElement) -> QuadInteger:
         """Product of all Galois conjugates; lands in the quadratic ring."""
         self._same(alpha.ext)
-        acc = alpha
-        for i in range(1, self.degree):
-            acc = self._mul(acc, self.galois_apply(i, alpha))
-        if not acc.is_scalar():
-            raise ArithmeticError("norm did not come out scalar")
-        return -acc.coords[0]
-
-    def _mult_matrix(self, alpha: RelativeElement) -> list[list[QuadInteger]]:
-        e = self.degree
-        cols = [self._mul(alpha, self.period(j)).coords for j in range(e)]
-        return [[cols[j][i] for j in range(e)] for i in range(e)]
+        return self._quad(*self._pair_norm(_pairs(alpha.coords)))
 
     def charpoly(self, alpha: RelativeElement) -> RelativeCharPoly:
         """Characteristic polynomial of multiplication by alpha over the
-        quadratic ring (Faddeev-LeVerrier, exact divisions asserted)."""
+        quadratic ring, by Newton's identities on the relative traces of
+        alpha, alpha^2, ..., alpha^e, where Tr(sum c_j period_j) = -sum c_j.
+        The constant term is checked against the relative norm."""
         self._same(alpha.ext)
-        e = self.degree
-        M = self._mult_matrix(alpha)
-        zero, one_ = self._zero, self._one
-
-        def mat_mul(A, B):
-            out = []
-            for i in range(e):
-                row = []
-                for j in range(e):
-                    s = zero
-                    for k in range(e):
-                        s = s + A[i][k] * B[k][j]
-                    row.append(s)
-                out.append(row)
-            return out
-
-        def trace(A):
-            s = zero
-            for i in range(e):
-                s = s + A[i][i]
-            return s
-
-        cs = [one_]  # leading coefficient
-        Mk = M
-        c = trace(Mk).scale(-1)
-        cs.append(c)
-        for k in range(2, e + 1):
-            shifted = [
-                [Mk[i][j] + (c if i == j else zero) for j in range(e)] for i in range(e)
-            ]
-            Mk = mat_mul(M, shifted)
-            c = trace(Mk).scale(-1).divide_exact(k)
-            cs.append(c)
-        coeffs = tuple(reversed(cs))  # ascending
-        expected = self.relative_norm(alpha)
-        got = coeffs[0] if e % 2 == 0 else -coeffs[0]
-        if got != expected:
+        x = _pairs(alpha.coords)
+        traces = []
+        power = x
+        for k in range(self.degree):
+            if k:
+                power = period_mul(power, x, self._T, self.field.d)
+            traces.append(self._quad(-sum(u for u, _ in power), -sum(v for _, v in power)))
+        coeffs = tuple(newton_charpoly(traces, QuadInteger.divide_exact)) + (self._one,)
+        norm = self._quad(*self._pair_norm(x))
+        if coeffs[0] != (norm if self.degree % 2 == 0 else -norm):
             raise ArithmeticError("charpoly constant contradicts the norm")
         return RelativeCharPoly(coeffs=coeffs)
 
@@ -257,19 +204,16 @@ class RelativeExtension:
         """First element (lexicographic coordinate order) of coefficient
         height <= bound with the exact relative norm, or NOT_FOUND.
 
-        A residue filter modulo a small auxiliary prime discards most
-        candidates before the exact norm is computed; any hit is re-verified
-        exactly, so the filter cannot change the result.
+        Every candidate's norm is computed exactly; a hit is re-verified
+        through the constant of its characteristic polynomial.
         """
         if bound < 0:
             raise ValueError("bound must be >= 0")
-        scalars = self.default_height_candidates(bound)
-        flt = _NormFilter(self, target)
-        for combo in itertools.product(scalars, repeat=self.degree):
-            if not flt.may_match(combo):
-                continue
-            cand = self.element(combo)
-            if self.relative_norm(cand) == target:
+        pairs = _pairs(self.default_height_candidates(bound))
+        (want,) = _pairs((target,))
+        for combo in itertools.product(pairs, repeat=self.degree):
+            if self._pair_norm(combo) == want:
+                cand = self.element(self._quad(u, v) for u, v in combo)
                 # independent re-verification: charpoly constant is (-1)^deg * norm
                 chk = self.charpoly(cand)
                 expected = -target if self.degree % 2 else target
@@ -294,75 +238,18 @@ class RelativeExtension:
         if constant != eps**e:
             raise ArithmeticError("sign normalization failed")
         body = (self._zero,) + cp.coeffs[1:]
-        alpha_norm_abs = abs(self._abs_norm(alpha))
         return FamilyFPolynomial(
             body=body,
             certified_constant=constant,
             attached_class=attached_class,
             descriptor=self.desc,
-            witness_is_unit=alpha_norm_abs == 1,
+            witness_is_unit=abs(got.norm()) == 1,
         )
 
-    def _abs_norm(self, alpha: RelativeElement) -> int:
-        return self.relative_norm(alpha).norm()
 
-
-class _NormFilter:
-    """Norm computation modulo an auxiliary prime, used as a search sieve."""
-
-    def __init__(self, ext: RelativeExtension, target: QuadInteger):
-        self.ext = ext
-        d = ext.field.d
-        r = 5
-        while not is_prime(r) or d % r == 0 or r == ext.desc.q or r == 2:
-            r += 1
-        self.r = r
-        self.e = ext.degree
-        self.T = ext.desc.struct_constants
-        self.dmod = d % r
-        inv2 = pow(2, -1, r)
-        self.inv_den = {1: 1, 2: inv2}
-        self.target = self._reduce_quad(target)
-
-    def _reduce_quad(self, x: QuadInteger) -> tuple[int, int]:
-        s = self.inv_den[x.den]
-        return (x.a * s % self.r, x.b * s % self.r)
-
-    def _mul_vec(self, u, v):
-        e, r, dm = self.e, self.r, self.dmod
-        oa = [0] * e
-        ob = [0] * e
-        for i in range(e):
-            ua, ub = u[i]
-            if ua == 0 and ub == 0:
-                continue
-            Ti = self.T[i]
-            for j in range(e):
-                va, vb = v[j]
-                if va == 0 and vb == 0:
-                    continue
-                pa = (ua * va + ub * vb * dm) % r
-                pb = (ua * vb + ub * va) % r
-                row = Ti[j]
-                for k in range(e):
-                    t = row[k]
-                    if t:
-                        oa[k] = (oa[k] + t * pa) % r
-                        ob[k] = (ob[k] + t * pb) % r
-        return list(zip(oa, ob))
-
-    def may_match(self, combo) -> bool:
-        vec = [self._reduce_quad(c) for c in combo]
-        acc = vec
-        for i in range(1, self.e):
-            shifted = [vec[(k - i) % self.e] for k in range(self.e)]
-            acc = self._mul_vec(acc, shifted)
-        first = acc[0]
-        if any(c != first for c in acc):
-            return True  # cannot reject safely; exact path decides
-        r = self.r
-        got = ((-first[0]) % r, (-first[1]) % r)
-        return got == self.target
+def _pairs(coords) -> list[tuple[int, int]]:
+    """Quadratic integers as integer pairs (u, v) for (u + v*sqrt(d))/2."""
+    return [(c.a, c.b) if c.den == 2 else (2 * c.a, 2 * c.b) for c in coords]
 
 
 @dataclass(frozen=True)

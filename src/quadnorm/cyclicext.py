@@ -4,9 +4,11 @@ The degree-p^n subfield of the q-th cyclotomic field is realized through
 its Gaussian periods.  A descriptor keeps O(p^n) state: a residue x mod q
 is labelled by its p^n-th power-residue class, the discrete log of
 x^((q-1)/p^n) in the subgroup of order p^n.  The period multiplication
-table comes from cyclotomic numbers, and the period polynomial is computed
-exactly by group-ring arithmetic (power sums of periods are integers,
-turned into coefficients by Newton's identities).  On construction its
+table comes from cyclotomic numbers; ``period_mul`` is the one product over
+it, for integer vectors here and for the relative arithmetic of
+``compose``.  The period polynomial is computed exactly by group-ring
+arithmetic (power sums of periods are integers, turned into coefficients
+by Newton's identities).  On construction its
 discriminant is verified to be the field discriminant q^(p^n - 1) times a
 perfect square, the square of the index of one period's power basis in the
 ring of integers; the literal identity disc = q^(p^n - 1) holds only where
@@ -20,7 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .intmath import factorize, is_prime, kronecker, poly_discriminant, primes_up_to
+from .intmath import (
+    exact_div,
+    factorize,
+    is_prime,
+    kronecker,
+    newton_charpoly,
+    poly_discriminant,
+    primes_up_to,
+)
 from .quadfield import NotPrimeError, QuadraticField, SplittingType, splitting_type
 
 
@@ -171,28 +181,16 @@ class CyclicExtensionDescriptor:
     def _build_period_poly(self) -> tuple[int, ...]:
         e = self.degree
         T = self.struct_constants
-        # power sums of the periods: s_k = trace(period_0^k) = -sum(coords)
-        vec = [0] * e
-        vec[0] = 1
+        # power sums of the periods: s_k = trace(period_0^k) = -sum(coords),
+        # on pair vectors with v = 0 (so u is twice the integer coordinate)
+        eta = [(2, 0)] + [(0, 0)] * (e - 1)
+        vec = eta
         psums = []
-        for _ in range(e):
-            psums.append(-sum(vec))
-            vec = _struct_mul_int(vec, [1 if i == 0 else 0 for i in range(e)], T)
-        # Newton's identities: k*e_k = sum_{i<=k} (-1)^(i-1) * e_{k-i} * s_i
-        esym = [1]
-        for k in range(1, e + 1):
-            acc = 0
-            sign = 1
-            for i in range(1, k + 1):
-                acc += sign * esym[k - i] * psums[i - 1]
-                sign = -sign
-            val, rem = divmod(acc, k)
-            if rem:
-                raise ArithmeticError("Newton identity division failed")
-            esym.append(val)
-        coeffs = [0] * (e + 1)
-        for k in range(e + 1):
-            coeffs[e - k] = (-1) ** k * esym[k]
+        for k in range(e):
+            if k:
+                vec = period_mul(vec, eta, T, 0)
+            psums.append(-sum(u for u, _ in vec) // 2)
+        coeffs = newton_charpoly(psums, exact_div) + [1]
         disc = poly_discriminant(coeffs)
         field_disc = self.q ** (e - 1)
         ratio, rem = divmod(disc, field_disc)
@@ -206,23 +204,36 @@ class CyclicExtensionDescriptor:
         return tuple(coeffs)
 
 
-def _struct_mul_int(u: list[int], v: list[int], T) -> list[int]:
-    e = len(u)
-    out = [0] * e
-    for i in range(e):
-        ui = u[i]
-        if not ui:
+def period_mul(x, y, T, d: int) -> list[tuple[int, int]]:
+    """Product of two vectors on the period basis over the ring of integers
+    of Q(sqrt(d)), through the structure constants T.
+
+    A coordinate is an integer pair (u, v) standing for (u + v*sqrt(d))/2,
+    so an integer vector c is the pair vector (2c, 0) and any d will do.
+    Raises ArithmeticError when a coordinate of the product is not integral.
+    """
+    e = len(x)
+    acc_u = [0] * e
+    acc_v = [0] * e
+    ys = [(j, yu, yv) for j, (yu, yv) in enumerate(y) if yu or yv]
+    for i, (xu, xv) in enumerate(x):
+        if not (xu or xv):
             continue
         Ti = T[i]
-        for j in range(e):
-            vj = v[j]
-            if not vj:
-                continue
-            w = ui * vj
-            row = Ti[j]
-            for k in range(e):
-                if row[k]:
-                    out[k] += w * row[k]
+        xvd = xv * d
+        for j, yu, yv in ys:
+            # (xu + xv*r)(yu + yv*r) with r = sqrt(d), over the denominator 4
+            pu = xu * yu + xvd * yv
+            pv = xu * yv + xv * yu
+            for k, t in enumerate(Ti[j]):
+                if t:
+                    acc_u[k] += t * pu
+                    acc_v[k] += t * pv
+    out = []
+    for u, v in zip(acc_u, acc_v):
+        if u & 1 or v & 1:
+            raise ArithmeticError("non-integral product coordinate")
+        out.append((u >> 1, v >> 1))
     return out
 
 

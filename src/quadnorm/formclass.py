@@ -479,12 +479,6 @@ def polya_report(F: QuadraticField) -> PolyaReport:
     )
 
 
-def h1_units_quadratic(unit_norm: int) -> int:
-    """|H^1| of the unit module for the degree-2 layer, from the cocycle
-    description of units {+-eps^k}: 4 when the unit norm is +1, else 2."""
-    return 4 if unit_norm == 1 else 2
-
-
 def minkowski_class_number(F: QuadraticField) -> int:
     """Independent wide class number: enumerate primitive ideals of norm
     within the Minkowski bound and count their continued-fraction cycles.

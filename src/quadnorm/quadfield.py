@@ -145,13 +145,15 @@ class QuadInteger:
 
     def divide_exact(self, k: int) -> "QuadInteger":
         """Exact division by a rational integer; raises if not divisible."""
-        a, b, den = self.a, self.b, self.den
-        if den == 1 and (a % 2 or b % 2) and k % 2 == 0 and self.d % 4 == 1:
-            # allow e.g. (1 + sqrt(5)) / 2 via den promotion
-            a, b, den = 2 * a, 2 * b, 2
-        if a % k or b % k:
+        # numerators over the common denominator 2, e.g. (2 + 2*sqrt(5)) / 4
+        # is (1 + sqrt(5)) / 2
+        u, v = (self.a, self.b) if self.den == 2 else (2 * self.a, 2 * self.b)
+        if u % k or v % k:
             raise ArithmeticError(f"{self!r} not divisible by {k}")
-        return QuadInteger(self.d, a // k, b // k, den)
+        u, v = u // k, v // k
+        if (u - v) % 2 or (u % 2 and self.d % 4 != 1):
+            raise ArithmeticError(f"{self!r} not divisible by {k}")
+        return QuadInteger(self.d, u, v, 2)
 
     def conjugate(self) -> "QuadInteger":
         return QuadInteger(self.d, self.a, -self.b, self.den)

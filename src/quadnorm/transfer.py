@@ -86,11 +86,6 @@ class FiniteGroup:
     def order_of(self, a: int) -> int:
         return element_order(a, self.mul, self.identity, bound=self.n)
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul(a, b) == self.mul(b, a) for a in range(self.n) for b in range(self.n)
-        )
-
     def check_subgroup(self, H) -> frozenset[int]:
         H = frozenset(H)
         if not H or self.identity not in H:
@@ -313,9 +308,6 @@ class GroupRingElement:
 
     def augmentation(self) -> int:
         return sum(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupRingElement):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,8 @@ from quadnorm.compose import (
     WrongNormError,
     composition_check,
 )
-from quadnorm.cyclicext import period_polynomial
+from quadnorm.cyclicext import period_mul, period_polynomial
+from quadnorm.intmath import primes_up_to
 from quadnorm.formclass import prime_form
 from quadnorm.quadfield import QuadInteger, fundamental_unit, make_field
 
@@ -131,6 +133,154 @@ class TestCharpoly:
         cp = ext7_79.charpoly(ext7_79.scalar(u))
         # (x - u)^3 = x^3 - 3u x^2 + 3u^2 x - u^3
         assert cp.coeffs == (-(u**3), (u * u).scale(3), u.scale(-3), QuadInteger(79, 1, 0))
+
+
+def _rand_quad(rng, d, h=3):
+    """A random element of height <= h, with denominator 2 half the time
+    when d = 1 (mod 4)."""
+    a, b = rng.randint(-h, h), rng.randint(-h, h)
+    if d % 4 == 1 and (a - b) % 2 == 0 and rng.random() < 0.5:
+        return QuadInteger(d, a, b, 2)
+    return QuadInteger(d, a, b)
+
+
+def _faddeev_leverrier(ext, alpha):
+    """Charpoly of the multiplication matrix of alpha, ascending, by
+    Faddeev-LeVerrier over QuadInteger entries (the test oracle)."""
+    e, d = ext.degree, ext.field.d
+    zero, one = QuadInteger(d, 0, 0), QuadInteger(d, 1, 0)
+    cols = [(alpha * ext.period(j)).coords for j in range(e)]
+    M = [[cols[j][i] for j in range(e)] for i in range(e)]
+
+    def mat_mul(A, B):
+        out = []
+        for i in range(e):
+            row = []
+            for j in range(e):
+                acc = zero
+                for k in range(e):
+                    if not (A[i][k] == zero or B[k][j] == zero):
+                        acc = acc + A[i][k] * B[k][j]
+                row.append(acc)
+            out.append(row)
+        return out
+
+    def trace(A):
+        acc = zero
+        for i in range(e):
+            acc = acc + A[i][i]
+        return acc
+
+    cs = [one]
+    Mk = M
+    c = -trace(Mk)
+    cs.append(c)
+    for k in range(2, e + 1):
+        shifted = [[Mk[i][j] + (c if i == j else zero) for j in range(e)] for i in range(e)]
+        Mk = mat_mul(M, shifted)
+        c = (-trace(Mk)).divide_exact(k)
+        cs.append(c)
+    return tuple(reversed(cs))
+
+
+class TestCharpolyOracle:
+    """Newton charpolys against Faddeev-LeVerrier on the multiplication
+    matrix, dense at degrees 3, 5 and 9 and sparse at degree 25."""
+
+    @pytest.mark.parametrize("q,p,n", [(7, 3, 1), (11, 5, 1), (19, 3, 2)])
+    @pytest.mark.parametrize("d", [10, 13, 79])
+    def test_dense(self, q, p, n, d):
+        ext = RelativeExtension(period_polynomial(q, p, n), make_field(d))
+        rng = random.Random(q * 1000 + d)
+        for _ in range(4):
+            alpha = ext.element([_rand_quad(rng, d) for _ in range(ext.degree)])
+            cp = ext.charpoly(alpha)
+            assert cp.coeffs == _faddeev_leverrier(ext, alpha)
+            assert cp.degree() == ext.degree
+
+    def test_sparse_degree_25(self):
+        ext = RelativeExtension(period_polynomial(101, 5, 2), make_field(13))
+        rng = random.Random(25)
+        coords = [QuadInteger(13, 0, 0)] * 25
+        for i in rng.sample(range(25), 4):
+            coords[i] = _rand_quad(rng, 13)
+        alpha = ext.element(coords)
+        assert ext.charpoly(alpha).coeffs == _faddeev_leverrier(ext, alpha)
+
+    def test_period_charpoly_at_every_conductor(self):
+        F = make_field(2)  # disc 8 is prime to every odd conductor
+        for p, n in ((3, 1), (5, 1), (3, 2)):
+            e = p**n
+            for q in primes_up_to(999):
+                if q % e != 1:
+                    continue
+                desc = period_polynomial(q, p, n)
+                ext = RelativeExtension(desc, F)
+                coeffs = ext.charpoly(ext.period(0)).coeffs
+                assert all(c.b == 0 and c.den == 1 for c in coeffs), q
+                assert tuple(c.a for c in coeffs) == desc.period_poly, q
+
+
+def _as_pairs(coords):
+    """(u, v) with c = (u + v*sqrt(d))/2 for each coordinate c."""
+    return [(2 * c.a, 2 * c.b) if c.den == 1 else (c.a, c.b) for c in coords]
+
+
+class TestPeriodProduct:
+    """The pair-vector kernel against the QuadInteger schoolbook sum
+    sum_ij x_i * y_j * T[i][j]."""
+
+    @pytest.mark.parametrize(
+        "q,p,n,d", [(7, 3, 1, 13), (11, 5, 1, 79), (19, 3, 2, 5), (101, 5, 2, 13)]
+    )
+    def test_against_schoolbook(self, q, p, n, d):
+        desc = period_polynomial(q, p, n)
+        e, T = desc.degree, desc.struct_constants
+        rng = random.Random(q)
+        for _ in range(3):
+            x = [_rand_quad(rng, d) for _ in range(e)]
+            y = [_rand_quad(rng, d) for _ in range(e)]
+            want = [QuadInteger(d, 0, 0)] * e
+            for i in range(e):
+                for j in range(e):
+                    xy = x[i] * y[j]
+                    for k in range(e):
+                        want[k] = want[k] + xy.scale(T[i][j][k])
+            got = period_mul(_as_pairs(x), _as_pairs(y), T, d)
+            assert [QuadInteger(d, u, v, 2) for u, v in got] == want
+
+
+def _brute_search(ext, target, bound):
+    """First candidate, in the search's order, whose exact relative norm is
+    the target."""
+    scalars = ext.default_height_candidates(bound)
+    for combo in itertools.product(scalars, repeat=ext.degree):
+        cand = ext.element(combo)
+        if ext.relative_norm(cand) == target:
+            return cand
+    return NOT_FOUND
+
+
+class TestSearchAgainstBrute:
+    @pytest.mark.parametrize("d", [10, 13, 79])
+    def test_first_hit(self, desc7, d):
+        ext = RelativeExtension(desc7, make_field(d))
+        scalars = ext.default_height_candidates(1)
+        assert any(c.den == 2 for c in scalars) == (d % 4 == 1)
+        rng = random.Random(d)
+        targets = [QuadInteger(d, 1, 0), QuadInteger(d, -1, 0)]
+        for _ in range(4):
+            targets.append(ext.relative_norm(ext.element(rng.choices(scalars, k=3))))
+        for target in targets:
+            hit = ext.search_norm_element(target, 1)
+            assert hit != NOT_FOUND
+            assert hit == _brute_search(ext, target, 1)
+
+    def test_not_found(self, desc7):
+        ext = RelativeExtension(desc7, make_field(10))
+        target = QuadInteger(10, 7, 2)
+        assert _brute_search(ext, target, 1) == NOT_FOUND
+        assert ext.search_norm_element(target, 1) == NOT_FOUND
 
 
 class TestSearch:

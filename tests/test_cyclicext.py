@@ -7,8 +7,8 @@ from quadnorm.cyclicext import (
     ConductorInvalidError,
     CyclicExtensionDescriptor,
     WildOrRamifiedConductorError,
-    _struct_mul_int,
     cyclic_descriptor,
+    period_mul,
     period_polynomial,
     properness_report,
     relative_discriminant,
@@ -71,10 +71,13 @@ class TestPeriodPolynomial:
         assert coeffs[e] == 1 and coeffs[e - 1] == 1  # sum of periods = -1
         # product of all periods computed in the period ring equals the
         # constant term up to the degree sign
-        prod = [1 if i == 0 else 0 for i in range(e)]
+        # integer vectors c are the pair vectors (2c, 0) of the period product
+        prod = [(2, 0) if i == 0 else (0, 0) for i in range(e)]
         for j in range(1, e):
-            basis_j = [1 if i == j else 0 for i in range(e)]
-            prod = _struct_mul_int(prod, basis_j, desc.struct_constants)
+            basis_j = [(2, 0) if i == j else (0, 0) for i in range(e)]
+            prod = period_mul(prod, basis_j, desc.struct_constants, 0)
+        assert all(v == 0 for _, v in prod)
+        prod = [u // 2 for u, _ in prod]
         expected_scalar = (-1) ** e * coeffs[0]
         assert all(c == -expected_scalar for c in prod)
 

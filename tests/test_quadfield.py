@@ -96,6 +96,35 @@ class TestQuadInteger:
             x = QuadInteger(d, a, b, den)
             assert x * x.conjugate() == QuadInteger(d, x.norm(), 0)
 
+    def test_divide_exact_into_half_coordinates(self):
+        # 2 + 2*sqrt(5) = 4 * (1 + sqrt(5))/2
+        assert QuadInteger(5, 2, 2).divide_exact(4) == QuadInteger(5, 1, 1, 2)
+        assert QuadInteger(13, 6, 2).divide_exact(4) == QuadInteger(13, 3, 1, 2)
+
+    @pytest.mark.parametrize(
+        "d,a,b,den,k",
+        [(5, 1, 1, 2, 2), (10, 2, 2, 1, 4), (5, 2, 0, 1, 4), (13, 4, 2, 1, 4), (5, 3, 1, 2, 3)],
+    )
+    def test_divide_exact_rejects(self, d, a, b, den, k):
+        with pytest.raises(ArithmeticError):
+            QuadInteger(d, a, b, den).divide_exact(k)
+
+    @given(
+        d=st.sampled_from([5, 10, 13, 79]),
+        a=st.integers(-50, 50),
+        b=st.integers(-50, 50),
+        half=st.booleans(),
+        k=st.integers(1, 12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_divide_exact_inverts_scale(self, d, a, b, half, k):
+        if half and d % 4 == 1 and (a - b) % 2 == 0:
+            x = QuadInteger(d, a, b, 2)
+        else:
+            x = QuadInteger(d, a, b)
+        assert x.scale(k).divide_exact(k) == x
+        assert x.scale(-k).divide_exact(k) == -x
+
 
 class TestFundamentalUnit:
     @pytest.mark.parametrize(
