@@ -2,19 +2,31 @@
 
 Groups are explicit multiplication tables, validated on construction and
 capped in size.  The transfer map is computed from its coset-product
-definition, the restricted transfer on the quotient is tabulated together
-with the divisibility hypothesis it is supposed to satisfy, and membership
-in augmentation-ideal lattices is decided exactly by integer row reduction.
-The module is a falsification instrument: vanishing verdicts are reported,
-never assumed.
+definition (Isaacs, *Finite Group Theory*, ch. 5), the restricted transfer
+on the quotient is tabulated together with the divisibility hypothesis it
+is supposed to satisfy, and membership in augmentation-ideal lattices is
+decided exactly by integer row reduction.  The module is a falsification
+instrument: vanishing verdicts are reported, never assumed.
+
+What the transfer needs about H (the checked H, least coset elements as
+representatives, the coset map, and the least element of xH' for every x)
+is a ``TransferContext``, computed once.  ``G.context(H)`` keeps one in a
+one-slot cache, replaced when H changes: callers take the subgroups one at
+a time, so one slot saves all the repeated work and holds the memory of a
+single context.  Supplied representatives get a context of their own.
+
+The lattices come from a generating set S of H: I_G*I_H is spanned by the
+(g-1)(s-1), g in G, s in S, and I_H + I_G*I_H by those and the (s-1),
+since hs-1 = (h-1) + (s-1) + (h-1)(s-1) and (g-1)(h-1) = (gh-1) - (g-1) -
+(h-1).  I_G^2 is I_G*I_H with H = G.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .intmath import closure, element_order, power
+from .intmath import closure, power
 
 DEFAULT_MAX_ORDER = 64
 
@@ -74,6 +86,8 @@ class FiniteGroup:
                 for c in range(n):
                     if table[ab][c] != table[a][table[b][c]]:
                         raise GroupTableError("table is not associative")
+        self._derived = None
+        self._context = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -83,12 +97,12 @@ class FiniteGroup:
             return self.power(self.inverse[a], -k)
         return power(a, k, self.mul, self.identity)
 
-    def order_of(self, a: int) -> int:
-        return element_order(a, self.mul, self.identity, bound=self.n)
-
     def check_subgroup(self, H) -> frozenset[int]:
         H = frozenset(H)
-        if not H or self.identity not in H:
+        for a in H:
+            if not 0 <= a < self.n:
+                raise NotSubgroupError(f"element {a} outside 0..{self.n - 1}")
+        if self.identity not in H:
             raise NotSubgroupError("subgroup must contain the identity")
         for a in H:
             if self.inverse[a] not in H:
@@ -107,36 +121,50 @@ class FiniteGroup:
         )
 
     def derived_subgroup(self) -> frozenset[int]:
-        return _derived_of_subgroup(self, range(self.n))
+        if self._derived is None:
+            self._derived = _derived_of_subgroup(self, range(self.n))
+        return self._derived
+
+    def context(self, H) -> TransferContext:
+        """The transfer context of H, from a one-slot cache that the next
+        different H replaces."""
+        Hset = frozenset(H)
+        if self._context is None or self._context.Hset != Hset:
+            Hset = self.check_subgroup(Hset)
+            least = self._coset_minima(Hset)
+            reps = tuple(x for x in range(self.n) if least[x] == x)
+            mod_derived = self._coset_minima(_derived_of_subgroup(self, Hset))
+            self._context = TransferContext(Hset, reps, tuple(least), tuple(mod_derived))
+        return self._context
 
     def subgroup_closure(self, seed) -> frozenset[int]:
         return closure(seed, self.mul, self.identity)
 
-    def coset_representatives(self, H) -> list[int]:
-        """Left coset representatives, each the least element of its coset."""
-        H = frozenset(H)
-        seen = set()
-        reps = []
-        for g in range(self.n):
-            if g in seen:
-                continue
-            reps.append(g)
-            for h in H:
-                seen.add(self.mul(g, h))
-        return reps
+    def _coset_minima(self, K) -> list[int]:
+        """For every x, the least element of the left coset xK of the
+        subgroup K."""
+        least = [None] * self.n
+        for x in range(self.n):
+            if least[x] is None:
+                row = self.table[x]
+                for k in K:
+                    least[row[k]] = x
+        return least
 
     def all_subgroups(self) -> list[frozenset[int]]:
-        found = {frozenset([self.identity])}
-        frontier = [frozenset([self.identity])]
+        """Every subgroup, each closed from a generating tuple."""
+        trivial = frozenset([self.identity])
+        found = {trivial}
+        frontier = [(trivial, ())]
         while frontier:
-            H = frontier.pop()
+            H, gens = frontier.pop()
             for g in range(self.n):
                 if g in H:
                     continue
-                K = self.subgroup_closure(H | {g})
+                K = self.subgroup_closure(gens + (g,))
                 if K not in found:
                     found.add(K)
-                    frontier.append(K)
+                    frontier.append((K, gens + (g,)))
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     @classmethod
@@ -183,6 +211,16 @@ class FiniteGroup:
         return cls(rows, name=name, max_order=max_order)
 
 
+@dataclass(frozen=True)
+class TransferContext:
+    """What the transfer needs about one subgroup H of G."""
+
+    Hset: frozenset[int]
+    reps: tuple[int, ...]  # one representative per left coset of H
+    coset_of: tuple[int, ...]  # coset_of[x]: the representative of xH
+    mod_derived: tuple[int, ...]  # mod_derived[x]: the least element of xH'
+
+
 def transfer(G: FiniteGroup, H, g: int, reps: list[int] | None = None) -> int:
     """Transfer of g into H modulo the derived subgroup of H, by the coset
     product formula; returned as the least element of its H'-coset.
@@ -190,36 +228,47 @@ def transfer(G: FiniteGroup, H, g: int, reps: list[int] | None = None) -> int:
     The representative set may be supplied (any transversal works; the
     result is representative-independent, which the tests exercise).
     """
-    Hset = G.check_subgroup(H)
-    if reps is None:
-        reps = G.coset_representatives(Hset)
-    else:
-        if len(reps) * len(Hset) != G.n:
+    if not 0 <= g < G.n:
+        raise ValueError(f"element {g} outside 0..{G.n - 1}")
+    ctx = G.context(H)
+    if reps is not None:
+        for r in reps:
+            if not 0 <= r < G.n:
+                raise ValueError(f"representative {r} outside 0..{G.n - 1}")
+        if len(reps) * len(ctx.Hset) != G.n:
             raise ValueError("not a transversal")
-    coset_of = {}
-    for r in reps:
-        for h in Hset:
-            coset_of[G.mul(r, h)] = r
-    if len(coset_of) != G.n:
-        raise ValueError("representatives do not cover the group")
+        rep_of = {ctx.coset_of[r]: r for r in reps}
+        if len(rep_of) != len(reps):
+            raise ValueError("representatives do not cover the group")
+        ctx = replace(ctx, reps=tuple(reps), coset_of=tuple(rep_of[m] for m in ctx.coset_of))
+    table, inverse, coset_of = G.table, G.inverse, ctx.coset_of
     prod = G.identity
-    for r in reps:
-        gr = G.mul(g, r)
-        factor = G.mul(G.inverse[coset_of[gr]], gr)
-        if factor not in Hset:
+    for r in ctx.reps:
+        gr = table[g][r]
+        factor = table[inverse[coset_of[gr]]][gr]
+        if factor not in ctx.Hset:
             raise ArithmeticError("coset product factor left the subgroup")
-        prod = G.mul(prod, factor)
-    Hprime = _derived_of_subgroup(G, Hset)
-    return min(G.mul(prod, h) for h in Hprime)
+        prod = table[prod][factor]
+    return ctx.mod_derived[prod]
 
 
-def _derived_of_subgroup(G: FiniteGroup, Hset: frozenset[int]) -> frozenset[int]:
+def _derived_of_subgroup(G: FiniteGroup, Hset) -> frozenset[int]:
     gens = {
         G.mul(G.mul(a, b), G.mul(G.inverse[a], G.inverse[b]))
         for a in Hset
         for b in Hset
     }
     return closure(gens, G.mul, G.identity)
+
+
+def _quotient_context(G: FiniteGroup, H) -> TransferContext:
+    """The context of H, once H is checked normal and containing G'."""
+    ctx = G.context(H)
+    if not G.is_normal(ctx.Hset):
+        raise NotNormalError("H must be normal")
+    if not G.derived_subgroup() <= ctx.Hset:
+        raise CommutatorNotContainedError("derived subgroup must lie in H")
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -240,17 +289,12 @@ class TransferResult:
 def restricted_transfer(G: FiniteGroup, H) -> TransferResult:
     """Tabulate the transfer on the quotient by H and report the
     (hypothesis, vanishing) verdict for the vanishing claim."""
-    Hset = G.check_subgroup(H)
-    if not G.is_normal(Hset):
-        raise NotNormalError("H must be normal")
-    if not G.derived_subgroup() <= Hset:
-        raise CommutatorNotContainedError("derived subgroup must lie in H")
-    Hprime = _derived_of_subgroup(G, Hset)
-    identity_coset = min(G.mul(G.identity, h) for h in Hprime)
+    ctx = _quotient_context(G, H)
+    Hset = ctx.Hset
+    identity_coset = ctx.mod_derived[G.identity]
     well_defined = all(transfer(G, Hset, h) == identity_coset for h in Hset)
     index = G.n // len(Hset)
-    reps = G.coset_representatives(Hset)
-    images = tuple((r, transfer(G, Hset, r)) for r in reps)
+    images = tuple((r, transfer(G, Hset, r)) for r in ctx.reps)
     vanishes = well_defined and all(img == identity_coset for _, img in images)
     return TransferResult(
         group_name=G.name,
@@ -276,10 +320,6 @@ class GroupRingElement:
             raise ValueError("coefficient vector has wrong length")
         self.G = G
         self.coeffs = coeffs
-
-    @classmethod
-    def basis(cls, G: FiniteGroup, g: int) -> "GroupRingElement":
-        return cls(G, tuple(1 if i == g else 0 for i in range(G.n)))
 
     @classmethod
     def delta(cls, G: FiniteGroup, g: int) -> "GroupRingElement":
@@ -361,23 +401,29 @@ class _IntegerLattice:
 LATTICE_KINDS = ("IG2", "IGIH", "IH+IGIH")
 
 
+def _generators(G: FiniteGroup, Hset) -> tuple[int, ...]:
+    """Generators of the subgroup Hset: greedily, the least element not yet
+    in the subgroup the earlier ones generate."""
+    gens, span = (), {G.identity}
+    for x in sorted(Hset):
+        if x not in span:
+            gens += (x,)
+            span = G.subgroup_closure(gens)
+    return gens
+
+
 def _lattice(G: FiniteGroup, Hset: frozenset[int], kind: str) -> _IntegerLattice:
-    lat = _IntegerLattice(G.n)
-    nontrivial_G = [g for g in range(G.n) if g != G.identity]
-    nontrivial_H = [h for h in sorted(Hset) if h != G.identity]
-    if kind == "IG2":
-        pairs = ((a, b) for a in nontrivial_G for b in nontrivial_G)
-    elif kind == "IGIH":
-        pairs = ((a, b) for a in nontrivial_G for b in nontrivial_H)
-    elif kind == "IH+IGIH":
-        pairs = ((a, b) for a in nontrivial_G for b in nontrivial_H)
-        for h in nontrivial_H:
-            lat.insert(GroupRingElement.delta(G, h).coeffs)
-    else:
+    if kind not in LATTICE_KINDS:
         raise ValueError(f"unknown lattice kind {kind!r}; use one of {LATTICE_KINDS}")
-    for a, b in pairs:
-        prod = GroupRingElement.delta(G, a) * GroupRingElement.delta(G, b)
-        lat.insert(prod.coeffs)
+    gens = _generators(G, range(G.n) if kind == "IG2" else Hset)
+    lat = _IntegerLattice(G.n)
+    if kind == "IH+IGIH":
+        for s in gens:
+            lat.insert(GroupRingElement.delta(G, s).coeffs)
+    for a in range(G.n):
+        if a != G.identity:
+            for s in gens:
+                lat.insert((GroupRingElement.delta(G, a) * GroupRingElement.delta(G, s)).coeffs)
     return lat
 
 
@@ -385,6 +431,8 @@ def augmentation_membership(
     G: FiniteGroup, H, x: GroupRingElement, lattice_kind: str
 ) -> bool:
     """Exact membership of x in I_G^2, I_G*I_H or I_H + I_G*I_H."""
+    if x.G is not G:
+        raise ValueError("x is not in the group ring of G")
     Hset = G.check_subgroup(H)
     return _lattice(G, Hset, lattice_kind).contains(x.coeffs)
 
@@ -404,13 +452,9 @@ def diagram_check(G: FiniteGroup, H) -> DiagramReport:
     The congruence is checked on representatives, so the report is
     meaningful even on instances where the vanishing hypothesis fails.
     """
-    Hset = G.check_subgroup(H)
-    if not G.is_normal(Hset):
-        raise NotNormalError("H must be normal")
-    if not G.derived_subgroup() <= Hset:
-        raise CommutatorNotContainedError("derived subgroup must lie in H")
+    ctx = _quotient_context(G, H)
+    Hset, reps = ctx.Hset, ctx.reps
     lat = _lattice(G, Hset, "IGIH")
-    reps = G.coset_representatives(Hset)
     norm_elt = GroupRingElement(G, tuple(1 if i in reps else 0 for i in range(G.n)))
     violations = []
     for g in reps:

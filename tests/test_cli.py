@@ -141,6 +141,19 @@ class TestTransferCommand:
         assert code == 1
         assert "vanishes=False" in out and "discrepancy" in out
 
+    def test_out_of_range_subgroup_is_a_usage_error(self, capsys, tmp_path):
+        C4 = FiniteGroup.cyclic_product([4])
+        table = tmp_path / "c4.table"
+        table.write_text(
+            "\n".join(" ".join(str(x) for x in row) for row in C4.table) + "\n"
+        )
+        for sub, bad in (("0,9", "9"), ("0,-1", "-1")):
+            code, out, err = run(
+                capsys, "transfer", "--table-file", str(table), "--subgroup", sub
+            )
+            assert code == 2 and out == ""
+            assert err == f"error: element {bad} outside 0..3\n"
+
     def test_klein_four_passes(self, capsys, tmp_path):
         V4 = FiniteGroup.cyclic_product([2, 2])
         table = tmp_path / "v4.table"

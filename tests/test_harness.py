@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -177,6 +178,14 @@ class TestSurveyHelpers:
         ]
         assert v4_halves and all(s.vanishes for s in v4_halves)
         assert all(s.oracle_agrees for s in inst.values())
+
+    def test_full_survey_is_pinned(self):
+        survey = transfer_survey(36)
+        assert len(survey) == 1113
+        assert sum(1 for s in survey if s.vanishing_discrepancy) == 32
+        assert hashlib.sha256(repr(survey).encode()).hexdigest() == (
+            "19a8c4f9f5cdfbfbd5eebffae12b19d3179f3e07b08e8e386b969557f1d8ae18"
+        )
 
 
 class TestDetectionSweep:

@@ -2,13 +2,18 @@ import random
 
 import pytest
 
+from quadnorm.harness import abelian_group_types
+from quadnorm.intmath import closure
 from quadnorm.transfer import (
+    LATTICE_KINDS,
     CommutatorNotContainedError,
     FiniteGroup,
     GroupRingElement,
     GroupTableError,
     NotNormalError,
     NotSubgroupError,
+    _IntegerLattice,
+    _lattice,
     augmentation_membership,
     diagram_check,
     restricted_transfer,
@@ -22,6 +27,91 @@ def klein_four():
 
 def sub_by_labels(G, wanted):
     return [i for i, lab in enumerate(G.element_labels) if lab in wanted]
+
+
+def relabelled(orders, seed):
+    """The cyclic product with its elements renamed by a seeded permutation,
+    so that the identity is not 0 and least elements carry no structure."""
+    base = FiniteGroup.cyclic_product(orders)
+    perm = list(range(base.n))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * base.n for _ in range(base.n)]
+    for a in range(base.n):
+        for b in range(base.n):
+            table[perm[a]][perm[b]] = perm[base.table[a][b]]
+    return FiniteGroup(table, name=base.name)
+
+
+def oracle_groups():
+    return [
+        FiniteGroup.symmetric(3),
+        FiniteGroup.symmetric(4),
+        relabelled([2, 2, 2], 11),
+        relabelled([4, 2], 12),
+        relabelled([3, 3], 13),
+    ]
+
+
+def coset_product_transfer(G, H, g, reps=None):
+    """The transfer from its definition, from scratch on every call: the
+    subgroup check, a transversal (least coset elements unless given), the
+    coset map and the commutator closure H'."""
+    Hset = G.check_subgroup(H)
+    if reps is None:
+        seen, reps = set(), []
+        for x in range(G.n):
+            if x not in seen:
+                reps.append(x)
+                seen.update(G.mul(x, h) for h in Hset)
+    coset_of = {G.mul(r, h): r for r in reps for h in Hset}
+    assert len(coset_of) == G.n
+    prod = G.identity
+    for r in reps:
+        gr = G.mul(g, r)
+        factor = G.mul(G.inverse[coset_of[gr]], gr)
+        assert factor in Hset
+        prod = G.mul(prod, factor)
+    commutators = {
+        G.mul(G.mul(a, b), G.mul(G.inverse[a], G.inverse[b])) for a in Hset for b in Hset
+    }
+    Hprime = closure(commutators, G.mul, G.identity)
+    return min(G.mul(prod, h) for h in Hprime)
+
+
+def full_pair_lattice(G, Hset, kind):
+    """The lattice from all products (a-1)(b-1), a != 1 in G and b != 1 in
+    H (in G for I_G^2), plus every (h-1) for I_H + I_G*I_H."""
+    lat = _IntegerLattice(G.n)
+    nontrivial_G = [g for g in range(G.n) if g != G.identity]
+    nontrivial_H = [h for h in sorted(Hset) if h != G.identity]
+    if kind == "IH+IGIH":
+        for h in nontrivial_H:
+            lat.insert(GroupRingElement.delta(G, h).coeffs)
+    for a in nontrivial_G:
+        for b in nontrivial_G if kind == "IG2" else nontrivial_H:
+            lat.insert((GroupRingElement.delta(G, a) * GroupRingElement.delta(G, b)).coeffs)
+    return lat
+
+
+def same_lattice(x, y):
+    return all(y.contains(r) for r in x.rows.values()) and all(
+        x.contains(r) for r in y.rows.values()
+    )
+
+
+def subgroups_by_full_closure(G):
+    """Every subgroup by closing H | {g} from the trivial group."""
+    found = {frozenset([G.identity])}
+    frontier = list(found)
+    while frontier:
+        H = frontier.pop()
+        for g in range(G.n):
+            if g not in H:
+                K = closure(H | {g}, G.mul, G.identity)
+                if K not in found:
+                    found.add(K)
+                    frontier.append(K)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 class TestGroupValidation:
@@ -41,6 +131,14 @@ class TestGroupValidation:
                     [4, 3, 1, 2, 0],
                 ]
             )
+
+    def test_subgroup_elements_must_be_in_range(self):
+        C4 = FiniteGroup.cyclic_product([4])
+        for H in ([0, 9], [0, -1], [0, -2], [0, 2, 4]):
+            with pytest.raises(NotSubgroupError, match="outside 0..3"):
+                C4.check_subgroup(H)
+            with pytest.raises(NotSubgroupError, match="outside 0..3"):
+                restricted_transfer(C4, H)
 
     def test_order_cap(self):
         with pytest.raises(GroupTableError):
@@ -96,7 +194,7 @@ class TestTransfer:
         H = sub_by_labels(G, {(0, 0), (0, 2), (0, 4)})
         Hset = frozenset(H)
         base = {g: transfer(G, H, g) for g in range(G.n)}
-        default_reps = G.coset_representatives(Hset)
+        default_reps = G.context(Hset).reps
         for _ in range(10):
             reps = [
                 G.mul(r, rng.choice(sorted(Hset)))
@@ -104,6 +202,22 @@ class TestTransfer:
             ]
             for g in range(0, G.n, 3):
                 assert transfer(G, H, g, reps=reps) == base[g]
+
+    def test_supplied_representatives_must_be_in_range(self):
+        C4 = FiniteGroup.cyclic_product([4])
+        for reps in ([0, -3], [0, 5]):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                transfer(C4, [0, 2], 1, reps=reps)
+        with pytest.raises(ValueError, match="not a transversal"):
+            transfer(C4, [0, 2], 1, reps=[0, 1, 3])
+        with pytest.raises(ValueError, match="do not cover"):
+            transfer(C4, [0, 2], 1, reps=[1, 3])
+
+    def test_element_must_be_in_range(self):
+        C4 = FiniteGroup.cyclic_product([4])
+        for g in (-1, 4):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                transfer(C4, [0, 2], g)
 
     def test_abelian_transfer_is_power_map(self):
         for orders in ([6], [2, 4], [3, 3], [12], [2, 2, 2], [24]):
@@ -113,6 +227,46 @@ class TestTransfer:
                 index = G.n // len(H)
                 for g in range(G.n):
                     assert transfer(G, Hp, g) == G.power(g, index)
+
+
+class TestTransferOracle:
+    def test_every_instance_matches_coset_product(self):
+        for G in oracle_groups():
+            for H in G.all_subgroups():
+                for g in range(G.n):
+                    assert transfer(G, H, g) == coset_product_transfer(G, H, g)
+
+    def test_alternating_subgroups_replace_the_one_slot(self):
+        for G in oracle_groups():
+            subgroups = G.all_subgroups()
+            for H1, H2 in zip(subgroups, subgroups[1:]):
+                for H in (H1, H2, H1):
+                    ctx = G.context(sorted(H))
+                    assert ctx.Hset == H and G.context(H) is ctx
+                    for g in range(G.n):
+                        assert transfer(G, sorted(H), g) == coset_product_transfer(G, H, g)
+                assert G.context(H2) is not ctx and G.context(H2).Hset == H2
+
+    def test_supplied_transversals(self):
+        rng = random.Random(7)
+        for G in oracle_groups():
+            for H in G.all_subgroups():
+                cosets = {frozenset(G.mul(x, h) for h in H) for x in range(G.n)}
+                for _ in range(3):
+                    reps = [rng.choice(sorted(c)) for c in sorted(cosets, key=min)]
+                    rng.shuffle(reps)
+                    for g in range(G.n):
+                        got = transfer(G, H, g, reps=reps)
+                        assert got == coset_product_transfer(G, H, g, reps=reps)
+                        assert got == transfer(G, H, g)
+
+
+class TestSubgroupEnumeration:
+    def test_matches_closure_of_each_extension(self):
+        groups = [FiniteGroup.symmetric(3), FiniteGroup.symmetric(4)]
+        groups += [FiniteGroup.cyclic_product(t) for t in abelian_group_types(24)]
+        for G in groups:
+            assert G.all_subgroups() == subgroups_by_full_closure(G)
 
 
 class TestRestrictedTransfer:
@@ -182,6 +336,25 @@ class TestAugmentationLattices:
                     lhs = GroupRingElement.delta(G, G.mul(x, y))
                     rhs = GroupRingElement.delta(G, x) + GroupRingElement.delta(G, y)
                     assert augmentation_membership(G, full, lhs - rhs, "IG2")
+
+    def test_element_of_another_group_is_rejected(self):
+        C4, C2xC2 = FiniteGroup.cyclic_product([4]), klein_four()
+        x = GroupRingElement.delta(C2xC2, 1)
+        with pytest.raises(ValueError, match="group ring"):
+            augmentation_membership(C4, [0, 2], x, "IGIH")
+
+    def test_generator_lattices_equal_full_pair_lattices(self):
+        groups = [FiniteGroup.symmetric(3), FiniteGroup.symmetric(4)]
+        groups += [FiniteGroup.cyclic_product(t) for t in abelian_group_types(16)]
+        checked = 0
+        for G in groups:
+            full_ig2 = full_pair_lattice(G, frozenset(range(G.n)), "IG2")
+            for H in G.all_subgroups():
+                for kind in LATTICE_KINDS:
+                    full = full_ig2 if kind == "IG2" else full_pair_lattice(G, H, kind)
+                    assert same_lattice(_lattice(G, H, kind), full), (G.name, sorted(H), kind)
+                    checked += 1
+        assert checked == 3 * (214 + 6 + 30)
 
     def test_augmentation_zero_for_deltas(self):
         C4 = FiniteGroup.cyclic_product([4])
