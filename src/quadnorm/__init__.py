@@ -43,6 +43,7 @@ from .normtest import (
     NormIndexReport,
     cohomological_ratio,
     detect_p_divisibility,
+    inert_conductor_index,
     local_norm_test,
     norm_index,
     verify_class_order,

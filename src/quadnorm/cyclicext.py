@@ -20,6 +20,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .intmath import (
@@ -55,6 +56,24 @@ def _primitive_root(q: int) -> int:
     raise ArithmeticError(f"no primitive root modulo {q}")
 
 
+@lru_cache(maxsize=1024)
+def check_conductor(q: int, p: int, n: int) -> int:
+    """Return the degree p^n after checking that q is a prime conductor
+    for it: q prime, p an odd prime, n >= 1 and q = 1 mod p^n.  A scan
+    checks the same few conductors for every field, so passing checks
+    are memoised (a failing one raises every time)."""
+    if not is_prime(q):
+        raise NotPrimeError(f"conductor {q} is not prime")
+    if not is_prime(p) or p == 2:
+        raise NotPrimeError(f"{p} is not an odd prime")
+    if n < 1:
+        raise ConductorInvalidError("exponent must be >= 1")
+    degree = p**n
+    if (q - 1) % degree != 0:
+        raise ConductorInvalidError(f"{q} is not 1 mod {degree}")
+    return degree
+
+
 class CyclicExtensionDescriptor:
     """Degree p^n cyclic field of prime conductor q (q = 1 mod p^n).
 
@@ -64,15 +83,7 @@ class CyclicExtensionDescriptor:
     """
 
     def __init__(self, q: int, p: int, n: int):
-        if not is_prime(q):
-            raise NotPrimeError(f"conductor {q} is not prime")
-        if not is_prime(p) or p == 2:
-            raise NotPrimeError(f"{p} is not an odd prime")
-        if n < 1:
-            raise ConductorInvalidError("exponent must be >= 1")
-        degree = p**n
-        if (q - 1) % degree != 0:
-            raise ConductorInvalidError(f"{q} is not 1 mod {degree}")
+        degree = check_conductor(q, p, n)
         self.q = q
         self.p = p
         self.n = n

@@ -9,6 +9,7 @@ order, closure) serve every group in the package.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -51,7 +52,7 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 def factorize(n: int) -> dict[int, int]:

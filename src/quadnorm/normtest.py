@@ -11,6 +11,14 @@ The index computed here is the field-norm index: it divides the index of
 norms of units, and the two are distinguished by the ``caveat`` flag on
 reports (deciding the unit-norm index exactly would need the unit group of
 the sextic compositum).
+
+At an inert conductor the index is always 1 (``inert_conductor_index``
+proves it), and the divisibility-witness search only visits inert
+conductors, so ``detect_p_divisibility`` decides them by that lemma and
+cannot return a witness; only the first conductor of each search builds
+a descriptor and a unit, to check the lemma against the residue test.
+``norm_index`` and ``verify_class_order`` keep the full residue
+computation.
 """
 
 from __future__ import annotations
@@ -19,11 +27,12 @@ from dataclasses import dataclass
 
 from .cyclicext import (
     CyclicExtensionDescriptor,
+    check_conductor,
     cyclic_descriptor,
     properness_report,
 )
 from .formclass import class_group, prime_form
-from .intmath import lcm, p_part, primes_up_to
+from .intmath import kronecker, lcm, p_part, primes_up_to
 from .quadfield import (
     FundamentalUnit,
     QuadInteger,
@@ -117,11 +126,21 @@ def local_norm_test(
     )
 
 
-def norm_index(F: QuadraticField, desc: CyclicExtensionDescriptor) -> NormIndexReport:
+def norm_index(
+    F: QuadraticField,
+    desc: CyclicExtensionDescriptor,
+    *,
+    unit: FundamentalUnit | None = None,
+) -> NormIndexReport:
     """Least k such that eps^k is a norm of a field element from the
-    compositum, as the lcm of local orders at the primes above q."""
+    compositum, as the lcm of local orders at the primes above q.
+
+    ``unit`` passes in the field's fundamental unit when the caller has
+    already computed it."""
     _precheck(F, desc)
-    eps = fundamental_unit(F)
+    eps = fundamental_unit(F) if unit is None else unit
+    if eps.value.d != F.d:
+        raise ValueError(f"unit of d={eps.value.d} passed for d={F.d}")
     if splitting_type(F, desc.q) is SplittingType.SPLIT:
         roots = split_roots(F, desc.q)
         verdicts = tuple(local_norm_test(F, eps.value, desc, r) for r in roots)
@@ -186,6 +205,7 @@ def verify_class_order(
     group = class_group(F, "wide")
     order = group.order_of(prime_form(F, ell))
     order_p = p_part(order, p)
+    eps = fundamental_unit(F)
     records = []
     discrepancies = []
     any_proper = False
@@ -196,7 +216,7 @@ def verify_class_order(
             records.append(ConductorRecord(q=q, proper=False, index=None))
             continue
         any_proper = True
-        idx = norm_index(F, desc).index
+        idx = norm_index(F, desc, unit=eps).index
         records.append(ConductorRecord(q=q, proper=True, index=idx))
         if idx != order_p:
             discrepancies.append((q, idx))
@@ -227,29 +247,50 @@ class DetectionResult:
     conductors_checked: tuple[int, ...]
 
 
+def inert_conductor_index(F: QuadraticField, q: int, p: int, n: int = 1) -> int:
+    """Norm index of the fundamental unit at an inert conductor q of degree
+    p^n, decided by the inert-conductor lemma: it is always 1.
+
+    The prime above an inert q has residue field F_(q^2), where the unit's
+    image u satisfies u^(q+1) = Norm(u) = +-1.  The test exponent
+    (q^2 - 1)/p^n = (q + 1) * (q - 1)/p^n has the even factor (q - 1)/p^n
+    (q and p are odd), so u^((q^2 - 1)/p^n) = 1.  The premises are
+    checked, with the errors the descriptor raises for a bad conductor:
+    q prime, p an odd prime, n >= 1 and q = 1 mod p^n, then q inert.
+    """
+    check_conductor(q, p, n)
+    if kronecker(F.disc, q) != -1:
+        raise ValueError(f"conductor {q} is not inert in d={F.d}")
+    return 1
+
+
 def detect_p_divisibility(F: QuadraticField, p: int, qmax: int) -> DetectionResult:
-    """Scan conductors passing the inert-conductor and tower conditions and
-    return the first with index > 1, as a witness that p divides the class
-    number; soundness of a returned witness is what the acceptance sweep
-    checks."""
+    """Scan the conductors passing the tower and inert-conductor conditions
+    for a witness that p divides the class number: one with index > 1.
+
+    Every conductor scanned is inert, where ``inert_conductor_index``
+    decides the index as 1; its premises are checked per conductor, so a
+    bad p fails at the first conductor scanned.  The first conductor also
+    goes through the full residue test (``norm_index``) as a run-time check
+    of the lemma, and a disagreement raises ``ArithmeticError``.  The
+    search therefore cannot return a witness: ``witness_q`` and
+    ``witness_index`` are always None, and ``conductors_checked`` lists
+    the conductors it decided."""
     checked = []
     for q in admissible_conductors(F, p, 1, qmax):
         if (q - 1) % (p * p):  # tower condition for the degree-p layer
             continue
-        if splitting_type(F, q) is not SplittingType.INERT:
+        if kronecker(F.disc, q) != -1:  # inert condition; q is a sieved prime
             continue
+        index = inert_conductor_index(F, q, p)
+        if not checked:
+            full = norm_index(F, cyclic_descriptor(q, p, 1)).index
+            if full != index:
+                raise ArithmeticError(
+                    f"residue test gives index {full} at the inert conductor "
+                    f"{q} for d={F.d}, against the lemma's {index}"
+                )
         checked.append(q)
-        desc = cyclic_descriptor(q, p, 1)
-        report = norm_index(F, desc)
-        if report.index > 1:
-            return DetectionResult(
-                d=F.d,
-                p=p,
-                qmax=qmax,
-                witness_q=q,
-                witness_index=report.index,
-                conductors_checked=tuple(checked),
-            )
     return DetectionResult(
         d=F.d,
         p=p,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quadnorm import formclass
 from quadnorm.cli import main
 from quadnorm.transfer import FiniteGroup
@@ -37,6 +39,25 @@ class TestBasicCommands:
     def test_detect_no_witness(self, capsys):
         code, out, _ = run(capsys, "detect", "--d", "79", "--p", "3", "--qmax", "50")
         assert code == 0 and "witness=none" in out
+
+    @pytest.mark.parametrize("p, qmax, code_want, text", [
+        ("9", "1000", 2, "error: 9 is not an odd prime"),
+        ("2", "100", 2, "error: 2 is not an odd prime"),
+        ("9", "50", 0, "d=79 p=9 qmax=50 witness=none checked=-"),
+        ("3", "200", 0, "d=79 p=3 qmax=200 witness=none checked=19,37,109,163"),
+    ])
+    def test_detect_outcomes(self, capsys, p, qmax, code_want, text):
+        # a bad p fails at the first conductor the search decides, and
+        # passes when no conductor reaches the check
+        code, out, err = run(capsys, "detect", "--d", "79", "--p", p, "--qmax", qmax)
+        assert code == code_want
+        assert (out if code == 0 else err).strip() == text
+
+    def test_scan_with_composite_p_is_2(self, capsys):
+        code, _, err = run(capsys, "scan", "--dmax", "50", "--p", "9", "--qmax", "1000")
+        assert code == 2 and "9 is not an odd prime" in err
+        code, out, _ = run(capsys, "scan", "--dmax", "10", "--p", "9", "--qmax", "50")
+        assert code == 0 and '"p":9' in out
 
 
 class TestExitCodes:
@@ -78,6 +99,11 @@ class TestExitCodes:
             "--qmax", "200",
         )
         assert code == 0 and "agreement=True" in out
+        lines = out.splitlines()
+        assert lines[0] == "d=10 l=3 class_order=2 p_part=1" and len(lines) == 23
+        assert [l for l in lines if " proper " in l] == [
+            f"q={q} proper index=1" for q in (19, 109, 127, 181)
+        ]
 
     def test_verify_thm14_disagreement(self, capsys):
         code, out, _ = run(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadnorm import cli
 from quadnorm.harness import (
     EmptyInputError,
     InvalidConfigError,
@@ -96,6 +97,21 @@ class TestScan:
     def test_timing_not_serialized(self):
         rec = next(iter(scan(RunConfig(dmax=5))))
         assert "timing" not in rec.to_json_line()
+
+    def test_witness_scan_output_is_pinned(self, tmp_path):
+        # SHA-256 of the --out file as the residue-test search wrote it,
+        # before the search decided its conductors by the inert lemma
+        out = tmp_path / "scan.jsonl"
+        code = cli.main([
+            "scan", "--dmax", "2000", "--p", "3", "--p", "5", "--qmax", "1000",
+            "--oracle-check", "--out", str(out),
+        ])
+        data = out.read_bytes()
+        assert code == 0
+        assert len(data.splitlines()) == 1214
+        assert hashlib.sha256(data).hexdigest() == (
+            "bbc54fbff7b63e21abe1e588c4d682b0634edefb9d63f9ce8bc9aad7666be2b0"
+        )
 
 
 class TestConfig:

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadnorm import normtest
 from quadnorm.cyclicext import cyclic_descriptor
 from quadnorm.formclass import class_group
 from quadnorm.normtest import (
@@ -9,17 +12,23 @@ from quadnorm.normtest import (
     admissible_conductors,
     cohomological_ratio,
     detect_p_divisibility,
+    inert_conductor_index,
     local_norm_test,
     norm_index,
     verify_class_order,
 )
+from quadnorm.intmath import is_squarefree
 from quadnorm.quadfield import (
     QuadInteger,
+    SplittingType,
     fundamental_unit,
     make_field,
     reduce_mod_prime,
     split_roots,
+    splitting_type,
 )
+
+SQUAREFREE_BELOW_400 = [d for d in range(2, 400) if is_squarefree(d)]
 
 
 class TestLocalNormTest:
@@ -171,6 +180,27 @@ class TestVerifyClassOrder:
         with pytest.raises(ValueError):
             verify_class_order(field79, 37, 3, 1, 50)
 
+    def test_computes_the_unit_once(self, monkeypatch):
+        calls = []
+        real = normtest.fundamental_unit
+
+        def counting(F):
+            calls.append(F.d)
+            return real(F)
+
+        monkeypatch.setattr(normtest, "fundamental_unit", counting)
+        cmp_ = verify_class_order(make_field(10), 3, 3, 1, 200)
+        assert sum(r.proper for r in cmp_.records) > 1
+        assert calls == [10]
+
+    def test_passed_unit_gives_the_same_report(self, field79, desc7):
+        eps = fundamental_unit(field79)
+        assert norm_index(field79, desc7, unit=eps) == norm_index(field79, desc7)
+
+    def test_rejects_unit_of_another_field(self, field79, field10, desc7):
+        with pytest.raises(ValueError, match="unit of d=10"):
+            norm_index(field79, desc7, unit=fundamental_unit(field10))
+
 
 class TestDetect:
     def test_d79_finds_no_witness(self, field79):
@@ -194,3 +224,52 @@ class TestDetect:
         assert admissible_conductors(field79, 3, 2, 50) == [19, 37]
         assert admissible_conductors(field79, 3, 1, 0) == []
         assert admissible_conductors(field79, 3, 1, 2) == []
+
+
+class TestInertConductorLemma:
+    """The full residue computation is the oracle for the lemma that
+    decides every conductor of the witness search."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        d=st.sampled_from(SQUAREFREE_BELOW_400),
+        pn=st.sampled_from(((3, 1), (5, 1), (3, 2), (7, 1))),
+    )
+    def test_full_index_is_one_at_every_inert_conductor(self, d, pn):
+        p, n = pn
+        F = make_field(d)
+        for q in admissible_conductors(F, p, n, 600):
+            full = norm_index(F, cyclic_descriptor(q, p, n)).index
+            if splitting_type(F, q) is SplittingType.INERT:
+                assert full == 1, f"d={d} q={q} p^n={p}^{n}"
+                assert inert_conductor_index(F, q, p, n) == full
+            else:
+                with pytest.raises(ValueError, match="not inert"):
+                    inert_conductor_index(F, q, p, n)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(d=st.sampled_from(SQUAREFREE_BELOW_400), p=st.sampled_from((3, 5, 7)))
+    def test_detect_decides_exactly_the_inert_tower_conductors(self, d, p):
+        F = make_field(d)
+        expected = tuple(
+            q for q in admissible_conductors(F, p, 1, 600)
+            if (q - 1) % (p * p) == 0 and splitting_type(F, q) is SplittingType.INERT
+        )
+        det = detect_p_divisibility(F, p, 600)
+        assert det.conductors_checked == expected
+        assert det.witness_q is None and det.witness_index is None
+        assert all(norm_index(F, cyclic_descriptor(q, p, 1)).index == 1 for q in expected)
+
+    def test_premises_raise_the_descriptor_errors(self, field79):
+        for q, p, n in ((163, 9, 1), (17, 2, 1), (39, 3, 1), (37, 3, 3)):
+            with pytest.raises(ValueError) as lemma_err:
+                inert_conductor_index(field79, q, p, n)
+            with pytest.raises(ValueError) as desc_err:
+                cyclic_descriptor(q, p, n)
+            assert type(lemma_err.value) is type(desc_err.value)
+            assert str(lemma_err.value) == str(desc_err.value)
+
+    def test_disagreement_with_the_residue_test_raises(self, field79, monkeypatch):
+        monkeypatch.setattr(normtest, "inert_conductor_index", lambda F, q, p, n=1: 3)
+        with pytest.raises(ArithmeticError, match="inert conductor 19 for d=79"):
+            detect_p_divisibility(field79, 3, 50)
