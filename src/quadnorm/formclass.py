@@ -1,9 +1,11 @@
 """Class groups of real quadratic fields via indefinite binary quadratic forms.
 
-Reduction cycles decide equivalence, Gauss/Dirichlet composition gives the
-group law, and the wide group is the quotient of the narrow one by the class
-of a form representing -1.  A separate ideal-cycle enumeration under the
-Minkowski bound provides an independent class-number oracle.
+Reduction cycles decide equivalence and Gauss/Dirichlet composition gives the
+one group law, run by ``_ClassTable`` on (a, b, c) integer triples through
+one rho step.  Every class group, and ``compose.composition_check``, works on
+its class indices; the wide group is the quotient of the narrow one by the
+class of a form representing -1.  A separate ideal-cycle enumeration under
+the Minkowski bound provides an independent class-number oracle.
 """
 
 from __future__ import annotations
@@ -70,22 +72,23 @@ class BinaryQuadraticForm:
     def rho(self) -> "BinaryQuadraticForm":
         """One reduction step (right neighbour)."""
         D = self.disc
-        b, c = self.b, self.c
-        ac = abs(c)
-        if ac * ac > D:
-            r = (-b) % (2 * ac)
-            if r > ac:
-                r -= 2 * ac
-        else:
-            s = isqrt(D)
-            r = s - (s + b) % (2 * ac)
-        return BinaryQuadraticForm(c, r, (r * r - D) // (4 * c))
-
-    def inverse_form(self) -> "BinaryQuadraticForm":
-        return BinaryQuadraticForm(self.a, -self.b, self.c)
+        return BinaryQuadraticForm(*_rho(self.b, self.c, D, isqrt(D)))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
+
+
+def _rho(b: int, c: int, D: int, s: int) -> tuple[int, int, int]:
+    """The rho step on triples: the right neighbour of any (a, b, c) of
+    discriminant D, with s = isqrt(D)."""
+    ac = abs(c)
+    if ac * ac > D:
+        r = (-b) % (2 * ac)
+        if r > ac:
+            r -= 2 * ac
+    else:
+        r = s - (s + b) % (2 * ac)
+    return c, r, (r * r - D) // (4 * c)
 
 
 def _validate(f: BinaryQuadraticForm) -> None:
@@ -96,8 +99,8 @@ def _validate(f: BinaryQuadraticForm) -> None:
         raise ImprimitiveError(f"{f.as_tuple()} is imprimitive")
 
 
-def _canonical_key(f: BinaryQuadraticForm) -> tuple[int, int, int, int]:
-    return (abs(f.a), f.a, f.b, f.c)
+def _canonical_key(f: tuple[int, int, int]) -> tuple[int, int, int, int]:
+    return (abs(f[0]), *f)
 
 
 @dataclass(frozen=True)
@@ -116,11 +119,8 @@ class FormClass:
             raise DiscriminantMismatchError(
                 f"discriminants differ: {self.disc} vs {other.disc}"
             )
-        composed = _compose_forms(self.canonical, other.canonical)
-        return reduction_cycle(composed)
-
-    def inverse(self) -> "FormClass":
-        return reduction_cycle(self.canonical.inverse_form())
+        f, g = self.canonical.as_tuple(), other.canonical.as_tuple()
+        return reduction_cycle(BinaryQuadraticForm(*_compose_forms(f, g)))
 
 
 def reduction_cycle(f: BinaryQuadraticForm) -> FormClass:
@@ -138,32 +138,25 @@ def reduction_cycle(f: BinaryQuadraticForm) -> FormClass:
         g = g.rho()
     else:
         raise ArithmeticError(f"reduction did not terminate for {f.as_tuple()}")
-    return _cycle_class(_rho_cycle(g))
+    return _cycle_class(_rho_cycle(g.as_tuple(), g.disc))
 
 
-def _rho_cycle(g: BinaryQuadraticForm) -> list[BinaryQuadraticForm]:
-    """The rho-orbit of the reduced form g, starting at g."""
+def _rho_cycle(g: tuple[int, int, int], D: int) -> list[tuple[int, int, int]]:
+    """The rho-orbit of the reduced triple g of discriminant D, from g."""
+    s = isqrt(D)
     cycle = [g]
-    h = g.rho()
+    h = _rho(g[1], g[2], D, s)
     while h != g:
         cycle.append(h)
-        h = h.rho()
+        h = _rho(h[1], h[2], D, s)
         if len(cycle) > _MAX_REDUCE_STEPS:
             raise ArithmeticError("cycle walk did not close")
     return cycle
 
 
-def _cycle_class(cycle: list[BinaryQuadraticForm]) -> FormClass:
-    return FormClass(canonical=min(cycle, key=_canonical_key), cycle_length=len(cycle))
-
-
-def principal_form(D: int) -> BinaryQuadraticForm:
-    s = D % 2
-    return BinaryQuadraticForm(1, s, (s * s - D) // 4)
-
-
-def principal_class(D: int) -> FormClass:
-    return reduction_cycle(principal_form(D))
+def _cycle_class(cycle: list[tuple[int, int, int]]) -> FormClass:
+    canonical = BinaryQuadraticForm(*min(cycle, key=_canonical_key))
+    return FormClass(canonical=canonical, cycle_length=len(cycle))
 
 
 def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
@@ -177,11 +170,11 @@ def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
 
 
 def _compose_forms(
-    f1: BinaryQuadraticForm, f2: BinaryQuadraticForm
-) -> BinaryQuadraticForm:
-    """Dirichlet composition of two primitive forms of equal discriminant."""
-    a1, b1, c1 = f1.as_tuple()
-    a2, b2, c2 = f2.as_tuple()
+    f1: tuple[int, int, int], f2: tuple[int, int, int]
+) -> tuple[int, int, int]:
+    """Dirichlet composition of two primitive triples of equal discriminant."""
+    a1, b1, c1 = f1
+    a2, b2, c2 = f2
     beta = (b1 + b2) // 2
     h = (b2 - b1) // 2
     w = gcd(gcd(a1, a2), beta)
@@ -193,7 +186,7 @@ def _compose_forms(
     k = k0 + step * n0
     ell = (k * t - h) // s
     m = (t * u * k - h * u - c1 * s) // (s * t)
-    return BinaryQuadraticForm(s * t, w * u - (k * t + ell * s), k * ell - w * m)
+    return s * t, w * u - (k * t + ell * s), k * ell - w * m
 
 
 def all_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
@@ -220,57 +213,62 @@ def all_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
 class _ClassTable:
     """The narrow class group of one discriminant on class indices.
 
-    Classes are numbered in ``_class_key`` order, and every reduced form
-    maps to the index of its rho cycle.  A product composes the two
-    canonical forms, takes the few rho steps to the first reduced form and
-    looks it up; products are memoised, so the table is a lazily filled
-    Cayley table that lives as long as the structure that owns it.
+    Classes are numbered in ``_class_key`` order, and every reduced triple
+    (a, b, c) maps to the index of its rho cycle.  A product composes the
+    two canonical triples, takes the few rho steps to the first reduced
+    triple and looks it up; products are memoised, so the table is a lazily
+    filled Cayley table that lives as long as the structure that owns it.
     """
 
     def __init__(self, D: int):
-        forms = set(all_reduced_forms(D))
+        forms = {f.as_tuple() for f in all_reduced_forms(D)}
         cycles = []
         while forms:
-            cycle = _rho_cycle(forms.pop())
+            cycle = _rho_cycle(forms.pop(), D)
             forms.difference_update(cycle)
             cycles.append((_cycle_class(cycle), cycle))
         cycles.sort(key=lambda named: _class_key(named[0]))
         self.D = D
+        self.s = isqrt(D)
         self.classes = [cls for cls, _ in cycles]
         self.index = {f: i for i, (_, cycle) in enumerate(cycles) for f in cycle}
         # the FormClass reprs, the order in which _abelian_basis picks
         # generators
         self.reprs = [repr(cls) for cls in self.classes]
         self._products: dict[tuple[int, int], int] = {}
-        self.identity = self.class_of(principal_form(D))
-        self.sign = self.class_of(_sign_form(D))
+        t = D % 2
+        self.identity = self.class_of((1, t, (t - D) // 4))
+        self.sign = self.class_of((-1, t, (D - t) // 4))  # represents -1
 
-    def class_of(self, f: BinaryQuadraticForm) -> int:
-        """Index of the class of f, a primitive form of discriminant D."""
+    def class_of(self, f: tuple[int, int, int]) -> int:
+        """Index of the class of f, a primitive triple of discriminant D."""
+        a, b, c = f
         for _ in range(_MAX_REDUCE_STEPS):
-            i = self.index.get(f)  # holds exactly the reduced forms
+            i = self.index.get((a, b, c))  # holds exactly the reduced triples
             if i is not None:
                 return i
-            f = f.rho()
-        raise ArithmeticError(f"reduction did not terminate for {f.as_tuple()}")
+            a, b, c = _rho(b, c, self.D, self.s)
+        raise ArithmeticError(f"reduction did not terminate for {f}")
 
     def index_of(self, cls: FormClass) -> int:
         if cls.disc != self.D:
             raise DiscriminantMismatchError(
                 f"discriminants differ: {cls.disc} vs {self.D}"
             )
-        return self.class_of(cls.canonical)
+        return self.class_of(cls.canonical.as_tuple())
 
     def mul(self, i: int, j: int) -> int:
         key = (i, j) if i <= j else (j, i)
         k = self._products.get(key)
         if k is None:
-            f, g = self.classes[i].canonical, self.classes[j].canonical
+            f, g = (self.classes[x].canonical.as_tuple() for x in (i, j))
             k = self._products[key] = self.class_of(_compose_forms(f, g))
         return k
 
     def wide_rep(self, i: int) -> int:
-        """``wide_rep`` on indices: index order is ``_class_key`` order."""
+        """Wide representative of class i: the lesser of i and i*sign, sign
+        being the class of a form representing -1 (index order is
+        ``_class_key`` order)."""
         return min(i, self.mul(i, self.sign))
 
     def law(self, flavor: str):
@@ -280,24 +278,8 @@ class _ClassTable:
         return self.wide_rep, lambda i, j: self.wide_rep(self.mul(i, j))
 
 
-def _sign_form(D: int) -> BinaryQuadraticForm:
-    s = D % 2
-    return BinaryQuadraticForm(-1, s, (D - s * s) // 4)
-
-
-def sign_class(D: int) -> FormClass:
-    """Class of a form representing -1; principal exactly when h+ = h."""
-    return reduction_cycle(_sign_form(D))
-
-
 def _class_key(c: FormClass) -> tuple[int, int, int, int]:
-    return _canonical_key(c.canonical)
-
-
-def wide_rep(cls: FormClass, J: FormClass) -> FormClass:
-    """Representative of cls in the wide group, the quotient of the narrow
-    group by the sign class J: the lesser of cls and cls*J."""
-    return min(cls, cls * J, key=_class_key)
+    return _canonical_key(c.canonical.as_tuple())
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclicext import (
     CyclicExtensionDescriptor,
@@ -189,10 +190,17 @@ class ClassOrderComparison:
     discrepancies: tuple[tuple[int, int], ...]  # (q, index) disagreeing
 
 
+@lru_cache(maxsize=8)
+def _sieved_primes(qmax: int) -> tuple[int, ...]:
+    """The primes up to qmax, sieved once: every (d, p) of a scan filters
+    the same list."""
+    return tuple(primes_up_to(qmax))
+
+
 def admissible_conductors(F: QuadraticField, p: int, n: int, qmax: int) -> list[int]:
     """Primes q <= qmax with q = 1 mod p^n, tame and unramified for the field."""
     e = p**n
-    return [q for q in primes_up_to(qmax) if q % e == 1 and F.disc % q and q != p and q % 2]
+    return [q for q in _sieved_primes(qmax) if q % e == 1 and F.disc % q and q != p and q % 2]
 
 
 def verify_class_order(

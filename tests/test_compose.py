@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from quadnorm.compose import (
     NOT_FOUND,
+    CompositionCheck,
     IncompatibleBasisError,
     OrderViolationError,
     RelativeExtension,
@@ -14,9 +16,16 @@ from quadnorm.compose import (
     composition_check,
 )
 from quadnorm.cyclicext import period_mul, period_polynomial
-from quadnorm.intmath import primes_up_to
-from quadnorm.formclass import prime_form
+from quadnorm.intmath import element_order, primes_up_to
+from quadnorm.formclass import (
+    DiscriminantMismatchError,
+    FormClass,
+    class_group,
+    prime_form,
+)
 from quadnorm.quadfield import QuadInteger, fundamental_unit, make_field
+
+from test_formclass import principal_class, sign_class, wide_rep
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +364,88 @@ class TestCompositionCheck:
         P = ext37_79.family_polynomial(alpha, attached_class=c)
         W = ext37_79.family_polynomial(alpha, attached_class=c * c)
         assert composition_check(P, P, W).passed
+
+
+_MAX_CLASS_ORDER = 10_000  # the oracle gives up on larger class orders
+
+
+def composition_check_oracle(P, Q, W) -> CompositionCheck:
+    """composition_check on the form-level wide law, the oracle of the one
+    on the class table."""
+    if P.attached_class is None or Q.attached_class is None or W.attached_class is None:
+        raise ValueError("all three polynomials need attached classes")
+    e = P.descriptor.degree
+    J = sign_class(P.attached_class.disc)
+    one = wide_rep(principal_class(J.disc), J)
+
+    def wide_order(cls: FormClass) -> int:
+        """Order of the class in the ideal class group (wide)."""
+        return element_order(
+            wide_rep(cls, J), lambda x, y: wide_rep(x * y, J), one, _MAX_CLASS_ORDER
+        )
+
+    if wide_order(P.attached_class) != e or wide_order(Q.attached_class) != e:
+        raise OrderViolationError("attached classes must have order p^n")
+    product = P.attached_class * Q.attached_class
+    if wide_order(product) != e:
+        raise OrderViolationError("product class does not have order p^n")
+    lhs = P.certified_constant * Q.certified_constant
+    rhs = W.certified_constant * W.certified_constant
+    constant_ok = lhs == rhs
+    class_ok = W.attached_class.disc == J.disc and (
+        wide_rep(product, J) == wide_rep(W.attached_class, J)
+    )
+    return CompositionCheck(
+        constant_identity=constant_ok,
+        class_correspondence=class_ok,
+        passed=constant_ok and class_ok,
+    )
+
+
+def _outcome(check, P, Q, W):
+    """The CompositionCheck, or the class of the exception raised."""
+    try:
+        return check(P, Q, W)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestCompositionCheckOracle:
+    """The table-based check against the form-level one, on every ordered
+    triple of wide classes; degree 3 against wide groups C3, C6 and C2 x C6
+    gives order-3 pairs, principal products and classes of other orders."""
+
+    @pytest.fixture(scope="class")
+    def fam(self, ext37_79, field79):
+        return ext37_79.family_polynomial(ext37_79.scalar(-fundamental_unit(field79).value))
+
+    def _attached(self, fam, cls):
+        return dataclasses.replace(fam, attached_class=cls)
+
+    @pytest.mark.parametrize("d,divs", [(79, (3,)), (235, (6,)), (730, (2, 6))])
+    def test_every_triple_of_wide_classes(self, fam, d, divs):
+        group = class_group(make_field(d), "wide")
+        assert group.elementary_divisors == divs
+        polys = [self._attached(fam, c) for c in group.elements]
+        seen = set()
+        for P, Q, W in itertools.product(polys, repeat=3):
+            got = _outcome(composition_check, P, Q, W)
+            assert got == _outcome(composition_check_oracle, P, Q, W)
+            seen.add(got if isinstance(got, type) else got.passed)
+        assert seen == {OrderViolationError, True, False}
+
+    def test_other_discriminant(self, fam, field79):
+        c = prime_form(field79, 3)
+        other = class_group(make_field(235), "wide").generators[0]
+        P = self._attached(fam, c)
+        W = self._attached(fam, c * c)
+        Q = self._attached(fam, other)
+        for check in (composition_check, composition_check_oracle):
+            with pytest.raises(DiscriminantMismatchError):
+                check(P, Q, W)
+            assert check(P, P, Q) == CompositionCheck(
+                constant_identity=True, class_correspondence=False, passed=False
+            )
 
 
 class TestBasisCompatibility:

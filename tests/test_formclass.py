@@ -1,28 +1,68 @@
+import hashlib
 from math import isqrt
 
 import pytest
 
+from quadnorm import formclass
 from quadnorm.formclass import (
     BinaryQuadraticForm,
     ClassGroupStructure,
     DiscriminantMismatchError,
+    FormClass,
     ImprimitiveError,
     InertPrimeError,
     SquareDiscriminantError,
     all_reduced_forms,
+    class_data,
     class_group,
     minkowski_class_number,
     polya_report,
     prime_form,
     prime_form_raw,
-    principal_class,
     reduction_cycle,
-    sign_class,
-    wide_rep,
 )
 from quadnorm.formclass import _class_key, _ClassTable, _structure
 from quadnorm.intmath import is_squarefree
 from quadnorm.quadfield import fundamental_unit, make_field
+
+
+# The form-level group law, the class table's oracle: every product walks
+# the whole rho cycle of a form, and the wide group is taken modulo the sign
+# class by comparing FormClass keys.
+
+
+def principal_form(D: int) -> BinaryQuadraticForm:
+    s = D % 2
+    return BinaryQuadraticForm(1, s, (s * s - D) // 4)
+
+
+def principal_class(D: int) -> FormClass:
+    return reduction_cycle(principal_form(D))
+
+
+def _sign_form(D: int) -> BinaryQuadraticForm:
+    s = D % 2
+    return BinaryQuadraticForm(-1, s, (D - s * s) // 4)
+
+
+def sign_class(D: int) -> FormClass:
+    """Class of a form representing -1; principal exactly when h+ = h."""
+    return reduction_cycle(_sign_form(D))
+
+
+def wide_rep(cls: FormClass, J: FormClass) -> FormClass:
+    """Representative of cls in the wide group, the quotient of the narrow
+    group by the sign class J: the lesser of cls and cls*J."""
+    return min(cls, cls * J, key=_class_key)
+
+
+def inverse_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    return BinaryQuadraticForm(f.a, -f.b, f.c)
+
+
+def inverse(cls: FormClass) -> FormClass:
+    return reduction_cycle(inverse_form(cls.canonical))
+
 
 # deterministic sample of fundamental discriminants used by the heavier
 # group-law checks; the large ones (discriminants up to 4*10^4) keep the
@@ -76,7 +116,7 @@ class TestComposition:
             e = principal_class(D)
             for f in all_reduced_forms(D):
                 c = reduction_cycle(f)
-                assert c * c.inverse() == e
+                assert c * inverse(c) == e
 
     def test_cube_of_class_above_3_for_79(self):
         cls = reduction_cycle(BinaryQuadraticForm(3, 2, -26))
@@ -107,7 +147,7 @@ class TestComposition:
                 assert table[(a, b)] == table[(b, a)]
                 for c in elems:
                     assert table[(table[(a, b)], c)] == table[(a, table[(b, c)])]
-            assert table[(a, a.inverse())] == e
+            assert table[(a, inverse(a))] == e
 
 
 # fields with non-cyclic groups, a sign class off the identity, or larger h
@@ -123,7 +163,7 @@ class TestClassTable:
         D = make_field(d).disc
         table = _ClassTable(D)
         for f in all_reduced_forms(D):
-            assert table.classes[table.class_of(f)] == reduction_cycle(f)
+            assert table.classes[table.class_of(f.as_tuple())] == reduction_cycle(f)
         for i, x in enumerate(table.classes):
             for j, y in enumerate(table.classes):
                 assert table.classes[table.mul(i, j)] == x * y
@@ -149,6 +189,21 @@ class TestClassTable:
             flavor, len(elements), divs, gens, tuple(elements), J, _table=None
         )
         assert class_group(F, flavor) == expected
+
+    def test_class_data_to_3000_is_pinned(self):
+        # pins the class numbers, the elementary divisors and the choice of
+        # generators and elements of every squarefree d <= 3000
+        groups = [class_data(make_field(d)) for d in range(2, 3001) if is_squarefree(d)]
+        assert hashlib.sha256(repr(groups).encode()).hexdigest() == (
+            "81c607668e211234dc5e34ecf15ffc25370dc3c064cea4a08fa1282b0785347b"
+        )
+
+    def test_step_cap_names_the_input_triple(self, monkeypatch):
+        table = _ClassTable(316)
+        monkeypatch.setattr(formclass, "_MAX_REDUCE_STEPS", 1)
+        with pytest.raises(ArithmeticError) as info:
+            table.class_of((3, 2, -26))  # not reduced, so one step is too few
+        assert str(info.value) == "reduction did not terminate for (3, 2, -26)"
 
     def test_class_of_another_discriminant_rejected(self, field79, field10):
         group = class_group(field79, "wide")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from quadnorm import normtest
 from quadnorm.cyclicext import cyclic_descriptor
 from quadnorm.formclass import class_group
+from quadnorm.harness import RunConfig, scan
 from quadnorm.normtest import (
     NoAdmissibleConductorError,
     NormIndexReport,
@@ -224,6 +225,20 @@ class TestDetect:
         assert admissible_conductors(field79, 3, 2, 50) == [19, 37]
         assert admissible_conductors(field79, 3, 1, 0) == []
         assert admissible_conductors(field79, 3, 1, 2) == []
+
+    def test_scan_sieves_once_per_qmax(self, monkeypatch):
+        calls = []
+        real = normtest.primes_up_to
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(normtest, "primes_up_to", counting)
+        normtest._sieved_primes.cache_clear()
+        records = list(scan(RunConfig(dmax=82, qmax=300, p_list=(3, 5))))
+        assert len(records) == 50
+        assert calls == [300]
 
 
 class TestInertConductorLemma:
