@@ -7,8 +7,10 @@ when the two discriminants are coprime, which is checked on construction.
 Arithmetic runs on integer pair vectors, the pair (u, v) standing for the
 coordinate (u + v*sqrt(d))/2, through the one period product
 ``cyclicext.period_mul``; ``QuadInteger`` coordinates are converted once on
-entry and once on exit.  Relative norms multiply the Galois conjugates, and
-characteristic polynomials come from Newton's identities
+entry and once on exit.  A relative norm is the product of the e Galois
+conjugates, taken along an addition chain in the cyclic Galois group
+(Itoh-Tsujii), in floor(log2 e) + popcount(e) - 1 products instead of
+e - 1; characteristic polynomials come from Newton's identities
 (``intmath.newton_charpoly``) on the relative traces of the powers of an
 element.  All of it is exact.
 """
@@ -110,7 +112,7 @@ class RelativeExtension:
         self.desc = desc
         self.field = F
         self.degree = desc.degree
-        self._T = desc.struct_constants
+        self._rows = desc.rows
         self._zero = QuadInteger(F.d, 0, 0)
         self._one = QuadInteger(F.d, 1, 0)
 
@@ -143,7 +145,7 @@ class RelativeExtension:
         return QuadInteger(self.field.d, u, v, 2)
 
     def _mul(self, x: RelativeElement, y: RelativeElement) -> RelativeElement:
-        prod = period_mul(_pairs(x.coords), _pairs(y.coords), self._T, self.field.d)
+        prod = period_mul(_pairs(x.coords), _pairs(y.coords), self._rows, self.field.d)
         return RelativeElement(self, tuple(self._quad(u, v) for u, v in prod))
 
     def galois_apply(self, i: int, alpha: RelativeElement) -> RelativeElement:
@@ -154,11 +156,20 @@ class RelativeExtension:
         return RelativeElement(self, alpha.coords[-i:] + alpha.coords[:-i])
 
     def _pair_norm(self, x) -> tuple[int, int]:
-        """Relative norm of a pair vector, as a pair."""
-        acc = x
-        for i in range(1, self.degree):
-            # times the conjugate sigma^i(x): x moved i places
-            acc = period_mul(acc, x[-i:] + x[:-i], self._T, self.field.d)
+        """Relative norm of a pair vector, as a pair, along an addition
+        chain in the Galois group (Itoh-Tsujii): with beta_k the product of
+        x, sigma(x), ..., sigma^(k-1)(x), the bits of e from the top give
+        beta_2k = beta_k * sigma^k(beta_k) and beta_(k+1) = beta_k * sigma^k(x),
+        floor(log2 e) + popcount(e) - 1 products in all."""
+        rows, d = self._rows, self.field.d
+        acc, k = x, 1
+        for bit in bin(self.degree)[3:]:
+            # sigma^k moves a vector k places
+            acc = period_mul(acc, acc[-k:] + acc[:-k], rows, d)
+            k *= 2
+            if bit == "1":
+                acc = period_mul(acc, x[-k:] + x[:-k], rows, d)
+                k += 1
         if acc.count(acc[0]) != len(acc):
             raise ArithmeticError("norm did not come out scalar")
         u, v = acc[0]
@@ -180,7 +191,7 @@ class RelativeExtension:
         power = x
         for k in range(self.degree):
             if k:
-                power = period_mul(power, x, self._T, self.field.d)
+                power = period_mul(power, x, self._rows, self.field.d)
             traces.append(self._quad(-sum(u for u, _ in power), -sum(v for _, v in power)))
         coeffs = tuple(newton_charpoly(traces, QuadInteger.divide_exact)) + (self._one,)
         norm = self._quad(*self._pair_norm(x))

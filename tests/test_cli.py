@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from quadnorm import formclass
+from quadnorm import cyclicext, formclass
 from quadnorm.cli import main
+from quadnorm.intmath import is_prime
 from quadnorm.transfer import FiniteGroup
 
 
@@ -83,6 +84,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_ext_above_table_ceiling_is_2(self, capsys, monkeypatch):
+        def no_table(self):
+            raise AssertionError("period table built above the ceiling")
+
+        monkeypatch.setattr(cyclicext.CyclicExtensionDescriptor, "_build_struct", no_table)
+        q = cyclicext.MAX_TABLE_CONDUCTOR + 1
+        while not (q % 3 == 1 and is_prime(q)):
+            q += 1
+        code, out, err = run(capsys, "ext", "--q", str(q), "--p", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "ceiling" in err
+        # the ceiling is the table's: a descriptor without a table still works
+        code, out, _ = run(capsys, "normindex", "--d", "10", "--q", str(q), "--p", "3")
+        assert code == 0 and "index=" in out
 
     def test_verify_ex79_records_discrepancy(self, capsys):
         code, out, _ = run(capsys, "verify", "ex79")

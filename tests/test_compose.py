@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from quadnorm.compose import (
     WrongNormError,
     composition_check,
 )
-from quadnorm.cyclicext import period_mul, period_polynomial
+from quadnorm.cyclicext import cyclic_descriptor, period_mul, period_polynomial
 from quadnorm.intmath import element_order, primes_up_to
 from quadnorm.formclass import (
     DiscriminantMismatchError,
@@ -255,8 +256,81 @@ class TestPeriodProduct:
                     xy = x[i] * y[j]
                     for k in range(e):
                         want[k] = want[k] + xy.scale(T[i][j][k])
-            got = period_mul(_as_pairs(x), _as_pairs(y), T, d)
+            got = period_mul(_as_pairs(x), _as_pairs(y), desc.rows, d)
             assert [QuadInteger(d, u, v, 2) for u, v in got] == want
+
+
+def conjugate_product_norm(ext, alpha):
+    """Relative norm as alpha times its e - 1 Galois conjugates, one period
+    product each (the oracle of the addition chain)."""
+    rows, d = ext.desc.rows, ext.field.d
+    x = _as_pairs(alpha.coords)
+    acc = x
+    for i in range(1, ext.degree):
+        acc = period_mul(acc, x[-i:] + x[:-i], rows, d)
+    assert acc.count(acc[0]) == len(acc)
+    u, v = acc[0]
+    return QuadInteger(d, -u, -v, 2)  # a scalar c is -c * (sum of periods)
+
+
+class TestAdditionChain:
+    """The addition-chain norm against the conjugate product at degrees
+    3, 5, 7, 9, 11, 13, 25, 27 and 49 (binary 11, 101, 111, 1001, 1011,
+    1101, 11001, 11011 and 110001), dense up to 27 and sparse at 49."""
+
+    @pytest.mark.parametrize(
+        "q,p,n",
+        [
+            (7, 3, 1), (11, 5, 1), (29, 7, 1), (19, 3, 2), (23, 11, 1),
+            (53, 13, 1), (101, 5, 2), (109, 3, 3), (197, 7, 2),
+        ],
+    )
+    @pytest.mark.parametrize("d", [10, 13, 79])
+    def test_against_conjugate_product(self, q, p, n, d):
+        ext = RelativeExtension(cyclic_descriptor(q, p, n), make_field(d))
+        e = ext.degree
+        rng = random.Random(q * 1000 + d)
+
+        def element():
+            if e <= 27:
+                return ext.element([_rand_quad(rng, d, 2) for _ in range(e)])
+            coords = [QuadInteger(d, 0, 0)] * e
+            for i in rng.sample(range(e), 4):
+                coords[i] = _rand_quad(rng, d)
+            return ext.element(coords)
+
+        alpha, beta = element(), element()
+        na = ext.relative_norm(alpha)
+        assert na == conjugate_product_norm(ext, alpha)
+        assert ext.relative_norm(beta) == conjugate_product_norm(ext, beta)
+        for i in (1, rng.randrange(2, e)):
+            assert ext.relative_norm(alpha.galois(i)) == na
+        assert ext.relative_norm(alpha * beta) == na * ext.relative_norm(beta)
+
+
+def test_relative_norms_pinned_below_1000():
+    """relative_norm of two seeded sparse elements (three nonzero unit
+    coordinates) at each of the 154 conductors q < 1000 of degree 3, 5, 9
+    and 25, pinned by the SHA-256 of their repr; the hash was computed with
+    the conjugate-product norm."""
+    rng = random.Random(20261018)
+    units = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if (a, b) != (0, 0)]
+    norms = []
+    for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
+        e = p**n
+        for q in primes_up_to(999):
+            if q % e != 1:
+                continue
+            d = rng.choice([d for d in (10, 13, 79) if d % q])
+            ext = RelativeExtension(cyclic_descriptor(q, p, n), make_field(d))
+            for _ in range(2):
+                coords = [QuadInteger(d, 0, 0)] * e
+                for i in rng.sample(range(e), 3):
+                    coords[i] = QuadInteger(d, *rng.choice(units))
+                norms.append((q, d, ext.relative_norm(ext.element(coords))))
+    assert len(norms) == 2 * 154
+    digest = hashlib.sha256(repr(norms).encode()).hexdigest()
+    assert digest == "c3ce58261377f8b321103e615c1a2a66479e165f0eee6247172d1620a4dda7b5"
 
 
 def _brute_search(ext, target, bound):

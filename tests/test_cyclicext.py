@@ -75,11 +75,46 @@ class TestPeriodPolynomial:
         prod = [(2, 0) if i == 0 else (0, 0) for i in range(e)]
         for j in range(1, e):
             basis_j = [(2, 0) if i == j else (0, 0) for i in range(e)]
-            prod = period_mul(prod, basis_j, desc.struct_constants, 0)
+            prod = period_mul(prod, basis_j, desc.rows, 0)
         assert all(v == 0 for _, v in prod)
         prod = [u // 2 for u, _ in prod]
         expected_scalar = (-1) ** e * coeffs[0]
         assert all(c == -expected_scalar for c in prod)
+
+
+class TestPeriodRows:
+    def test_rows_are_sparse_below_1000(self):
+        # for m != 0 each of the f elements of g^m * H adds to one entry of
+        # row m, so at most f entries are nonzero
+        for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
+            e = p**n
+            for q in primes_up_to(999):
+                if q % e != 1:
+                    continue
+                desc = cyclic_descriptor(q, p, n)
+                rows = desc.rows
+                assert len(rows) == e
+                for m, row in enumerate(rows):
+                    ks = [k for k, _ in row]
+                    assert ks == sorted(set(ks)) and all(0 <= k < e for k in ks)
+                    assert all(t != 0 for _, t in row)
+                    if m:
+                        assert len(row) <= desc.f, (q, m)
+
+    @pytest.mark.parametrize(
+        "q,p,n", [(7, 3, 1), (13, 3, 1), (11, 5, 1), (19, 3, 2), (101, 5, 2), (997, 3, 1)]
+    )
+    def test_table_is_row_0_shifted(self, q, p, n):
+        desc = cyclic_descriptor(q, p, n)
+        e, T = desc.degree, desc.struct_constants
+        dense = [[0] * e for _ in range(e)]
+        for m, row in enumerate(desc.rows):
+            for k, t in row:
+                dense[m][k] = t
+        for i in range(e):
+            for j in range(e):
+                for k in range(e):
+                    assert T[i][j][k] == dense[(j - i) % e][(k - i) % e]
 
 
 class TestSplitting:
