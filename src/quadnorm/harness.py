@@ -257,6 +257,11 @@ def transfer_survey(max_order: int = 36) -> list[SurveyInstance]:
 # --- scanning --------------------------------------------------------------
 
 
+# Ceiling on scan worker processes.  The pool starts every worker at once,
+# and the scan is CPU-bound, so workers beyond the cores only add processes.
+MAX_WORKERS = 64
+
+
 @dataclass
 class RunConfig:
     dmax: int = 100
@@ -271,6 +276,8 @@ class RunConfig:
             raise InvalidConfigError("dmax must be >= 2")
         if self.qmax < 0 or self.workers < 1:
             raise InvalidConfigError("bounds must be non-negative, workers >= 1")
+        if self.workers > MAX_WORKERS:
+            raise InvalidConfigError(f"workers must be <= {MAX_WORKERS}")
         if any(p < 3 or p % 2 == 0 for p in self.p_list):
             raise InvalidConfigError("p values must be odd primes >= 3")
         return self

@@ -1,12 +1,15 @@
-"""Finite-group transfer (Verlagerung) engine and group-ring lattices.
+"""Finite-group transfer (Verlagerung) engine and augmentation ideals.
 
 Groups are explicit multiplication tables, validated on construction and
 capped in size.  The transfer map is computed from its coset-product
 definition (Isaacs, *Finite Group Theory*, ch. 5), the restricted transfer
 on the quotient is tabulated together with the divisibility hypothesis it
-is supposed to satisfy, and membership in augmentation-ideal lattices is
-decided exactly by integer row reduction.  The module is a falsification
-instrument: vanishing verdicts are reported, never assumed.
+is supposed to satisfy, and membership in the augmentation ideals I_G^2,
+I_G*I_H and I_H + I_G*I_H is decided exactly through the isomorphism
+ZG*I_H / I_G*I_H = I_H/I_H^2 = H/H', which holds because ZG is free as a
+right ZH-module (Brown, *Cohomology of Groups*, GTM 87, ch. II-III).  The
+module is a falsification instrument: vanishing verdicts are reported,
+never assumed.
 
 What the transfer needs about H (the checked H, least coset elements as
 representatives, the coset map, and the least element of xH' for every x)
@@ -14,11 +17,7 @@ is a ``TransferContext``, computed once.  ``G.context(H)`` keeps one in a
 one-slot cache, replaced when H changes: callers take the subgroups one at
 a time, so one slot saves all the repeated work and holds the memory of a
 single context.  Supplied representatives get a context of their own.
-
-The lattices come from a generating set S of H: I_G*I_H is spanned by the
-(g-1)(s-1), g in G, s in S, and I_H + I_G*I_H by those and the (s-1),
-since hs-1 = (h-1) + (s-1) + (h-1)(s-1) and (g-1)(h-1) = (gh-1) - (g-1) -
-(h-1).  I_G^2 is I_G*I_H with H = G.
+Membership reads the same context: O(n) table lookups, no integer lattice.
 """
 
 from __future__ import annotations
@@ -358,73 +357,35 @@ class GroupRingElement:
         return hash(self.coeffs)
 
 
-class _IntegerLattice:
-    """Triangular integer basis supporting exact membership tests."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: dict[int, list[int]] = {}
-
-    def insert(self, vec) -> None:
-        v = list(vec)
-        for j in range(self.dim):
-            if v[j] == 0:
-                continue
-            if j not in self.rows:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                self.rows[j] = v
-                return
-            r = self.rows[j]
-            while v[j]:
-                q = v[j] // r[j]
-                if q:
-                    v = [a - q * b for a, b in zip(v, r)]
-                if v[j]:
-                    self.rows[j], v = v, r
-                    r = self.rows[j]
-        # fully reduced to zero: dependent vector
-
-    def contains(self, vec) -> bool:
-        v = list(vec)
-        for j in range(self.dim):
-            if v[j] == 0:
-                continue
-            r = self.rows.get(j)
-            if r is None or v[j] % r[j]:
-                return False
-            q = v[j] // r[j]
-            v = [a - q * b for a, b in zip(v, r)]
-        return all(x == 0 for x in v)
-
-
 LATTICE_KINDS = ("IG2", "IGIH", "IH+IGIH")
 
 
-def _generators(G: FiniteGroup, Hset) -> tuple[int, ...]:
-    """Generators of the subgroup Hset: greedily, the least element not yet
-    in the subgroup the earlier ones generate."""
-    gens, span = (), {G.identity}
-    for x in sorted(Hset):
-        if x not in span:
-            gens += (x,)
-            span = G.subgroup_closure(gens)
-    return gens
+def _abelian_image(G: FiniteGroup, ctx: TransferContext, coeffs) -> int | None:
+    """The image of v in ZG*I_K / I_G*I_K = K/K' for the subgroup K of ctx,
+    as the least element of its K'-coset; None when v is not in ZG*I_K.
 
-
-def _lattice(G: FiniteGroup, Hset: frozenset[int], kind: str) -> _IntegerLattice:
-    if kind not in LATTICE_KINDS:
-        raise ValueError(f"unknown lattice kind {kind!r}; use one of {LATTICE_KINDS}")
-    gens = _generators(G, range(G.n) if kind == "IG2" else Hset)
-    lat = _IntegerLattice(G.n)
-    if kind == "IH+IGIH":
-        for s in gens:
-            lat.insert(GroupRingElement.delta(G, s).coeffs)
-    for a in range(G.n):
-        if a != G.identity:
-            for s in gens:
-                lat.insert((GroupRingElement.delta(G, a) * GroupRingElement.delta(G, s)).coeffs)
-    return lat
+    v lies in ZG*I_K = I_K + I_G*I_K, the kernel of ZG -> Z[G/K], exactly
+    when its coefficients sum to 0 on every left coset xK, and then maps to
+    the product of the (r(x)^-1 x)^v_x.  r(x) is the greatest element of
+    xK, not the least one that ``transfer`` uses, so that ``diagram_check``
+    compares the transfer with its product over another transversal.
+    """
+    table, inverse, coset_of = G.table, G.inverse, ctx.coset_of
+    greatest = {}
+    for x in range(G.n):
+        greatest[coset_of[x]] = x
+    sums = dict.fromkeys(greatest, 0)
+    order = len(ctx.Hset)
+    prod = G.identity
+    for x, c in enumerate(coeffs):
+        if c:
+            rep = coset_of[x]
+            sums[rep] += c
+            k = table[inverse[greatest[rep]]][x]
+            prod = table[prod][G.power(k, c % order)]
+    if any(sums.values()):
+        return None
+    return ctx.mod_derived[prod]
 
 
 def augmentation_membership(
@@ -434,7 +395,13 @@ def augmentation_membership(
     if x.G is not G:
         raise ValueError("x is not in the group ring of G")
     Hset = G.check_subgroup(H)
-    return _lattice(G, Hset, lattice_kind).contains(x.coeffs)
+    if lattice_kind not in LATTICE_KINDS:
+        raise ValueError(f"unknown lattice kind {lattice_kind!r}; use one of {LATTICE_KINDS}")
+    ctx = G.context(range(G.n) if lattice_kind == "IG2" else Hset)
+    image = _abelian_image(G, ctx, x.coeffs)
+    if lattice_kind == "IH+IGIH":
+        return image is not None
+    return image == ctx.mod_derived[G.identity]
 
 
 @dataclass(frozen=True)
@@ -454,13 +421,13 @@ def diagram_check(G: FiniteGroup, H) -> DiagramReport:
     """
     ctx = _quotient_context(G, H)
     Hset, reps = ctx.Hset, ctx.reps
-    lat = _lattice(G, Hset, "IGIH")
+    trivial = ctx.mod_derived[G.identity]
     norm_elt = GroupRingElement(G, tuple(1 if i in reps else 0 for i in range(G.n)))
     violations = []
     for g in reps:
         lhs = GroupRingElement.delta(G, g) * norm_elt
         rhs = GroupRingElement.delta(G, transfer(G, Hset, g))
-        if not lat.contains((lhs - rhs).coeffs):
+        if _abelian_image(G, ctx, (lhs - rhs).coeffs) != trivial:
             violations.append(g)
     return DiagramReport(
         group_name=G.name,

@@ -182,7 +182,35 @@ class TestTransferCommand:
             capsys, "transfer", "--table-file", str(table), "--subgroup", "0,2"
         )
         assert code == 1
-        assert "vanishes=False" in out and "discrepancy" in out
+        assert out == (
+            "|G|=4 |H|=2 index=2\n"
+            "well_defined=True hypothesis_holds=True vanishes=False\n"
+            "Ver(0) = 0\n"
+            "Ver(1) = 2\n"
+            "diagram_commutes=True\n"
+            "discrepancy: hypothesis holds but the transfer does not vanish\n"
+        )
+
+    def test_s3_output_is_pinned(self, capsys, tmp_path):
+        S3 = FiniteGroup.symmetric(3)
+        table = tmp_path / "s3.table"
+        table.write_text(
+            "\n".join(" ".join(str(x) for x in row) for row in S3.table) + "\n"
+        )
+        A3 = ",".join(str(S3.element_labels.index(c)) for c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+        assert A3 == "0,3,4"
+        code, out, err = run(capsys, "transfer", "--table-file", str(table), "--subgroup", A3)
+        assert code == 0 and err == ""
+        assert out == (
+            "|G|=6 |H|=3 index=2\n"
+            "well_defined=True hypothesis_holds=False vanishes=True\n"
+            "Ver(0) = 0\n"
+            "Ver(1) = 0\n"
+        )
+        # {id, (1 2)} is a subgroup but not normal
+        code, out, err = run(capsys, "transfer", "--table-file", str(table), "--subgroup", "0,1")
+        assert code == 2 and out == ""
+        assert err == "error: H must be normal\n"
 
     def test_out_of_range_subgroup_is_a_usage_error(self, capsys, tmp_path):
         C4 = FiniteGroup.cyclic_product([4])

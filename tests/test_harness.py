@@ -7,6 +7,7 @@ import pytest
 
 from quadnorm import cli
 from quadnorm.harness import (
+    MAX_WORKERS,
     EmptyInputError,
     InvalidConfigError,
     RunConfig,
@@ -137,6 +138,20 @@ class TestConfig:
             RunConfig(dmax=1).validate()
         with pytest.raises(InvalidConfigError):
             RunConfig(p_list=(2,)).validate()
+
+    def test_workers_ceiling(self, tmp_path, monkeypatch):
+        # validation only: no test may start an over-ceiling pool
+        monkeypatch.delenv("QUADNORM_CONFIG", raising=False)
+        assert RunConfig(workers=MAX_WORKERS).validate().workers == MAX_WORKERS
+        many = tmp_path / "many.conf"
+        for workers in (MAX_WORKERS + 1, 100_000):
+            with pytest.raises(InvalidConfigError, match=f"workers must be <= {MAX_WORKERS}"):
+                RunConfig(workers=workers).validate()
+            with pytest.raises(InvalidConfigError, match=f"workers must be <= {MAX_WORKERS}"):
+                config_from_sources(None, {"workers": workers})
+            many.write_text(f"workers={workers}\n")
+            with pytest.raises(InvalidConfigError, match=f"workers must be <= {MAX_WORKERS}"):
+                config_from_sources(str(many), {})
 
     def test_removed_key_rejected(self, tmp_path):
         stale = tmp_path / "stale.conf"

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -12,8 +13,6 @@ from quadnorm.transfer import (
     GroupTableError,
     NotNormalError,
     NotSubgroupError,
-    _IntegerLattice,
-    _lattice,
     augmentation_membership,
     diagram_check,
     restricted_transfer,
@@ -76,6 +75,76 @@ def coset_product_transfer(G, H, g, reps=None):
     }
     Hprime = closure(commutators, G.mul, G.identity)
     return min(G.mul(prod, h) for h in Hprime)
+
+
+# The augmentation lattices by integer row reduction: the oracle for the
+# H/H' membership criterion of augmentation_membership and diagram_check.
+
+
+class _IntegerLattice:
+    """Triangular integer basis supporting exact membership tests."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: dict[int, list[int]] = {}
+
+    def insert(self, vec) -> None:
+        v = list(vec)
+        for j in range(self.dim):
+            if v[j] == 0:
+                continue
+            if j not in self.rows:
+                if v[j] < 0:
+                    v = [-x for x in v]
+                self.rows[j] = v
+                return
+            r = self.rows[j]
+            while v[j]:
+                q = v[j] // r[j]
+                if q:
+                    v = [a - q * b for a, b in zip(v, r)]
+                if v[j]:
+                    self.rows[j], v = v, r
+                    r = self.rows[j]
+        # fully reduced to zero: dependent vector
+
+    def contains(self, vec) -> bool:
+        v = list(vec)
+        for j in range(self.dim):
+            if v[j] == 0:
+                continue
+            r = self.rows.get(j)
+            if r is None or v[j] % r[j]:
+                return False
+            q = v[j] // r[j]
+            v = [a - q * b for a, b in zip(v, r)]
+        return all(x == 0 for x in v)
+
+
+def _generators(G: FiniteGroup, Hset) -> tuple[int, ...]:
+    """Generators of the subgroup Hset: greedily, the least element not yet
+    in the subgroup the earlier ones generate."""
+    gens, span = (), {G.identity}
+    for x in sorted(Hset):
+        if x not in span:
+            gens += (x,)
+            span = G.subgroup_closure(gens)
+    return gens
+
+
+def _lattice(G: FiniteGroup, Hset: frozenset[int], kind: str) -> _IntegerLattice:
+    if kind not in LATTICE_KINDS:
+        raise ValueError(f"unknown lattice kind {kind!r}; use one of {LATTICE_KINDS}")
+    gens = _generators(G, range(G.n) if kind == "IG2" else Hset)
+    lat = _IntegerLattice(G.n)
+    if kind == "IH+IGIH":
+        for s in gens:
+            lat.insert(GroupRingElement.delta(G, s).coeffs)
+    for a in range(G.n):
+        if a != G.identity:
+            for s in gens:
+                lat.insert((GroupRingElement.delta(G, a) * GroupRingElement.delta(G, s)).coeffs)
+    return lat
 
 
 def full_pair_lattice(G, Hset, kind):
@@ -356,6 +425,48 @@ class TestAugmentationLattices:
                     checked += 1
         assert checked == 3 * (214 + 6 + 30)
 
+    def test_membership_criterion_matches_lattice_oracle(self):
+        # seeded combinations of the rows of each lattice, each also with
+        # one coordinate moved by +-1 and with +-1 moved between two
+        # coordinates, checked against every kind
+        rng = random.Random(11)
+        groups = oracle_groups() + [FiniteGroup.cyclic_product(t) for t in abelian_group_types(16)]
+        outcomes = {kind: {True: 0, False: 0} for kind in LATTICE_KINDS}
+        for G in groups:
+            ig2 = _lattice(G, frozenset(range(G.n)), "IG2")
+            for H in G.all_subgroups():
+                lattices = {kind: ig2 if kind == "IG2" else _lattice(G, H, kind)
+                            for kind in LATTICE_KINDS}
+                vectors = []
+                for lat in lattices.values():
+                    for _ in range(2):
+                        v = [0] * G.n
+                        for row in lat.rows.values():
+                            c = rng.randint(-2, 2)
+                            v = [a + c * b for a, b in zip(v, row)]
+                        a, b = rng.sample(range(G.n), 2)
+                        sign = rng.choice((1, -1))
+                        one = list(v)
+                        one[a] += sign
+                        two = list(one)
+                        two[b] -= sign
+                        vectors += [v, one, two]
+                for kind, lat in lattices.items():
+                    for v in vectors:
+                        expected = lat.contains(v)
+                        got = augmentation_membership(G, H, GroupRingElement(G, v), kind)
+                        assert got == expected, (G.name, sorted(H), kind, v)
+                        outcomes[kind][expected] += 1
+        for kind in LATTICE_KINDS:
+            assert sum(outcomes[kind].values()) == 18 * (66 + 214)
+            assert outcomes[kind][True] and outcomes[kind][False], (kind, outcomes[kind])
+
+    def test_unknown_kind_is_rejected(self):
+        C4 = FiniteGroup.cyclic_product([4])
+        x = GroupRingElement.delta(C4, 2)
+        with pytest.raises(ValueError, match="unknown lattice kind"):
+            augmentation_membership(C4, [0, 2], x, "IG3")
+
     def test_augmentation_zero_for_deltas(self):
         C4 = FiniteGroup.cyclic_product([4])
         assert GroupRingElement.delta(C4, 3).augmentation() == 0
@@ -373,3 +484,12 @@ class TestDiagram:
     def test_subgroup_equal_group_is_vacuous(self):
         C4 = FiniteGroup.cyclic_product([4])
         assert diagram_check(C4, [0, 1, 2, 3]).commutes
+
+    def test_broken_transfer_is_reported(self, monkeypatch):
+        # quadnorm re-exports the function transfer, which shadows the
+        # submodule as an attribute of the package, so fetch the module
+        module = importlib.import_module("quadnorm.transfer")
+        monkeypatch.setattr(module, "transfer", lambda G, H, g, reps=None: G.identity)
+        for orders, H in (([4], [0, 2]), ([6], [0, 2, 4])):
+            report = diagram_check(FiniteGroup.cyclic_product(orders), H)
+            assert not report.commutes and report.violations == (1,)
