@@ -12,18 +12,22 @@ conjugates, taken along an addition chain in the cyclic Galois group
 (Itoh-Tsujii), in floor(log2 e) + popcount(e) - 1 products instead of
 e - 1; characteristic polynomials come from Newton's identities
 (``intmath.newton_charpoly``) on the relative traces of the powers of an
-element.  All of it is exact.
+element.  The bounded norm search reduces its candidates modulo two
+auxiliary primes that split completely, where a relative norm is a product
+of e linear forms, and takes the exact norm only of the few candidates
+whose residues match the target.  All of it is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property
+from math import gcd, prod
+from operator import add
 
 from .cyclicext import CyclicExtensionDescriptor, period_mul
 from .formclass import FormClass, _ClassTable, _group_structure
-from .intmath import newton_charpoly
+from .intmath import crt, is_prime, kronecker, newton_charpoly, sqrt_mod_prime
 from .quadfield import QuadInteger, QuadraticField, fundamental_unit
 
 
@@ -214,14 +218,18 @@ class RelativeExtension:
         """First element (lexicographic coordinate order) of coefficient
         height <= bound with the exact relative norm, or NOT_FOUND.
 
-        Every candidate's norm is computed exactly; a hit is re-verified
-        through the constant of its characteristic polynomial.
+        A residue sieve at two split primes (``_sieve``) discards every
+        candidate whose norm differs from the target modulo either prime;
+        only the survivors get the exact norm, and a hit is re-verified
+        through the constant of its characteristic polynomial.  Since no
+        true hit is discarded, the first hit is the first candidate of
+        exact norm.
         """
         if bound < 0:
             raise ValueError("bound must be >= 0")
         pairs = _pairs(self.default_height_candidates(bound))
         (want,) = _pairs((target,))
-        for combo in itertools.product(pairs, repeat=self.degree):
+        for combo in self._sieve_survivors(pairs, want):
             if self._pair_norm(combo) == want:
                 cand = self.element(self._quad(u, v) for u, v in combo)
                 # independent re-verification: charpoly constant is (-1)^deg * norm
@@ -231,6 +239,37 @@ class RelativeExtension:
                     raise ArithmeticError("witness failed charpoly re-verification")
                 return cand
         return NOT_FOUND
+
+    @cached_property
+    def _sieve(self) -> "_ResidueSieve":
+        return _ResidueSieve(self.desc, self.field.d)
+
+    def _sieve_survivors(self, pairs, want):
+        """The vectors over ``pairs``, in ``itertools.product`` order, whose
+        norm residue equals that of the pair ``want``: e linear forms per
+        vector, carried along each prefix so that a vector adds only its
+        last coordinate, and e - 1 products modulo M."""
+        sieve, e = self._sieve, self.degree
+        M, P = sieve.modulus, sieve.periods
+        goal = sieve.image(want)
+        imgs = [sieve.image(c) for c in pairs]
+        # terms[m][i][j]: coordinate m equal to pairs[i], in the j-th form
+        terms = [
+            [tuple(c * P[(m + j) % e] % M for j in range(e)) for c in imgs]
+            for m in range(e)
+        ]
+        last = terms[-1]
+
+        def walk(depth, forms, prefix):
+            if depth == e - 1:
+                for i, t in enumerate(last):
+                    if prod(map(add, forms, t)) % M == goal:
+                        yield prefix + [pairs[i]]
+                return
+            for i, t in enumerate(terms[depth]):
+                yield from walk(depth + 1, list(map(add, forms, t)), prefix + [pairs[i]])
+
+        return walk(0, [0] * e, [])
 
     def family_polynomial(
         self, alpha: RelativeElement, attached_class: FormClass | None = None
@@ -255,6 +294,44 @@ class RelativeExtension:
             descriptor=self.desc,
             witness_is_unit=abs(got.norm()) == 1,
         )
+
+
+class _ResidueSieve:
+    """The ring homomorphism from the compositum onto Z/M, M = ell_1*ell_2,
+    for the first two primes ell = 1 + 2kq with (d/ell) = 1, both split
+    completely in the compositum (Washington, *Introduction to Cyclotomic
+    Fields*, Thm 2.13).
+
+    Modulo each prime zeta goes to a z of order q and sqrt(d) to a root r
+    of d, so the pair (u, v) goes to (u + v*r)/2 and period m to
+    P[m] = sum over h in H of z^(g^m h); the conjugate sigma^j moves it to
+    P[(m + j) mod e].  The relative norm of x therefore maps to the product
+    over j of the linear forms sum over m of x_m * P[(m + j) mod e].
+    """
+
+    def __init__(self, desc: CyclicExtensionDescriptor, d: int):
+        q = desc.q
+        primes, ell = [], 1
+        while len(primes) < 2:
+            ell += 2 * q
+            if is_prime(ell) and kronecker(d, ell) == 1:
+                primes.append(ell)
+        zs = []
+        for ell in primes:  # a^((ell - 1)/q) has order q or is 1
+            a = 2
+            while (z := pow(a, (ell - 1) // q, ell)) == 1:
+                a += 1
+            zs.append(z)
+        self.primes = tuple(primes)
+        self.modulus = prod(primes)
+        self.periods = desc.period_images(crt(zs, primes), self.modulus)
+        self._root = crt([sqrt_mod_prime(d, ell) for ell in primes], primes)
+        self._half = (self.modulus + 1) // 2
+
+    def image(self, pair: tuple[int, int]) -> int:
+        """(u + v*sqrt(d))/2 modulo M."""
+        u, v = pair
+        return (u + v * self._root) * self._half % self.modulus
 
 
 def _pairs(coords) -> list[tuple[int, int]]:

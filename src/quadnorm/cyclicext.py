@@ -12,7 +12,8 @@ vectors here and for the relative arithmetic of ``compose``.  Tables are
 built only up to the conductor MAX_TABLE_CONDUCTOR.  The period polynomial
 is computed exactly by group-ring arithmetic (power sums of periods are
 integers, turned into coefficients by Newton's identities).  On
-construction its discriminant is verified to be the field discriminant
+construction its discriminant, the Hankel determinant det(s_(i+j)) of the
+power sums, is verified to be the field discriminant
 q^(p^n - 1) times a perfect square, the square of the index of one
 period's power basis in the ring of integers; the literal identity
 disc = q^(p^n - 1) holds only where that index is 1.  Admissibility
@@ -27,6 +28,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .intmath import (
+    bareiss_det,
     exact_div,
     factorize,
     is_prime,
@@ -78,10 +80,11 @@ def check_conductor(q: int, p: int, n: int) -> int:
 
 
 # Largest conductor whose period table is built.  The rows take q - 1
-# modular powers; ``ext`` just below it took 4.3 s at degree 3, 4.5 s at
-# degree 25 and 10.5-11.6 s at degree 49 (7 s of it the discriminant) on a
-# 2-core host.  Descriptors without a table (``cyclic_descriptor``,
-# ``check_conductor``) have no ceiling.
+# modular powers; ``ext`` just below it took 4.6 s at degree 3, 4.5 s at
+# degree 25 and 6.9 s at degree 49 (2.1 s of it the Hankel discriminant,
+# against 6.1 s for the Sylvester determinant) on a 2-core host.
+# Descriptors without a table (``cyclic_descriptor``, ``check_conductor``)
+# have no ceiling.
 MAX_TABLE_CONDUCTOR = 2_000_000
 
 
@@ -179,6 +182,20 @@ class CyclicExtensionDescriptor:
             )
         return self._struct
 
+    def period_images(self, z: int, modulus: int) -> tuple[int, ...]:
+        """P[m] = sum over h in H of z^(g^m h) mod ``modulus``: the periods
+        under zeta -> z, for z of order q modulo ``modulus``."""
+        q, e = self.q, self.degree
+        zpow = [1] * q
+        for k in range(1, q):
+            zpow[k] = zpow[k - 1] * z % modulus
+        images = [0] * e
+        x = 1
+        for k in range(q - 1):  # x = g^k has label k mod e
+            images[k % e] += zpow[x]
+            x = x * self.g % q
+        return tuple(c % modulus for c in images)
+
     def _build_struct(self):
         # Substituting h2 = h1 * h in period_0 * period_m, the sum over
         # h1, h2 in H of zeta^(h1 + g^m h2), gives the cyclotomic-number
@@ -243,7 +260,13 @@ class CyclicExtensionDescriptor:
                 vec = period_mul(vec, eta, rows, 0)
             psums.append(-sum(u for u, _ in vec) // 2)
         coeffs = newton_charpoly(psums, exact_div) + [1]
-        disc = poly_discriminant(coeffs)
+        # s_0 = e, and s_k = -sum over i < e of a_i s_(k-e+i) for k > e, as
+        # every root satisfies the monic polynomial; the discriminant is the
+        # Hankel determinant det(s_(i+j)) = det(V)^2 of the Vandermonde V
+        s = [e] + psums
+        for k in range(e + 1, 2 * e - 1):
+            s.append(-sum(a * s[k - e + i] for i, a in enumerate(coeffs[:e])))
+        disc = bareiss_det([s[i : i + e] for i in range(e)])
         field_disc = self.q ** (e - 1)
         ratio, rem = divmod(disc, field_disc)
         root = isqrt(ratio) if rem == 0 and ratio > 0 else 0

@@ -156,6 +156,15 @@ def sqrt_mod_prime(a: int, q: int) -> int:
     return min(r, q - r)
 
 
+def crt(residues, moduli) -> int:
+    """The least x >= 0 with x = a_i mod n_i, for pairwise coprime n_i."""
+    x, m = 0, 1
+    for a, n in zip(residues, moduli):
+        x += m * ((a - x) * pow(m, -1, n) % n)
+        m *= n
+    return x
+
+
 def floor_quadsurd(P: int, Q: int, D: int) -> int:
     """floor((P + sqrt(D)) / Q) for non-square D > 0 and Q != 0, exactly."""
     s = isqrt(D)

@@ -12,12 +12,13 @@ module is a falsification instrument: vanishing verdicts are reported,
 never assumed.
 
 What the transfer needs about H (the checked H, least coset elements as
-representatives, the coset map, and the least element of xH' for every x)
-is a ``TransferContext``, computed once.  ``G.context(H)`` keeps one in a
-one-slot cache, replaced when H changes: callers take the subgroups one at
-a time, so one slot saves all the repeated work and holds the memory of a
-single context.  Supplied representatives get a context of their own.
-Membership reads the same context: O(n) table lookups, no integer lattice.
+representatives, the coset map, the least element of xH' for every x, and
+whether H is normal) is a ``TransferContext``, computed once.
+``G.context(H)`` keeps one in a one-slot cache, replaced when H changes:
+callers take the subgroups one at a time, so one slot saves all the
+repeated work and holds the memory of a single context.  Supplied
+representatives get a context of their own.  Membership reads the same
+context: O(n) table lookups, no integer lattice.
 """
 
 from __future__ import annotations
@@ -133,7 +134,12 @@ class FiniteGroup:
             least = self._coset_minima(Hset)
             reps = tuple(x for x in range(self.n) if least[x] == x)
             mod_derived = self._coset_minima(_derived_of_subgroup(self, Hset))
-            self._context = TransferContext(Hset, reps, tuple(least), tuple(mod_derived))
+            # g = rk with k in H conjugates H as r does: n lookups decide it
+            table, inverse = self.table, self.inverse
+            normal = all(table[table[r][h]][inverse[r]] in Hset for r in reps for h in Hset)
+            self._context = TransferContext(
+                Hset, reps, tuple(least), tuple(mod_derived), normal
+            )
         return self._context
 
     def subgroup_closure(self, seed) -> frozenset[int]:
@@ -218,6 +224,7 @@ class TransferContext:
     reps: tuple[int, ...]  # one representative per left coset of H
     coset_of: tuple[int, ...]  # coset_of[x]: the representative of xH
     mod_derived: tuple[int, ...]  # mod_derived[x]: the least element of xH'
+    normal: bool  # whether H is normal in G
 
 
 def transfer(G: FiniteGroup, H, g: int, reps: list[int] | None = None) -> int:
@@ -263,7 +270,7 @@ def _derived_of_subgroup(G: FiniteGroup, Hset) -> frozenset[int]:
 def _quotient_context(G: FiniteGroup, H) -> TransferContext:
     """The context of H, once H is checked normal and containing G'."""
     ctx = G.context(H)
-    if not G.is_normal(ctx.Hset):
+    if not ctx.normal:
         raise NotNormalError("H must be normal")
     if not G.derived_subgroup() <= ctx.Hset:
         raise CommutatorNotContainedError("derived subgroup must lie in H")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from quadnorm.compose import (
     composition_check,
 )
 from quadnorm.cyclicext import cyclic_descriptor, period_mul, period_polynomial
-from quadnorm.intmath import element_order, primes_up_to
+from quadnorm.intmath import element_order, is_prime, is_squarefree, kronecker, primes_up_to
 from quadnorm.formclass import (
     DiscriminantMismatchError,
     FormClass,
@@ -364,6 +365,86 @@ class TestSearchAgainstBrute:
         target = QuadInteger(10, 7, 2)
         assert _brute_search(ext, target, 1) == NOT_FOUND
         assert ext.search_norm_element(target, 1) == NOT_FOUND
+
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_cubic_conductors(self, bound):
+        """Every degree-3 conductor q < 1000 at bound 0, and a seeded half of
+        them at bound 1, where the oracle walks all 9^3 or 13^3 candidates
+        for each NOT_FOUND target.  Each conductor gets a field with
+        d = 1 mod 4, whose candidates include half-integers, and one with
+        d != 1 mod 4, each with a reachable target and a target of no
+        element of the height."""
+        conductors = [q for q in primes_up_to(999) if q % 3 == 1]
+        assert len(conductors) == 80
+        rng = random.Random(20261018 + bound)
+        if bound:
+            conductors = sorted(rng.sample(conductors, 40))
+        halves = [d for d in primes_up_to(200) if d % 4 == 1]
+        wholes = [d for d in range(2, 200) if d % 4 != 1 and is_squarefree(d)]
+        found = 0
+        for q in conductors:
+            desc = cyclic_descriptor(q, 3, 1)
+            for pool in (halves, wholes):
+                d = rng.choice([d for d in pool if d % q])
+                ext = RelativeExtension(desc, make_field(d))
+                scalars = ext.default_height_candidates(bound)
+                reachable = ext.relative_norm(ext.element(rng.choices(scalars, k=3)))
+                # a height-1 norm has |rational part| below
+                # (3 * (1 + sqrt(d)) * f)^3 < 4 * 10^12, as |periods| <= f
+                missing = QuadInteger(d, rng.randrange(10**15, 10**16), rng.randrange(100))
+                for target in (reachable, missing):
+                    hit = ext.search_norm_element(target, bound)
+                    assert hit == _brute_search(ext, target, bound), (q, d, target)
+                    found += hit != NOT_FOUND
+        assert found == 2 * len(conductors)
+
+    def test_degree_5_early_hit(self):
+        """Degree 5 at bound 1 (9^5 candidates), on a target whose first hit
+        lies among the first 9^2 candidates."""
+        ext = RelativeExtension(cyclic_descriptor(11, 5, 1), make_field(10))
+        scalars = ext.default_height_candidates(1)
+        rng = random.Random(5)
+        target = ext.relative_norm(ext.element(scalars[:1] * 3 + rng.choices(scalars, k=2)))
+        hit = ext.search_norm_element(target, 1)
+        assert hit != NOT_FOUND and hit.coords[:3] == (scalars[0],) * 3
+        assert hit == _brute_search(ext, target, 1)
+
+
+class TestResidueSieve:
+    """The lemma behind the search's sieve: modulo each sieve prime the
+    exact relative norm equals the product of the e linear forms, so no
+    true hit is filtered out."""
+
+    @pytest.mark.parametrize("q,p,n", [(7, 3, 1), (11, 5, 1), (19, 3, 2), (101, 5, 2)])
+    @pytest.mark.parametrize("d", [10, 13, 79])
+    def test_norm_residue_is_product_of_linear_forms(self, q, p, n, d):
+        ext = RelativeExtension(cyclic_descriptor(q, p, n), make_field(d))
+        sieve, e = ext._sieve, ext.degree
+        assert len(sieve.primes) == 2 and sieve.modulus == sieve.primes[0] * sieve.primes[1]
+        for ell in sieve.primes:
+            assert is_prime(ell) and ell % q == 1 and kronecker(d, ell) == 1
+        rng = random.Random(q * 100 + d)
+        units = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if (a, b) != (0, 0)]
+
+        def coordinate(h):
+            if d % 4 == 1 and rng.random() < 0.5:  # a half-integer
+                return QuadInteger(d, 2 * rng.randint(-h, h) + 1, 2 * rng.randint(-h, h) + 1, 2)
+            return QuadInteger(d, rng.randint(-h, h), rng.randint(-h, h))
+
+        elements = []
+        for _ in range(3):
+            elements.append([coordinate(3) for _ in range(e)])  # dense
+            sparse = [QuadInteger(d, 0, 0)] * e
+            for i in rng.sample(range(e), 3):
+                sparse[i] = QuadInteger(d, *rng.choice(units))
+            elements.append(sparse)
+        for coords in elements:
+            norm = ext.relative_norm(ext.element(coords))
+            xs = [sieve.image(c) for c in _as_pairs(coords)]
+            forms = [sum(x * sieve.periods[(m + j) % e] for m, x in enumerate(xs)) for j in range(e)]
+            (norm_pair,) = _as_pairs([norm])
+            for ell in sieve.primes:
+                assert sieve.image(norm_pair) % ell == prod(forms) % ell, (coords, ell)
 
 
 class TestSearch:

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -80,6 +81,28 @@ class TestPeriodPolynomial:
         prod = [u // 2 for u, _ in prod]
         expected_scalar = (-1) ** e * coeffs[0]
         assert all(c == -expected_scalar for c in prod)
+
+
+def test_hankel_discriminant_matches_sylvester_below_1000():
+    """The construction checks disc = q^(e-1) * I^2 through the Hankel
+    determinant of the power sums and reads I off it; the Sylvester
+    determinant ``poly_discriminant`` is the oracle, on all 154 period
+    polynomials q < 1000 of degree 3, 5, 9 and 25.  Polynomials and indices
+    are pinned by the SHA-256 of their repr, computed when the check ran on
+    the Sylvester determinant."""
+    polys = []
+    for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
+        e = p**n
+        for q in primes_up_to(999):
+            if q % e != 1:
+                continue
+            desc = period_polynomial(q, p, n)
+            index = desc.power_basis_index
+            assert poly_discriminant(list(desc.period_poly)) == q ** (e - 1) * index**2, q
+            polys.append((q, e, desc.period_poly, index))
+    assert len(polys) == 154
+    digest = hashlib.sha256(repr(polys).encode()).hexdigest()
+    assert digest == "707c0a08440fcbbd0495d73e907a3ee58ec16705fab7be443a9971cfde21af80"
 
 
 class TestPeriodRows:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from quadnorm.harness import abelian_group_types
-from quadnorm.intmath import closure, element_order, power, primes_up_to, sqrt_mod_prime
+from quadnorm.intmath import closure, crt, element_order, power, primes_up_to, sqrt_mod_prime
 from quadnorm.transfer import FiniteGroup
 
 
@@ -121,3 +121,16 @@ class TestSqrtModPrime:
             else:
                 with pytest.raises(ValueError):
                     sqrt_mod_prime(a, q)
+
+
+def test_crt_matches_scan():
+    """Every residue pattern modulo 3, 5 and 7 has exactly one solution
+    below 105, and ``crt`` returns it."""
+    moduli = (3, 5, 7)
+    first = {}
+    for x in range(105):
+        first.setdefault(tuple(x % n for n in moduli), x)
+    assert len(first) == 105
+    for residues, x in first.items():
+        assert crt(residues, moduli) == x
+        assert crt([a + 2 * n for a, n in zip(residues, moduli)], moduli) == x

@@ -372,6 +372,44 @@ class TestRestrictedTransfer:
         with pytest.raises(CommutatorNotContainedError):
             restricted_transfer(S4, vier)
 
+    def test_normality_is_not_rechecked(self, monkeypatch):
+        """restricted_transfer and diagram_check on one (G, H) read the
+        normality verdict of the shared context and run no full
+        ``is_normal`` check; the error messages are unchanged."""
+        calls = []
+        full_check = FiniteGroup.is_normal
+        monkeypatch.setattr(
+            FiniteGroup, "is_normal", lambda G, H: calls.append(H) or full_check(G, H)
+        )
+        G = relabelled([4, 2], 12)
+        for H in G.all_subgroups():
+            restricted_transfer(G, H)
+            diagram_check(G, H)
+        S3 = FiniteGroup.symmetric(3)
+        H = sub_by_labels(S3, {(0, 1, 2), (1, 0, 2)})
+        for check in (restricted_transfer, diagram_check):
+            with pytest.raises(NotNormalError, match="^H must be normal$"):
+                check(S3, H)
+        S4 = FiniteGroup.symmetric(4)
+        vier = sub_by_labels(S4, {(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)})
+        with pytest.raises(
+            CommutatorNotContainedError, match="^derived subgroup must lie in H$"
+        ):
+            diagram_check(S4, vier)
+        assert calls == []
+
+    def test_context_verdict_matches_full_check(self):
+        """Conjugating H by the coset representatives alone decides
+        normality: the verdict agrees with ``is_normal`` on every subgroup,
+        normal or not."""
+        verdicts = [
+            (G.context(H).normal, G.is_normal(H))
+            for G in oracle_groups()
+            for H in G.all_subgroups()
+        ]
+        assert all(ours == full for ours, full in verdicts)
+        assert {full for _, full in verdicts} == {True, False}
+
 
 class TestAugmentationLattices:
     def test_hand_checked_non_membership(self):
