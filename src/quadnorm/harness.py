@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
@@ -451,6 +450,9 @@ def scan(config: RunConfig) -> Iterator[ScanRecord]:
         for a in args:
             yield scan_one(*a)
         return
+    # imported here: the pool costs memory that serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         chunk = max(1, len(args) // (config.workers * 8))
         yield from pool.map(_scan_worker, args, chunksize=chunk)

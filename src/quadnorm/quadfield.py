@@ -344,8 +344,13 @@ class ResidueFieldElement:
     def __pow__(self, k: int) -> "ResidueFieldElement":
         if k < 0:
             raise ValueError("negative powers not needed")
-        one = ResidueFieldElement(self.q, 1, 0, self.dmod, self.root)
-        return power(self, k, operator.mul, one)
+        q, dmod = self.q, self.dmod
+
+        def mul(x, y):
+            return ((x[0] * y[0] + x[1] * y[1] * dmod) % q, (x[0] * y[1] + x[1] * y[0]) % q)
+
+        c0, c1 = power((self.c0, self.c1), k, mul, (1, 0))
+        return ResidueFieldElement(q, c0, c1, dmod, self.root)
 
     def is_one(self) -> bool:
         return self.c0 == 1 and self.c1 == 0

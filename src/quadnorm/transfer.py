@@ -1,11 +1,17 @@
 """Finite-group transfer (Verlagerung) engine and augmentation ideals.
 
 Groups are explicit multiplication tables, validated on construction and
-capped in size.  The transfer map is computed from its coset-product
-definition (Isaacs, *Finite Group Theory*, ch. 5), the restricted transfer
-on the quotient is tabulated together with the divisibility hypothesis it
-is supposed to satisfy, and membership in the augmentation ideals I_G^2,
-I_G*I_H and I_H + I_G*I_H is decided exactly through the isomorphism
+capped in size.  Nothing in the set-up of a group or a subgroup is cubic:
+associativity is checked by Light's test on a generating set (Clifford-
+Preston, *The Algebraic Theory of Semigroups*, vol. 1), ``all_subgroups``
+joins each subgroup with one element per left coset, and the derived
+subgroup H' is closed from the commutators of H with a generating set of H.
+
+The transfer map is computed from its coset-product definition (Isaacs,
+*Finite Group Theory*, ch. 5), the restricted transfer on the quotient is
+tabulated together with the divisibility hypothesis it is supposed to
+satisfy, and membership in the augmentation ideals I_G^2, I_G*I_H and
+I_H + I_G*I_H is decided exactly through the isomorphism
 ZG*I_H / I_G*I_H = I_H/I_H^2 = H/H', which holds because ZG is free as a
 right ZH-module (Brown, *Cohomology of Groups*, GTM 87, ch. II-III).  The
 module is a falsification instrument: vanishing verdicts are reported,
@@ -50,7 +56,8 @@ class GroupTableError(ValueError):
 class FiniteGroup:
     """A finite group given by an explicit multiplication table on indices
     0..n-1; the table is fully validated (identity, inverses,
-    associativity) on construction."""
+    associativity) on construction, associativity by Light's test: for s in
+    a greedy generating set only, in n^2 lookups per generator."""
 
     def __init__(self, table, name: str = "G", max_order: int = DEFAULT_MAX_ORDER):
         table = tuple(tuple(row) for row in table)
@@ -80,12 +87,16 @@ class FiniteGroup:
             if inv[x] is None or table[inv[x]][x] != ident:
                 raise GroupTableError(f"element {x} has no two-sided inverse")
         self.inverse = tuple(inv)
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                for c in range(n):
-                    if table[ab][c] != table[a][table[b][c]]:
-                        raise GroupTableError("table is not associative")
+        # Light's test: the s with (xs)y = x(sy) for all x, y are closed
+        # under products, and right products of the generators reach every
+        # element, so checking s in the generators alone is exact
+        self._gens = _generating_set(self, range(n))
+        for s in self._gens:
+            row_s = table[s]
+            for x in range(n):
+                row_x = table[x]
+                if table[row_x[s]] != tuple(map(row_x.__getitem__, row_s)):
+                    raise GroupTableError("table is not associative")
         self._derived = None
         self._context = None
 
@@ -122,7 +133,7 @@ class FiniteGroup:
 
     def derived_subgroup(self) -> frozenset[int]:
         if self._derived is None:
-            self._derived = _derived_of_subgroup(self, range(self.n))
+            self._derived = _derived_of_subgroup(self, range(self.n), self._gens)
         return self._derived
 
     def context(self, H) -> TransferContext:
@@ -157,14 +168,16 @@ class FiniteGroup:
         return least
 
     def all_subgroups(self) -> list[frozenset[int]]:
-        """Every subgroup, each closed from a generating tuple."""
+        """Every subgroup, each closed from a generating tuple.  The join
+        <H, g> equals <H, gh>, so one g per left coset of H is enough."""
         trivial = frozenset([self.identity])
         found = {trivial}
         frontier = [(trivial, ())]
         while frontier:
             H, gens = frontier.pop()
+            least = self._coset_minima(H)
             for g in range(self.n):
-                if g in H:
+                if least[g] != g or g in H:
                     continue
                 K = self.subgroup_closure(gens + (g,))
                 if K not in found:
@@ -258,13 +271,28 @@ def transfer(G: FiniteGroup, H, g: int, reps: list[int] | None = None) -> int:
     return ctx.mod_derived[prod]
 
 
-def _derived_of_subgroup(G: FiniteGroup, Hset) -> frozenset[int]:
-    gens = {
-        G.mul(G.mul(a, b), G.mul(G.inverse[a], G.inverse[b]))
-        for a in Hset
-        for b in Hset
+def _generating_set(G: FiniteGroup, elements) -> tuple[int, ...]:
+    """Generators of the subgroup on ``elements``, taken greedily: the least
+    element not yet among the products of the earlier ones."""
+    gens, span = (), {G.identity}
+    for x in sorted(elements):
+        if x not in span:
+            gens += (x,)
+            span = closure(gens, G.mul, G.identity)
+    return gens
+
+
+def _derived_of_subgroup(G: FiniteGroup, Hset, gens=None) -> frozenset[int]:
+    """H' as the closure of the commutators [a, s] for a in H and s in a
+    generating set S of H.  By [xy, s] = x[y, s]x^-1 [x, s] the closure N is
+    normal in H, and S is central modulo N, so H/N is abelian and N = H'."""
+    if gens is None:
+        gens = _generating_set(G, Hset)
+    table, inverse = G.table, G.inverse
+    commutators = {
+        table[table[a][s]][table[inverse[a]][inverse[s]]] for a in Hset for s in gens
     }
-    return closure(gens, G.mul, G.identity)
+    return closure(commutators, G.mul, G.identity)
 
 
 def _quotient_context(G: FiniteGroup, H) -> TransferContext:
@@ -427,14 +455,21 @@ def diagram_check(G: FiniteGroup, H) -> DiagramReport:
     meaningful even on instances where the vanishing hypothesis fails.
     """
     ctx = _quotient_context(G, H)
-    Hset, reps = ctx.Hset, ctx.reps
+    Hset, reps, table = ctx.Hset, ctx.reps, G.table
     trivial = ctx.mod_derived[G.identity]
-    norm_elt = GroupRingElement(G, tuple(1 if i in reps else 0 for i in range(G.n)))
+    minus_norm = [0] * G.n  # -(sum of the representatives)
+    for r in reps:
+        minus_norm[r] = -1
     violations = []
     for g in reps:
-        lhs = GroupRingElement.delta(G, g) * norm_elt
-        rhs = GroupRingElement.delta(G, transfer(G, Hset, g))
-        if _abelian_image(G, ctx, (lhs - rhs).coeffs) != trivial:
+        # (g - 1)*sum(reps) - (t - 1), straight from the table
+        v = minus_norm.copy()
+        row = table[g]
+        for r in reps:
+            v[row[r]] += 1
+        v[transfer(G, Hset, g)] -= 1
+        v[G.identity] += 1
+        if _abelian_image(G, ctx, v) != trivial:
             violations.append(g)
     return DiagramReport(
         group_name=G.name,

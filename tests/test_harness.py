@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import quadnorm
 from quadnorm import cli
 from quadnorm.harness import (
     MAX_WORKERS,
@@ -77,6 +80,19 @@ class TestScan:
         serial = [r.to_json_line() for r in scan(RunConfig(dmax=60, workers=1))]
         parallel = [r.to_json_line() for r in scan(RunConfig(dmax=60, workers=2))]
         assert serial == parallel
+
+    def test_import_does_not_load_the_process_pool(self):
+        # the pool is imported only when a scan starts workers
+        src = os.path.dirname(os.path.dirname(quadnorm.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import quadnorm, sys; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_round_trip_and_csv(self):
         cfg = RunConfig(dmax=40, qmax=20, p_list=(3,))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,3 +229,25 @@ class TestReduceModPrime:
         lhs = reduce_mod_prime(F, x * y, qi, root)
         rhs = reduce_mod_prime(F, x, qi, root) * reduce_mod_prime(F, y, qi, root)
         assert lhs == rhs
+
+    def test_power_matches_repeated_product(self, field79):
+        # __pow__ runs on integer pairs; repeated __mul__ is the oracle
+        rng = random.Random(5)
+        for q in primes_up_to(199)[1:]:
+            if field79.disc % q == 0:
+                continue
+            inert = splitting_type(field79, q) is SplittingType.INERT
+            group_order = q * q - 1 if inert else q - 1
+            one = reduce_mod_prime(field79, QuadInteger(79, 1, 0), q)
+            for _ in range(2):
+                x = QuadInteger(79, rng.randrange(q), rng.randrange(q))
+                img = reduce_mod_prime(field79, x, q)
+                if img.c0 == img.c1 == 0:
+                    continue
+                powers = [one, img]
+                while not powers[-1].is_one():
+                    powers.append(powers[-1] * img)
+                order = len(powers) - 1
+                assert img.multiplicative_order_dividing(group_order) == order
+                for k in [0, 1, order] + [rng.randrange(3 * order) for _ in range(8)]:
+                    assert img**k == powers[k % order]

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 
 import pytest
@@ -28,17 +29,26 @@ def sub_by_labels(G, wanted):
     return [i for i, lab in enumerate(G.element_labels) if lab in wanted]
 
 
+def relabel_table(table, seed):
+    """The table with its elements renamed by a seeded permutation."""
+    n = len(table)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def relabel(base, seed):
+    return FiniteGroup(relabel_table(base.table, seed), name=base.name, max_order=base.n)
+
+
 def relabelled(orders, seed):
     """The cyclic product with its elements renamed by a seeded permutation,
     so that the identity is not 0 and least elements carry no structure."""
-    base = FiniteGroup.cyclic_product(orders)
-    perm = list(range(base.n))
-    random.Random(seed).shuffle(perm)
-    table = [[0] * base.n for _ in range(base.n)]
-    for a in range(base.n):
-        for b in range(base.n):
-            table[perm[a]][perm[b]] = perm[base.table[a][b]]
-    return FiniteGroup(table, name=base.name)
+    return relabel(FiniteGroup.cyclic_product(orders), seed)
 
 
 def oracle_groups():
@@ -168,6 +178,91 @@ def same_lattice(x, y):
     )
 
 
+def small_groups():
+    """Every abelian group of order <= 36, relabelled, and S3, S4, S5."""
+    groups = [relabelled(t, seed) for seed, t in enumerate(abelian_group_types(36))]
+    groups += [FiniteGroup.symmetric(k, max_order=120) for k in (3, 4, 5)]
+    return groups
+
+
+def _check_associative(table) -> None:
+    """All n^3 triples: the associativity check FiniteGroup ran before
+    Light's test, kept as its oracle."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise GroupTableError("table is not associative")
+
+
+def _derived_of_subgroup(G: FiniteGroup, Hset) -> frozenset[int]:
+    """H' from all |H|^2 commutators: the oracle of the generator version."""
+    gens = {
+        G.mul(G.mul(a, b), G.mul(G.inverse[a], G.inverse[b]))
+        for a in Hset
+        for b in Hset
+    }
+    return closure(gens, G.mul, G.identity)
+
+
+def unipotent_loop(n, seed):
+    """A seeded loop on 0..n-1 with identity 0 and x*x = 0 for every x (so
+    inverses are two-sided), filled cell by cell by backtracking; for n not
+    a power of 2 it cannot be a group."""
+    rng = random.Random(seed)
+    t = [[None] * n for _ in range(n)]
+    for x in range(n):
+        t[0][x] = t[x][0] = x
+        t[x][x] = 0
+    cells = [(a, b) for a in range(1, n) for b in range(1, n) if a != b]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        a, b = cells[i]
+        used = set(t[a]) | {row[b] for row in t}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            t[a][b] = v
+            if fill(i + 1):
+                return True
+        t[a][b] = None
+        return False
+
+    assert fill(0)
+    return t
+
+
+def loop_times_cyclic(L, m):
+    """L x C_m with (l, c) at index l*m + c: the identity is 0, and 1 is
+    (e, 1), which lies in the nucleus (it associates with everything)."""
+    n = len(L)
+    return [
+        [L[a // m][b // m] * m + (a + b) % m for b in range(n * m)] for a in range(n * m)
+    ]
+
+
+def is_loop_with_inverses(table):
+    n = len(table)
+    everything = set(range(n))
+    e = next(e for e in range(n) if table[e] == list(range(n)))
+    return (
+        all(table[x][e] == x for x in range(n))
+        and all(set(row) == everything for row in table)
+        and all({row[b] for row in table} == everything for b in range(n))
+        and all(table[x].index(e) == [row[x] for row in table].index(e) for x in range(n))
+    )
+
+
+def non_group_loops():
+    loops = [unipotent_loop(n, seed) for n in (5, 6, 7) for seed in range(3)]
+    loops += [loop_times_cyclic(L, m) for L in loops[:4] for m in (2, 3)]
+    return loops + [relabel_table(L, seed) for seed, L in enumerate(loops)]
+
+
 def subgroups_by_full_closure(G):
     """Every subgroup by closing H | {g} from the trivial group."""
     found = {frozenset([G.identity])}
@@ -200,6 +295,33 @@ class TestGroupValidation:
                     [4, 3, 1, 2, 0],
                 ]
             )
+
+    def test_group_tables_pass_the_triple_loop(self):
+        for G in small_groups():
+            _check_associative(G.table)
+
+    def test_loops_fail_as_in_the_triple_loop(self):
+        for table in non_group_loops():
+            assert is_loop_with_inverses(table)
+            with pytest.raises(GroupTableError) as oracle:
+                _check_associative(table)
+            with pytest.raises(GroupTableError) as got:
+                FiniteGroup(table)
+            assert str(got.value) == str(oracle.value) == "table is not associative"
+
+    def test_first_generator_alone_does_not_decide(self):
+        # 1 is the least element besides the identity, so the first
+        # generator; every triple through it associates, the table does not
+        for m in (2, 3):
+            table = loop_times_cyclic(unipotent_loop(5, 0), m)
+            n = len(table)
+            assert all(
+                table[table[a][b]][c] == table[a][table[b][c]]
+                for a, b, c in itertools.product(range(n), repeat=3)
+                if 1 in (a, b, c)
+            )
+            with pytest.raises(GroupTableError, match="table is not associative"):
+                FiniteGroup(table)
 
     def test_subgroup_elements_must_be_in_range(self):
         C4 = FiniteGroup.cyclic_product([4])
@@ -333,9 +455,19 @@ class TestTransferOracle:
 class TestSubgroupEnumeration:
     def test_matches_closure_of_each_extension(self):
         groups = [FiniteGroup.symmetric(3), FiniteGroup.symmetric(4)]
-        groups += [FiniteGroup.cyclic_product(t) for t in abelian_group_types(24)]
+        for seed, t in enumerate(abelian_group_types(36)):
+            groups += [FiniteGroup.cyclic_product(t), relabelled(t, seed)]
         for G in groups:
             assert G.all_subgroups() == subgroups_by_full_closure(G)
+
+
+class TestDerivedSubgroup:
+    def test_generator_commutators_match_all_pairs(self):
+        module = importlib.import_module("quadnorm.transfer")
+        for G in small_groups() + [relabel(FiniteGroup.symmetric(4), 3)]:
+            assert G.derived_subgroup() == _derived_of_subgroup(G, range(G.n))
+            for H in G.all_subgroups():
+                assert module._derived_of_subgroup(G, H) == _derived_of_subgroup(G, H)
 
 
 class TestRestrictedTransfer:
