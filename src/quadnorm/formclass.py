@@ -1,11 +1,13 @@
 """Class groups of real quadratic fields via indefinite binary quadratic forms.
 
-Reduction cycles decide equivalence and Gauss/Dirichlet composition gives the
-one group law, run by ``_ClassTable`` on (a, b, c) integer triples through
-one rho step.  Every class group, and ``compose.composition_check``, works on
-its class indices; the wide group is the quotient of the narrow one by the
-class of a form representing -1.  A separate ideal-cycle enumeration under
-the Minkowski bound provides an independent class-number oracle.
+The reduced forms of a discriminant come from a split-prime sieve over their
+middle coefficient.  Reduction cycles decide equivalence and Gauss/Dirichlet
+composition gives the one group law, run by ``_ClassTable`` on (a, b, c)
+integer triples through one rho step.  Every class group, and
+``compose.composition_check``, works on its class indices; the wide group is
+the quotient of the narrow one by the class of a form representing -1.  A
+separate ideal-cycle enumeration under the Minkowski bound provides an
+independent class-number oracle.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from math import gcd, isqrt
 
 from .intmath import (
     closure,
-    divisors,
     element_order,
     factorize,
     floor_quadsurd,
     is_prime,
     is_square,
     power,
+    primes_up_to,
+    sqrt_mod_prime,
 )
 from .quadfield import NotPrimeError, QuadraticField
 
@@ -34,6 +37,10 @@ class ImprimitiveError(ValueError):
 
 class SquareDiscriminantError(ValueError):
     """Discriminant is a perfect square (or not positive)."""
+
+
+class DiscriminantCongruenceError(ValueError):
+    """Discriminant is not congruent to 0 or 1 modulo 4."""
 
 
 class DiscriminantMismatchError(ValueError):
@@ -189,25 +196,73 @@ def _compose_forms(
     return s * t, w * u - (k * t + ell * s), k * ell - w * m
 
 
-def all_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
-    """Every reduced primitive form of positive non-square discriminant D."""
+def _progression_starts(D: int, p: int) -> set[int]:
+    """The i in [0, p) with p | (D - b^2)/4 at b = b0 + 2i, b0 = 2 - D % 2.
+
+    (D - b^2)/4 mod p has period p in i, so these start the progressions
+    of step p on which p divides it.  An odd p divides it exactly when
+    b = +-sqrt(D) (mod p): two starts when (D/p) = 1, one when p | D and
+    none when (D/p) = -1.
+    """
+    b0 = 2 - D % 2
+    if p == 2:
+        return {i for i in (0, 1) if (D - (b0 + 2 * i) ** 2) // 4 % 2 == 0}
+    try:
+        r = sqrt_mod_prime(D, p)
+    except ValueError:
+        return set()
+    half = (p + 1) // 2  # the inverse of 2 mod p
+    return {(r - b0) * half % p, (-r - b0) * half % p}
+
+
+def _reduced_triples(D: int) -> list[tuple[int, int, int]]:
+    """Every reduced primitive triple of discriminant D, by a sieve over b.
+
+    For b = b0 + 2i <= s = isqrt(D) and a*c = m = (D - b^2)/4, the triples
+    (a, b, -c) and (-a, b, c) are reduced exactly when (s - b)/2 < a <=
+    (s + b)/2, and a lies in that window exactly when c does.  So only the
+    divisors a <= isqrt(m) are needed, each giving also (c, b, -a) and
+    (-c, b, a) when c != a, and their primes are at most isqrt(D // 4).
+    Each such prime is stripped from m along the progressions of
+    ``_progression_starts``, and the divisors of m grow by its powers up to
+    isqrt(m).
+    """
     if D <= 0 or is_square(D):
         raise SquareDiscriminantError(f"{D} is not a valid indefinite discriminant")
-    out = []
+    if D % 4 > 1:
+        raise DiscriminantCongruenceError(f"{D} is not 0 or 1 modulo 4")
     s = isqrt(D)
-    for b in range(2 - D % 2, s + 1, 2):
-        m = (D - b * b) // 4
-        # (a, b, -m/a) and (-a, b, m/a) are reduced together exactly when
-        # sqrt(D) - b < 2a < sqrt(D) + b, that is when lo <= a <= hi
-        lo, hi = (s - b) // 2 + 1, (s + b) // 2
-        for a in divisors(m):
-            if a > hi:
-                break
+    b0 = 2 - D % 2
+    ms = [(D - b * b) // 4 for b in range(b0, s + 1, 2)]
+    caps = [isqrt(m) for m in ms]
+    divs = [[1] for _ in ms]
+    for p in primes_up_to(isqrt(D // 4)):
+        for i0 in _progression_starts(D, p):
+            for i in range(i0, len(ms), p):
+                m, cap, ds = ms[i] // p, caps[i], divs[i]
+                grown = [d * p for d in ds if d * p <= cap]
+                while m % p == 0 and grown:
+                    ds += grown
+                    m //= p
+                    grown = [d * p for d in grown if d * p <= cap]
+                ds += grown
+    out = []
+    for i, (m, ds) in enumerate(zip(ms, divs)):
+        b = b0 + 2 * i
+        lo = (s - b) // 2 + 1
+        for a in ds:
             c = m // a
-            if a >= lo and gcd(gcd(a, b), c) == 1:
-                out.append(BinaryQuadraticForm(a, b, -c))
-                out.append(BinaryQuadraticForm(-a, b, c))
+            if a >= lo and gcd(a, b, c) == 1:
+                out += ((a, b, -c), (-a, b, c))
+                if c != a:
+                    out += ((c, b, -a), (-c, b, a))
     return out
+
+
+def all_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
+    """Every reduced primitive form of discriminant D, which must be
+    positive, non-square and 0 or 1 mod 4."""
+    return [BinaryQuadraticForm(*f) for f in _reduced_triples(D)]
 
 
 class _ClassTable:
@@ -221,7 +276,7 @@ class _ClassTable:
     """
 
     def __init__(self, D: int):
-        forms = {f.as_tuple() for f in all_reduced_forms(D)}
+        forms = set(_reduced_triples(D))
         cycles = []
         while forms:
             cycle = _rho_cycle(forms.pop(), D)

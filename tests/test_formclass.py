@@ -1,12 +1,15 @@
 import hashlib
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadnorm import formclass
 from quadnorm.formclass import (
     BinaryQuadraticForm,
     ClassGroupStructure,
+    DiscriminantCongruenceError,
     DiscriminantMismatchError,
     FormClass,
     ImprimitiveError,
@@ -21,8 +24,13 @@ from quadnorm.formclass import (
     prime_form_raw,
     reduction_cycle,
 )
-from quadnorm.formclass import _class_key, _ClassTable, _structure
-from quadnorm.intmath import is_squarefree
+from quadnorm.formclass import (
+    _class_key,
+    _ClassTable,
+    _progression_starts,
+    _structure,
+)
+from quadnorm.intmath import divisors, is_square, is_squarefree, kronecker, primes_up_to
 from quadnorm.quadfield import fundamental_unit, make_field
 
 
@@ -364,6 +372,95 @@ class TestReducedFormEnumeration:
                             naive.add(f)
             got = all_reduced_forms(D)
             assert len(got) == len(naive) and set(got) == naive, f"d={d}"
+
+
+def trial_division_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
+    """Every reduced primitive form of positive non-square discriminant D."""
+    if D <= 0 or is_square(D):
+        raise SquareDiscriminantError(f"{D} is not a valid indefinite discriminant")
+    out = []
+    s = isqrt(D)
+    for b in range(2 - D % 2, s + 1, 2):
+        m = (D - b * b) // 4
+        # (a, b, -m/a) and (-a, b, m/a) are reduced together exactly when
+        # sqrt(D) - b < 2a < sqrt(D) + b, that is when lo <= a <= hi
+        lo, hi = (s - b) // 2 + 1, (s + b) // 2
+        for a in divisors(m):
+            if a > hi:
+                break
+            c = m // a
+            if a >= lo and gcd(gcd(a, b), c) == 1:
+                out.append(BinaryQuadraticForm(a, b, -c))
+                out.append(BinaryQuadraticForm(-a, b, c))
+    return out
+
+
+# positive non-square D = 0, 1 (mod 4), fundamental or not
+DISCRIMINANTS = st.builds(
+    lambda k, t: 4 * k + t, st.integers(1, 10_000), st.sampled_from((0, 1))
+).filter(lambda D: not is_square(D))
+
+
+class TestReducedFormSieve:
+    """The split-prime sieve against trial division of every (D - b^2)/4
+    (``trial_division_reduced_forms``, the enumeration it replaced), and the
+    two facts it rests on."""
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            range(100_000, 100_060),
+            range(1_000_000, 1_000_030),
+            (10_000_001, 10_000_002),
+        ],
+    )
+    def test_matches_trial_division_on_large_fields(self, window):
+        for d in window:
+            if is_squarefree(d):
+                D = make_field(d).disc
+                got, expected = all_reduced_forms(D), trial_division_reduced_forms(D)
+                assert len(got) == len(expected) and set(got) == set(expected), f"d={d}"
+
+    @pytest.mark.parametrize(
+        "D",
+        # the discriminants of the composition tests, then k^2 * D0 for
+        # fundamental D0, then tiny ones that have no prime up to isqrt(D // 4)
+        [316, 40, 145, 1756, 45, 200, 108, 637, 2541, 3328, 5, 8, 12, 13],
+    )
+    def test_matches_trial_division_on_other_discriminants(self, D):
+        got, expected = all_reduced_forms(D), trial_division_reduced_forms(D)
+        assert len(got) == len(expected) and set(got) == set(expected)
+
+    @pytest.mark.parametrize("D", [6, 10, 14, 15, 23])
+    def test_discriminant_not_0_or_1_mod_4_is_rejected(self, D):
+        message = f"^{D} is not 0 or 1 modulo 4$"
+        for entry in (all_reduced_forms, _ClassTable):
+            with pytest.raises(DiscriminantCongruenceError, match=message):
+                entry(D)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(D=DISCRIMINANTS)
+    @example(D=4 * 3 * 5 * 7 * 11)  # four ramified odd primes
+    @example(D=9 * 5 * 13)  # p^2 | D
+    def test_odd_primes_divide_exactly_on_the_sieved_progressions(self, D):
+        s = isqrt(D)
+        ms = [(D - b * b) // 4 for b in range(2 - D % 2, s + 1, 2)]
+        for p in primes_up_to(isqrt(D // 4))[1:]:
+            starts = _progression_starts(D, p)
+            assert len(starts) == (1 if D % p == 0 else 1 + kronecker(D, p)), f"p={p}"
+            assert all(0 <= i0 < p for i0 in starts)
+            divided = {i for i, m in enumerate(ms) if m % p == 0}
+            assert divided == {i for i in range(len(ms)) if i % p in starts}, f"p={p}"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(D=DISCRIMINANTS)
+    def test_a_is_in_the_reduced_window_exactly_when_its_cofactor_is(self, D):
+        s = isqrt(D)
+        for b in range(2 - D % 2, s + 1, 2):
+            m = (D - b * b) // 4
+            lo, hi = (s - b) // 2 + 1, (s + b) // 2
+            for a in divisors(m):
+                assert (lo <= a <= hi) == (lo <= m // a <= hi), f"b={b} a={a}"
 
 
 class TestMinkowskiOracle:
