@@ -7,27 +7,31 @@ when the two discriminants are coprime, which is checked on construction.
 Arithmetic runs on integer pair vectors, the pair (u, v) standing for the
 coordinate (u + v*sqrt(d))/2, through the one period product
 ``cyclicext.period_mul``; ``QuadInteger`` coordinates are converted once on
-entry and once on exit.  A relative norm is the product of the e Galois
-conjugates, taken along an addition chain in the cyclic Galois group
-(Itoh-Tsujii), in floor(log2 e) + popcount(e) - 1 products instead of
-e - 1; characteristic polynomials come from Newton's identities
-(``intmath.newton_charpoly``) on the relative traces of the powers of an
-element.  The bounded norm search reduces its candidates modulo two
-auxiliary primes that split completely, where a relative norm is a product
-of e linear forms, and takes the exact norm only of the few candidates
-whose residues match the target.  All of it is exact.
+entry and once on exit.  A relative norm is taken through one ring map onto
+(Z/M)[t]/(t^2 - d), zeta -> z with Phi_q(z) = 0 (mod M) and sqrt(d) -> t,
+under which the e Galois conjugates are e linear forms in the period
+images: e^2 multiply-adds and e products, lifted symmetrically, with M
+above twice a proven bound on the norm's coordinates.  Characteristic
+polynomials come from Newton's identities (``intmath.newton_charpoly``) on
+the relative traces of the powers of an element, taken by ``period_mul``,
+so their constant check compares two independent routes.  The bounded norm
+search reduces its candidates modulo two auxiliary primes that split
+completely, where a relative norm is a product of e linear forms, and
+takes the exact norm only of the few candidates whose residues match the
+target.  All of it is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from itertools import islice
+from math import gcd, isqrt, prod
 from operator import add
 
-from .cyclicext import CyclicExtensionDescriptor, period_mul
+from .cyclicext import CyclicExtensionDescriptor, period_mul, primes_one_mod_2q
 from .formclass import FormClass, _ClassTable, _group_structure
-from .intmath import crt, is_prime, kronecker, newton_charpoly, sqrt_mod_prime
+from .intmath import crt, kronecker, newton_charpoly, sqrt_mod_prime
 from .quadfield import QuadInteger, QuadraticField, fundamental_unit
 
 
@@ -160,24 +164,37 @@ class RelativeExtension:
         return RelativeElement(self, alpha.coords[-i:] + alpha.coords[:-i])
 
     def _pair_norm(self, x) -> tuple[int, int]:
-        """Relative norm of a pair vector, as a pair, along an addition
-        chain in the Galois group (Itoh-Tsujii): with beta_k the product of
-        x, sigma(x), ..., sigma^(k-1)(x), the bits of e from the top give
-        beta_2k = beta_k * sigma^k(beta_k) and beta_(k+1) = beta_k * sigma^k(x),
-        floor(log2 e) + popcount(e) - 1 products in all."""
-        rows, d = self._rows, self.field.d
-        acc, k = x, 1
-        for bit in bin(self.degree)[3:]:
-            # sigma^k moves a vector k places
-            acc = period_mul(acc, acc[-k:] + acc[:-k], rows, d)
-            k *= 2
-            if bit == "1":
-                acc = period_mul(acc, x[-k:] + x[:-k], rows, d)
-                k += 1
-        if acc.count(acc[0]) != len(acc):
-            raise ArithmeticError("norm did not come out scalar")
-        u, v = acc[0]
-        return (-u, -v)  # a scalar c is -c * (sum of periods)
+        """Relative norm of a pair vector, as a pair, through one ring map
+        onto (Z/M)[t]/(t^2 - d): zeta -> z with Phi_q(z) = 0 (mod M) and
+        sqrt(d) -> t (``CyclicExtensionDescriptor.ring_image``).  There
+        sigma^j(x) is the linear form sum over m of x_m * P[(m + j) mod e],
+        so the norm is e^2 multiply-adds and e products; its pair (u, v)
+        is lifted symmetrically from the basis {1, t}.  Every period has
+        |eta| <= f, so |u| and |v| are at most (f * L)^e with
+        L = sum of |u_m| + |v_m| * (isqrt(d) + 1), and M > 2 * (f * L)^e
+        makes the lift exact."""
+        e, d = self.degree, self.field.d
+        r = isqrt(d) + 1
+        height = sum(abs(u) + abs(v) * r for u, v in x)
+        M, P = self.desc.ring_image(2 * (self.desc.f * height) ** e)
+        P = P + P
+        # forms j of the u and the v parts, added up row by row: x_m
+        # contributes x_m * P[m + j] to form j
+        us, vs = [0] * e, [0] * e
+        for m, (u, v) in enumerate(x):
+            if u:
+                us = [s + u * p for s, p in zip(us, P[m : m + e])]
+            if v:
+                vs = [s + v * p for s, p in zip(vs, P[m : m + e])]
+        a, b = 1, 0  # the product so far, a + b*t
+        for s, t in zip(us, vs):
+            a, b = (a * s + d * b * t) % M, (a * t + b * s) % M
+        # x_m maps to (u_m + v_m*t)/2 and the norm to (u + v*t)/2, so
+        # a + b*t is 2^(e-1) * (u + v*t): halve e - 1 times modulo M
+        for _ in range(e - 1):
+            a = (a if a % 2 == 0 else a + M) >> 1
+            b = (b if b % 2 == 0 else b + M) >> 1
+        return (a - M if 2 * a > M else a, b - M if 2 * b > M else b)
 
     def relative_norm(self, alpha: RelativeElement) -> QuadInteger:
         """Product of all Galois conjugates; lands in the quadratic ring."""
@@ -188,7 +205,9 @@ class RelativeExtension:
         """Characteristic polynomial of multiplication by alpha over the
         quadratic ring, by Newton's identities on the relative traces of
         alpha, alpha^2, ..., alpha^e, where Tr(sum c_j period_j) = -sum c_j.
-        The constant term is checked against the relative norm."""
+        The powers are ``period_mul`` products and the relative norm comes
+        through the ring map of ``_pair_norm``; the constant term is checked
+        against that norm, so the check compares two independent routes."""
         self._same(alpha.ext)
         x = _pairs(alpha.coords)
         traces = []
@@ -311,11 +330,7 @@ class _ResidueSieve:
 
     def __init__(self, desc: CyclicExtensionDescriptor, d: int):
         q = desc.q
-        primes, ell = [], 1
-        while len(primes) < 2:
-            ell += 2 * q
-            if is_prime(ell) and kronecker(d, ell) == 1:
-                primes.append(ell)
+        primes = list(islice((ell for ell in primes_one_mod_2q(q) if kronecker(d, ell) == 1), 2))
         zs = []
         for ell in primes:  # a^((ell - 1)/q) has order q or is 1
             a = 2

@@ -145,18 +145,26 @@ def reduction_cycle(f: BinaryQuadraticForm) -> FormClass:
         g = g.rho()
     else:
         raise ArithmeticError(f"reduction did not terminate for {f.as_tuple()}")
-    return _cycle_class(_rho_cycle(g.as_tuple(), g.disc))
+    return _cycle_class(_rho_cycle(g.as_tuple(), g.disc, g.disc))
 
 
-def _rho_cycle(g: tuple[int, int, int], D: int) -> list[tuple[int, int, int]]:
-    """The rho-orbit of the reduced triple g of discriminant D, from g."""
+def _rho_cycle(
+    g: tuple[int, int, int], D: int, count: int
+) -> list[tuple[int, int, int]]:
+    """The rho-orbit of the reduced triple g of discriminant D, from g.
+
+    rho permutes the reduced triples, so an orbit is at most ``count``
+    long, for any ``count`` not below their number.  D will do: each
+    b <= s = isqrt(D) of the parity of D gives at most 2b reduced triples
+    (b values of |a| and two signs), fewer than D in all.
+    """
     s = isqrt(D)
     cycle = [g]
     h = _rho(g[1], g[2], D, s)
     while h != g:
         cycle.append(h)
         h = _rho(h[1], h[2], D, s)
-        if len(cycle) > _MAX_REDUCE_STEPS:
+        if len(cycle) > count:
             raise ArithmeticError("cycle walk did not close")
     return cycle
 
@@ -277,9 +285,10 @@ class _ClassTable:
 
     def __init__(self, D: int):
         forms = set(_reduced_triples(D))
+        count = len(forms)
         cycles = []
         while forms:
-            cycle = _rho_cycle(forms.pop(), D)
+            cycle = _rho_cycle(forms.pop(), D, count)
             forms.difference_update(cycle)
             cycles.append((_cycle_class(cycle), cycle))
         cycles.sort(key=lambda named: _class_key(named[0]))

@@ -77,9 +77,9 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "search_bound" in err
 
-    def test_cycle_walk_past_step_cap_is_2(self, capsys, monkeypatch):
-        # both rho cycles of discriminant 376 have 16 reduced forms
-        monkeypatch.setattr(formclass, "_MAX_REDUCE_STEPS", 4)
+    def test_reduction_past_step_cap_is_2(self, capsys, monkeypatch):
+        # the principal triple (1, 0, -94) is two rho steps from reduced
+        monkeypatch.setattr(formclass, "_MAX_REDUCE_STEPS", 1)
         code, out, err = run(capsys, "classgroup", "--d", "94")
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
@@ -99,6 +99,26 @@ class TestExitCodes:
         assert "ceiling" in err
         # the ceiling is the table's: a descriptor without a table still works
         code, out, _ = run(capsys, "normindex", "--d", "10", "--q", str(q), "--p", "3")
+        assert code == 0 and "index=" in out
+
+    def test_ext_above_degree_ceiling_is_2(self, capsys, monkeypatch):
+        def no_table(self):
+            raise AssertionError("period table built above the ceiling")
+
+        monkeypatch.setattr(cyclicext.CyclicExtensionDescriptor, "_build_struct", no_table)
+        assert cyclicext.MAX_TABLE_DEGREE >= 49  # the largest degree of the tests
+        p = cyclicext.MAX_TABLE_DEGREE + 1
+        while not is_prime(p):
+            p += 1
+        q = p + 1
+        while not (q % p == 1 and is_prime(q)):
+            q += p
+        code, out, err = run(capsys, "ext", "--q", str(q), "--p", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"degree {p} is above the period-table ceiling" in err
+        # the ceiling is the table's: a descriptor without a table still works
+        code, out, _ = run(capsys, "normindex", "--d", "10", "--q", str(q), "--p", str(p))
         assert code == 0 and "index=" in out
 
     def test_verify_ex79_records_discrepancy(self, capsys):

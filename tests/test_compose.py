@@ -1,8 +1,9 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,15 @@ from quadnorm.compose import (
     WrongNormError,
     composition_check,
 )
-from quadnorm.cyclicext import cyclic_descriptor, period_mul, period_polynomial
+from quadnorm.cyclicext import (
+    KRONECKER_MAX_CONDUCTOR,
+    cyclic_descriptor,
+    kronecker_modulus,
+    period_mul,
+    period_polynomial,
+    prime_power_modulus,
+    primes_one_mod_2q,
+)
 from quadnorm.intmath import element_order, is_prime, is_squarefree, kronecker, primes_up_to
 from quadnorm.formclass import (
     DiscriminantMismatchError,
@@ -274,6 +283,28 @@ def conjugate_product_norm(ext, alpha):
     return QuadInteger(d, -u, -v, 2)  # a scalar c is -c * (sum of periods)
 
 
+def itoh_tsujii_norm(ext, x) -> tuple[int, int]:
+    """Relative norm of a pair vector, as a pair, along an addition
+    chain in the Galois group (Itoh-Tsujii): with beta_k the product of
+    x, sigma(x), ..., sigma^(k-1)(x), the bits of e from the top give
+    beta_2k = beta_k * sigma^k(beta_k) and beta_(k+1) = beta_k * sigma^k(x),
+    floor(log2 e) + popcount(e) - 1 products in all (the oracle of the
+    ring-image norm)."""
+    rows, d = ext._rows, ext.field.d
+    acc, k = x, 1
+    for bit in bin(ext.degree)[3:]:
+        # sigma^k moves a vector k places
+        acc = period_mul(acc, acc[-k:] + acc[:-k], rows, d)
+        k *= 2
+        if bit == "1":
+            acc = period_mul(acc, x[-k:] + x[:-k], rows, d)
+            k += 1
+    if acc.count(acc[0]) != len(acc):
+        raise ArithmeticError("norm did not come out scalar")
+    u, v = acc[0]
+    return (-u, -v)  # a scalar c is -c * (sum of periods)
+
+
 class TestAdditionChain:
     """The addition-chain norm against the conjugate product at degrees
     3, 5, 7, 9, 11, 13, 25, 27 and 49 (binary 11, 101, 111, 1001, 1011,
@@ -332,6 +363,116 @@ def test_relative_norms_pinned_below_1000():
     assert len(norms) == 2 * 154
     digest = hashlib.sha256(repr(norms).encode()).hexdigest()
     assert digest == "c3ce58261377f8b321103e615c1a2a66479e165f0eee6247172d1620a4dda7b5"
+
+
+def ring_image_of(x, P, M):
+    """(a, b) with a + b*t the image of the pair vector x in
+    (Z/M)[t]/(t^2 - d): coordinate (u + v*sqrt(d))/2 goes to (u + v*t)/2 and
+    period m to P[m]."""
+    half = (M + 1) // 2
+    a = sum(u * p for (u, _), p in zip(x, P))
+    b = sum(v * p for (_, v), p in zip(x, P))
+    return a * half % M, b * half % M
+
+
+def ring_product(x, y, d, M):
+    (a, b), (c, e) = x, y
+    return (a * c + d * b * e) % M, (a * e + b * c) % M
+
+
+# conductors below and above KRONECKER_MAX_CONDUCTOR at degrees 3, 5 and 9
+BOUND_CONDUCTORS = [
+    (7, 3, 1), (31, 3, 1), (4003, 3, 1), (11, 5, 1), (4001, 5, 1), (19, 3, 2), (4051, 3, 2)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_ext(q, p, n, d):
+    return RelativeExtension(cyclic_descriptor(q, p, n), make_field(d))
+
+
+class TestRingImage:
+    """The ring map behind ``_pair_norm``: zeta -> z with Phi_q(z) = 0
+    (mod M) and sqrt(d) -> t is a ring homomorphism onto (Z/M)[t]/(t^2 - d)
+    under both moduli, and the lift is exact because the chain's exact
+    norm coordinates never exceed (f * L)^e."""
+
+    @pytest.mark.parametrize(
+        "q,p,n",
+        [(7, 3, 1), (11, 5, 1), (19, 3, 2), (31, 3, 1), (101, 5, 2), (109, 3, 3), (197, 7, 2)],
+    )
+    @pytest.mark.parametrize("d", [10, 13, 79])
+    @pytest.mark.parametrize("modulus", [kronecker_modulus, prime_power_modulus])
+    def test_period_product_maps_to_product_of_images(self, q, p, n, d, modulus):
+        desc = cyclic_descriptor(q, p, n)
+        e = desc.degree
+        rng = random.Random(q * 1000 + d)
+        for bound in (0, 2**300):
+            M, z = modulus(q, bound)
+            assert M % 2 == 1 and M > bound
+            P = desc.period_images(z, M)
+            for _ in range(3):  # dense, with half-integers when d = 13
+                x = _as_pairs([_rand_quad(rng, d) for _ in range(e)])
+                y = _as_pairs([_rand_quad(rng, d) for _ in range(e)])
+                got = ring_image_of(period_mul(x, y, desc.rows, d), P, M)
+                want = ring_product(ring_image_of(x, P, M), ring_image_of(y, P, M), d, M)
+                assert got == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        q=st.sampled_from([7, 11, 19, 31, 4001, 4003, 4051]),
+        bound=st.one_of(st.integers(0, 2**40), st.integers(0, 2**2000)),
+    )
+    def test_moduli_are_the_least_above_the_bound(self, q, bound):
+        M, z = kronecker_modulus(q, bound)
+        w = z.bit_length() - 1
+        assert z == 1 << w and M == ((1 << w * q) - 1) // (z - 1) and M > bound
+        assert w == 1 or ((1 << (w - 1) * q) - 1) // ((1 << w - 1) - 1) <= bound
+        M, z = prime_power_modulus(q, bound)
+        ell = next(primes_one_mod_2q(q))
+        assert is_prime(ell) and ell % (2 * q) == 1
+        assert all(not is_prime(c) for c in range(2 * q + 1, ell, 2 * q))
+        assert M > bound and (M == ell or M // ell <= bound)
+        # z^q = 1 with z - 1 a unit: Phi_q(z) = (z^q - 1)/(z - 1) = 0 (mod M)
+        assert pow(z, q, M) == 1 and (z - 1) % ell != 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        conductor=st.sampled_from(BOUND_CONDUCTORS),
+        d=st.sampled_from([10, 13, 79]),
+        h=st.sampled_from([1, 3, 40, 10**5]),
+        half=st.booleans(),
+        data=st.data(),
+    )
+    def test_norm_coordinates_within_height_bound(self, conductor, d, h, half, data):
+        ext = _bound_ext(*conductor, d)
+        e, f = ext.degree, ext.desc.f
+        odd = 1 if d % 4 == 1 and half else 0  # half-integer coordinates
+        coords = data.draw(st.lists(st.integers(-h, h), min_size=2 * e, max_size=2 * e))
+        x = [(2 * a + odd, 2 * b + odd) for a, b in zip(coords[::2], coords[1::2])]
+        height = sum(abs(u) + abs(v) * (isqrt(d) + 1) for u, v in x)
+        bound = (f * height) ** e
+        u, v = itoh_tsujii_norm(ext, x)
+        assert abs(u) <= bound and abs(v) <= bound
+        # a fresh cache holds the least modulus above twice the bound
+        ext.desc._ring_image = None
+        assert ext._pair_norm(x) == (u, v)
+        q = conductor[0]
+        modulus = kronecker_modulus if q <= KRONECKER_MAX_CONDUCTOR else prime_power_modulus
+        assert ext.desc._ring_image[0] == modulus(q, 2 * bound)[0]
+
+    @pytest.mark.parametrize("q", [7, 4003])
+    def test_norm_after_the_cache_grows_and_is_reused(self, q):
+        assert (q <= KRONECKER_MAX_CONDUCTOR) == (q == 7)
+        ext = RelativeExtension(cyclic_descriptor(q, 3, 1), make_field(13))
+        small = ext.element([QuadInteger(13, 1, 1, 2), QuadInteger(13, -1, 0), QuadInteger(13, 0, 0)])
+        large = ext.element([QuadInteger(13, 10**30, -7), QuadInteger(13, 3, 10**20), small.coords[0]])
+        moduli = []
+        for alpha in (small, large, small, large * small):
+            want = QuadInteger(13, *itoh_tsujii_norm(ext, _as_pairs(alpha.coords)), 2)
+            assert ext.relative_norm(alpha) == want
+            moduli.append(ext.desc._ring_image[0])
+        assert moduli[0] < moduli[1] == moduli[2] < moduli[3]
 
 
 def _brute_search(ext, target, bound):

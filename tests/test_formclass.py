@@ -213,6 +213,19 @@ class TestClassTable:
             table.class_of((3, 2, -26))  # not reduced, so one step is too few
         assert str(info.value) == "reduction did not terminate for (3, 2, -26)"
 
+    @pytest.mark.parametrize(
+        "d", [100000039, 100000041, 100000042, 100000049, 100000057, 100000073]
+    )
+    def test_cycles_partition_the_reduced_triples_near_1e8(self, d):
+        # cycles longer than 10 000 forms, which a fixed step cap refused
+        D = make_field(d).disc
+        triples = formclass._reduced_triples(D)
+        table = _ClassTable(D)
+        assert sum(c.cycle_length for c in table.classes) == len(triples)
+        assert set(table.index) == set(triples)
+        assert max(c.cycle_length for c in table.classes) > 10_000
+        assert class_data(make_field(d)) is not None
+
     def test_class_of_another_discriminant_rejected(self, field79, field10):
         group = class_group(field79, "wide")
         other = prime_form(field10, 3)
