@@ -251,6 +251,11 @@ def main(argv: list[str] | None = None) -> int:
         "transfer": _cmd_transfer,
         "verify": _cmd_verify,
     }
+    # the integers printed are ones the commands computed, and ``stats``
+    # reads back what ``scan`` wrote; units of large fields pass the
+    # default 4300-digit conversion limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.command == "scan":
             return _cmd_scan(args, args.config)
@@ -261,6 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from itertools import islice
 from math import gcd, isqrt, prod
 from operator import add
 
-from .cyclicext import CyclicExtensionDescriptor, period_mul, primes_one_mod_2q
+from .cyclicext import CyclicExtensionDescriptor, order_q_root, period_mul, primes_one_mod_2q
 from .formclass import FormClass, _ClassTable, _group_structure
 from .intmath import crt, kronecker, newton_charpoly, sqrt_mod_prime
 from .quadfield import QuadInteger, QuadraticField, fundamental_unit
@@ -331,12 +331,7 @@ class _ResidueSieve:
     def __init__(self, desc: CyclicExtensionDescriptor, d: int):
         q = desc.q
         primes = list(islice((ell for ell in primes_one_mod_2q(q) if kronecker(d, ell) == 1), 2))
-        zs = []
-        for ell in primes:  # a^((ell - 1)/q) has order q or is 1
-            a = 2
-            while (z := pow(a, (ell - 1) // q, ell)) == 1:
-                a += 1
-            zs.append(z)
+        zs = [order_q_root(q, ell, ell) for ell in primes]
         self.primes = tuple(primes)
         self.modulus = prod(primes)
         self.periods = desc.period_images(crt(zs, primes), self.modulus)

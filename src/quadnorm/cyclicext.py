@@ -352,9 +352,8 @@ def kronecker_modulus(q: int, bound: int) -> tuple[int, int]:
 
 
 def prime_power_modulus(q: int, bound: int) -> tuple[int, int]:
-    """(M, z) = (ell^k, a^(phi(M)/q) mod M) for the least prime
-    ell = 1 (mod 2q), the least k with M > ``bound`` and the least a >= 2
-    with z != 1 (mod ell).
+    """(M, z) = (ell^k, ``order_q_root(q, ell, M)``) for the least prime
+    ell = 1 (mod 2q) and the least k with M > ``bound``.
 
     z^q = 1 and z - 1 is a unit modulo M, so Phi_q(z) = (z^q - 1)/(z - 1)
     is 0 modulo M.  M grows with the bound, not with q.
@@ -363,11 +362,18 @@ def prime_power_modulus(q: int, bound: int) -> tuple[int, int]:
     M = ell
     while M <= bound:
         M *= ell
+    return M, order_q_root(q, ell, M)
+
+
+def order_q_root(q: int, ell: int, M: int) -> int:
+    """z = a^(phi(M)/q) mod M for the least a >= 2 with z != 1 (mod ell),
+    where M is a power of the prime ell = 1 (mod q): z has order q modulo M.
+    """
     power = M // ell * (ell - 1) // q
     a = 2
     while (z := pow(a, power, M)) % ell == 1:
         a += 1
-    return M, z
+    return z
 
 
 def period_mul(x, y, rows, d: int) -> list[tuple[int, int]]:

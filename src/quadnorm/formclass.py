@@ -378,7 +378,8 @@ class ClassGroupStructure:
 
 
 def _abelian_basis(elements, mul, identity, key=repr):
-    """Basis (generators with orders) of a finite abelian group, exactly.
+    """Basis (generators with orders) of a finite abelian group, exactly;
+    each order divides the one before it.
 
     Works on any hashable element list with a multiplication callback;
     ``key`` orders the elements where a choice is made.  Intended for
@@ -415,29 +416,22 @@ def _abelian_basis(elements, mul, identity, key=repr):
 
 
 def _structure(elements, mul, identity, key=repr) -> tuple[tuple[int, ...], tuple]:
-    basis = _abelian_basis(elements, mul, identity, key)
-    # merge into an elementary-divisor chain d1 | d2 | ... (ascending)
-    primary: dict[int, list] = {}
-    for gen, order in basis:
-        for p, e in factorize(order).items():
-            q = p**e
-            comp = power(gen, order // q, mul, identity)
-            primary.setdefault(p, []).append((q, comp))
-    for p in primary:
-        primary[p].sort(key=lambda t: -t[0])
-    width = max((len(v) for v in primary.values()), default=0)
-    divisors_desc = []
-    gens_desc = []
-    for slot in range(width):
-        dd = 1
-        g = identity
-        for p, lst in primary.items():
-            if slot < len(lst):
-                dd *= lst[slot][0]
-                g = mul(g, lst[slot][1])
-        divisors_desc.append(dd)
-        gens_desc.append(g)
-    return tuple(reversed(divisors_desc)), tuple(reversed(gens_desc))
+    """Elementary divisors d1 | d2 | ... (ascending) and generators of those
+    orders, read off ``_abelian_basis`` as an invariant-factor chain.
+
+    The basis quotients by an element of the largest order m, and the
+    quotient's exponent divides m, so its orders already form a chain in
+    which each divides the one before; the divisors are those orders
+    reversed (Cohen, GTM 138).  A basis element g of order m gives the
+    generator g^(sum over p^k || m of m/p^k), the product of its primary
+    parts, which has order m too.
+    """
+    basis = _abelian_basis(elements, mul, identity, key)[::-1]
+    gens = tuple(
+        power(g, sum(m // p**k for p, k in factorize(m).items()), mul, identity)
+        for g, m in basis
+    )
+    return tuple(m for _, m in basis), gens
 
 
 def _group_structure(table: _ClassTable, flavor: str) -> ClassGroupStructure:

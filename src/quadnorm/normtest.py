@@ -285,9 +285,8 @@ def detect_p_divisibility(F: QuadraticField, p: int, qmax: int) -> DetectionResu
     ``witness_index`` are always None, and ``conductors_checked`` lists
     the conductors it decided."""
     checked = []
-    for q in admissible_conductors(F, p, 1, qmax):
-        if (q - 1) % (p * p):  # tower condition for the degree-p layer
-            continue
+    # q = 1 (mod p^2) is the tower condition for the degree-p layer
+    for q in admissible_conductors(F, p, 2, qmax):
         if kronecker(F.disc, q) != -1:  # inert condition; q is a sieved prime
             continue
         index = inert_conductor_index(F, q, p)

@@ -11,11 +11,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from math import isqrt
 
 from .intmath import (
     divisors,
-    floor_quadsurd,
     is_prime,
     is_squarefree,
     kronecker,
@@ -227,57 +226,40 @@ def splitting_type(F: QuadraticField, ell: int) -> SplittingType:
 
 
 def fundamental_unit(F: QuadraticField) -> FundamentalUnit:
-    """Smallest unit > 1, by the PQa continued-fraction expansion.
+    """Smallest unit > 1, by the purely periodic PQa expansion.
 
-    The expansion target is (s + sqrt(D))/2 with D the field discriminant
-    and s its parity, which is sqrt(d) for d = 2, 3 (mod 4) and
-    (1 + sqrt(d))/2 otherwise, so units outside Z[sqrt(d)] are found.
-    Period detection is by repetition of the integer state (P, Q).
+    With D the field discriminant and P0 the largest integer below sqrt(D)
+    of the parity of D, theta = (P0 + sqrt(D))/2 is reduced (theta > 1 and
+    -1 < theta' < 0) and Z[theta] is the ring of integers, so units outside
+    Z[sqrt(d)] are found.  The expansion of a reduced quadratic irrational
+    is purely periodic with every Q positive (Jacobson-Williams, *Solving
+    the Pell Equation*, ch. 5), so each partial quotient is
+    (P + isqrt(D)) // Q, and the state (P, Q) first returns to (P0, 2)
+    after one period of length l.  Then
+    eps = A_(l-1) - B_(l-1)*theta' = (2*A_(l-1) - P0*B_(l-1) + B_(l-1)*sqrt(D))/2,
+    of norm (-1)^l.
     """
     D = F.disc
-    P, Q = D % 2, 2
-    seen: dict[tuple[int, int], int] = {}
-    hist: list[tuple[int, int]] = []  # (A_{i-1}, B_{i-1}) at state index i
-    A2, A1 = 0, 1
-    B2, B1 = 1, 0
-    i = 0
-    while (P, Q) not in seen:
-        seen[(P, Q)] = i
-        hist.append((A1, B1))
-        a = floor_quadsurd(P, Q, D)
-        A2, A1 = A1, a * A1 + A2
-        B2, B1 = B1, a * B1 + B2
+    s = isqrt(D)
+    P0 = s - (s - D) % 2
+    P, Q = P0, 2
+    A, A1 = 1, 0  # A_(i-1), A_(i-2)
+    B, B1 = 0, 1
+    while True:
+        a = (P + s) // Q
+        A, A1 = a * A + A1, A
+        B, B1 = a * B + B1, B
         P = a * Q - P
         Q = (D - P * P) // Q
-        i += 1
-    i0 = seen[(P, Q)]
-    # theta_m = (B_{m-1}*s0 - 2*A_{m-1} + B_{m-1}*sqrt(D)) / 2 with s0 = D mod 2;
-    # the quotient theta_j / theta_{i0} over one period is a unit of norm +-1.
-    s0 = D % 2
-    Ai, Bi = hist[i0]
-    Aj, Bj = A1, B1
-    tai, tbi = Bi * s0 - 2 * Ai, Bi
-    taj, tbj = Bj * s0 - 2 * Aj, Bj
-    x = taj * tai - tbj * tbi * D
-    y = tbj * tai - taj * tbi
-    z = tai * tai - tbi * tbi * D
-    if D != F.d:  # D = 4d, sqrt(D) = 2*sqrt(d)
-        y *= 2
-    if z < 0:
-        x, y, z = -x, -y, -z
-    g = gcd(gcd(abs(x), abs(y)), z)
-    x, y, z = x // g, y // g, z // g
-    if z not in (1, 2):
-        raise ArithmeticError(f"unit denominator {z} out of range for d={F.d}")
-    u = QuadInteger(F.d, x, y, z)
-    candidates = [u, -u, u.conjugate(), -u.conjugate()]
-    big = [c for c in candidates if c.is_greater_than_one()]
-    if len(big) != 1:
-        raise ArithmeticError(f"unit normalization failed for d={F.d}")
-    eps = big[0]
+        if P == P0 and Q == 2:
+            break
+    # sqrt(D) = 2*sqrt(d) when D = 4d
+    eps = QuadInteger(F.d, 2 * A - P0 * B, B if F.half_basis else 2 * B, 2)
     n = eps.norm()
     if abs(n) != 1:
         raise ArithmeticError(f"PQa produced a non-unit for d={F.d}")
+    if not eps.is_greater_than_one():
+        raise ArithmeticError(f"unit normalization failed for d={F.d}")
     return FundamentalUnit(value=eps, unit_norm=n)
 
 

@@ -1,9 +1,13 @@
 import json
+import re
+import sys
+from contextlib import contextmanager
 
 import pytest
 
 from quadnorm import cyclicext, formclass
 from quadnorm.cli import main
+from quadnorm.harness import scan_one
 from quadnorm.intmath import is_prime
 from quadnorm.transfer import FiniteGroup
 
@@ -189,6 +193,41 @@ class TestScanStats:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[-1].startswith('{"d":6')  # flag beats file value
+
+
+@contextmanager
+def no_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestLargeUnits:
+    """Units with more digits than Python's default int-to-str limit."""
+
+    def test_unit_prints_and_the_limit_is_restored(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "unit", "--d", "1000000007")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        m = re.fullmatch(r"d=(\d+) eps=\((\d+)([+-]\d+)\*sqrt\(\d+\)\)/(\d+) norm=-?1\n", out)
+        assert len(m.group(2)) > 4300
+        with no_int_digit_limit():
+            d, a, b, den = (int(m.group(i)) for i in range(1, 5))
+        assert a * a - d * b * b in (den * den, -den * den)
+
+    def test_stats_reads_back_a_large_unit(self, capsys, tmp_path):
+        with no_int_digit_limit():
+            line = scan_one(1000000007, (3,), 0, False).to_json_line()
+        assert len(line) > 8600
+        path = tmp_path / "scan.jsonl"
+        path.write_text(line + "\n")
+        code, out, err = run(capsys, "stats", "--in", str(path), "--p", "3")
+        assert (code, err) == (0, "")
+        assert out.startswith("p=3: 0/1 = 0.000000")
 
 
 class TestTransferCommand:

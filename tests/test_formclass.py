@@ -1,4 +1,5 @@
 import hashlib
+import random
 from math import gcd, isqrt
 
 import pytest
@@ -25,13 +26,24 @@ from quadnorm.formclass import (
     reduction_cycle,
 )
 from quadnorm.formclass import (
+    _abelian_basis,
     _class_key,
     _ClassTable,
     _progression_starts,
     _structure,
 )
-from quadnorm.intmath import divisors, is_square, is_squarefree, kronecker, primes_up_to
+from quadnorm.harness import abelian_group_types
+from quadnorm.intmath import (
+    divisors,
+    factorize,
+    is_square,
+    is_squarefree,
+    kronecker,
+    power,
+    primes_up_to,
+)
 from quadnorm.quadfield import fundamental_unit, make_field
+from quadnorm.transfer import FiniteGroup
 
 
 # The form-level group law, the class table's oracle: every product walks
@@ -236,6 +248,77 @@ class TestClassTable:
         ):
             with pytest.raises(DiscriminantMismatchError):
                 call()
+
+
+# The structure as built before the basis was read as an invariant-factor
+# chain, kept as an oracle: it splits every basis element into its primary
+# parts and merges them, slot by slot, into the elementary divisors.
+
+
+def primary_merge_structure(elements, mul, identity, key=repr) -> tuple[tuple[int, ...], tuple]:
+    basis = _abelian_basis(elements, mul, identity, key)
+    # merge into an elementary-divisor chain d1 | d2 | ... (ascending)
+    primary: dict[int, list] = {}
+    for gen, order in basis:
+        for p, e in factorize(order).items():
+            q = p**e
+            comp = power(gen, order // q, mul, identity)
+            primary.setdefault(p, []).append((q, comp))
+    for p in primary:
+        primary[p].sort(key=lambda t: -t[0])
+    width = max((len(v) for v in primary.values()), default=0)
+    divisors_desc = []
+    gens_desc = []
+    for slot in range(width):
+        dd = 1
+        g = identity
+        for p, lst in primary.items():
+            if slot < len(lst):
+                dd *= lst[slot][0]
+                g = mul(g, lst[slot][1])
+        divisors_desc.append(dd)
+        gens_desc.append(g)
+    return tuple(reversed(divisors_desc)), tuple(reversed(gens_desc))
+
+
+def relabelled_abelian_group(factors, seed):
+    """(elements, mul, identity) of the product of cyclic groups of the
+    given orders, its elements renamed by a seeded permutation."""
+    G = FiniteGroup.cyclic_product(factors)
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * G.n for _ in range(G.n)]
+    for x in range(G.n):
+        for y in range(G.n):
+            table[perm[x]][perm[y]] = perm[G.table[x][y]]
+    return list(range(G.n)), lambda x, y: table[x][y], perm[G.identity]
+
+
+def assert_basis_is_a_chain(elements, mul, identity, key=repr):
+    orders = [m for _, m in _abelian_basis(elements, mul, identity, key)]
+    assert all(a % b == 0 for a, b in zip(orders, orders[1:])), orders
+
+
+class TestInvariantFactorChain:
+    """``_structure`` against the primary-decomposition merge it replaced."""
+
+    def test_class_groups_to_3000(self):
+        for d in range(2, 3001):
+            if not is_squarefree(d):
+                continue
+            table = _ClassTable(make_field(d).disc)
+            for flavor in ("narrow", "wide"):
+                rep, mul = table.law(flavor)
+                elements = sorted({rep(i) for i in range(len(table.classes))})
+                args = (elements, mul, rep(table.identity), table.reprs.__getitem__)
+                assert _structure(*args) == primary_merge_structure(*args), (d, flavor)
+                assert_basis_is_a_chain(*args)
+
+    def test_relabelled_abelian_groups_to_64(self):
+        for seed, factors in enumerate(abelian_group_types(64)):
+            args = relabelled_abelian_group(factors, seed)
+            assert _structure(*args) == primary_merge_structure(*args), factors
+            assert_basis_is_a_chain(*args)
 
 
 class TestClassGroup:

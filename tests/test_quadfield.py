@@ -1,16 +1,19 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnorm.intmath import primes_up_to
+from quadnorm.intmath import floor_quadsurd, is_squarefree, primes_up_to
 from quadnorm.quadfield import (
     EvenPrimeError,
+    FundamentalUnit,
     NonSquarefreeError,
     NotPrimeError,
     OutOfRangeError,
     QuadInteger,
+    QuadraticField,
     RamifiedPrimeError,
     SplittingType,
     brute_force_unit,
@@ -178,6 +181,80 @@ class TestFundamentalUnit:
             else:
                 # no unit exists below the bound, consistent with the big one
                 assert brute_force_unit(F, cap) is None, f"d={d}"
+
+
+# The unit as computed before the purely periodic expansion, kept as an
+# oracle: it starts PQa at (D mod 2 + sqrt(D))/2, which is not reduced,
+# detects the period by a repeated state (P, Q), and normalises the quotient
+# of two complete quotients among four candidates.
+
+
+def period_detection_unit(F: QuadraticField) -> FundamentalUnit:
+    """Smallest unit > 1, by the PQa continued-fraction expansion.
+
+    The expansion target is (s + sqrt(D))/2 with D the field discriminant
+    and s its parity, which is sqrt(d) for d = 2, 3 (mod 4) and
+    (1 + sqrt(d))/2 otherwise, so units outside Z[sqrt(d)] are found.
+    Period detection is by repetition of the integer state (P, Q).
+    """
+    D = F.disc
+    P, Q = D % 2, 2
+    seen: dict[tuple[int, int], int] = {}
+    hist: list[tuple[int, int]] = []  # (A_{i-1}, B_{i-1}) at state index i
+    A2, A1 = 0, 1
+    B2, B1 = 1, 0
+    i = 0
+    while (P, Q) not in seen:
+        seen[(P, Q)] = i
+        hist.append((A1, B1))
+        a = floor_quadsurd(P, Q, D)
+        A2, A1 = A1, a * A1 + A2
+        B2, B1 = B1, a * B1 + B2
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        i += 1
+    i0 = seen[(P, Q)]
+    # theta_m = (B_{m-1}*s0 - 2*A_{m-1} + B_{m-1}*sqrt(D)) / 2 with s0 = D mod 2;
+    # the quotient theta_j / theta_{i0} over one period is a unit of norm +-1.
+    s0 = D % 2
+    Ai, Bi = hist[i0]
+    Aj, Bj = A1, B1
+    tai, tbi = Bi * s0 - 2 * Ai, Bi
+    taj, tbj = Bj * s0 - 2 * Aj, Bj
+    x = taj * tai - tbj * tbi * D
+    y = tbj * tai - taj * tbi
+    z = tai * tai - tbi * tbi * D
+    if D != F.d:  # D = 4d, sqrt(D) = 2*sqrt(d)
+        y *= 2
+    if z < 0:
+        x, y, z = -x, -y, -z
+    g = gcd(gcd(abs(x), abs(y)), z)
+    x, y, z = x // g, y // g, z // g
+    if z not in (1, 2):
+        raise ArithmeticError(f"unit denominator {z} out of range for d={F.d}")
+    u = QuadInteger(F.d, x, y, z)
+    candidates = [u, -u, u.conjugate(), -u.conjugate()]
+    big = [c for c in candidates if c.is_greater_than_one()]
+    if len(big) != 1:
+        raise ArithmeticError(f"unit normalization failed for d={F.d}")
+    eps = big[0]
+    n = eps.norm()
+    if abs(n) != 1:
+        raise ArithmeticError(f"PQa produced a non-unit for d={F.d}")
+    return FundamentalUnit(value=eps, unit_norm=n)
+
+
+class TestPeriodDetectionOracle:
+    def test_agrees_below_20000(self):
+        for d in range(2, 20_000):
+            if is_squarefree(d):
+                F = make_field(d)
+                assert fundamental_unit(F) == period_detection_unit(F), f"d={d}"
+
+    @pytest.mark.parametrize("d", [100000001, 100000002, 100000010, 999999937, 1000000007])
+    def test_agrees_on_large_fields(self, d):
+        F = make_field(d)
+        assert fundamental_unit(F) == period_detection_unit(F)
 
 
 class TestReduceModPrime:
