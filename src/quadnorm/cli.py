@@ -143,6 +143,7 @@ def _cmd_normindex(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    normtest.check_qmax(args.qmax)
     F = make_field(args.d)
     # the search visits inert conductors only, so it never finds a witness
     det = normtest.detect_p_divisibility(F, args.p, args.qmax)
@@ -222,6 +223,7 @@ def _cmd_verify(args) -> int:
     if missing:
         print(f"verify thm14 requires --{' --'.join(missing)}", file=sys.stderr)
         return 2
+    normtest.check_qmax(args.qmax)
     F = make_field(args.d)
     cmp_ = normtest.verify_class_order(F, args.l, args.p, args.n, args.qmax)
     print(f"d={cmp_.d} l={cmp_.ell} class_order={cmp_.class_order} "

@@ -3,15 +3,19 @@
 The degree-p^n subfield of the q-th cyclotomic field is realized through
 its Gaussian periods.  A descriptor keeps O(p^n) state: a residue x mod q
 is labelled by its p^n-th power-residue class, the discrete log of
-x^((q-1)/p^n) in the subgroup of order p^n.  The period multiplication
-table T[i][j][k] = T[0][j-i][k-i] is kept as its row 0 alone: the p^n
-cyclotomic rows R[m] = T[0][m], counted by walking the index-p^n subgroup
-once per row and stored as their nonzero entries (at most (q-1)/p^n for
+x^((q-1)/p^n) in the subgroup of order p^n.  Period tables add a label
+table of q bytes, labels[g^i] = i mod p^n from one walk of the powers of
+the primitive root g.  The period multiplication table
+T[i][j][k] = T[0][j-i][k-i] is kept as its row 0 alone: the p^n
+cyclotomic rows R[m] = T[0][m], whose entries are the cyclotomic numbers
+(m, k), counted as the consecutive labels (label(x), label(x + 1)) in one
+pass, and stored as their nonzero entries (at most (q-1)/p^n for
 m != 0).  ``period_mul`` is the one product over the rows, for integer
 vectors here and for the relative arithmetic of ``compose``.  Tables are
 built only up to the conductor MAX_TABLE_CONDUCTOR and the degree
-MAX_TABLE_DEGREE.  ``ring_image`` gives the periods' images in Z/M under a
-ring map zeta -> z with Phi_q(z) = 0 (mod M), for the relative norms of
+MAX_TABLE_DEGREE, and no descriptor is made above the conductor
+MAX_CONDUCTOR.  ``ring_image`` gives the periods' images in Z/M, summed
+in one pass over the label table, under a ring map zeta -> z with Phi_q(z) = 0 (mod M), for the relative norms of
 ``compose``: M = Phi_q(2^w) and z = 2^w up to KRONECKER_MAX_CONDUCTOR, and
 above it M = ell^k for the least prime ell = 1 (mod 2q), sized by the
 caller's bound and not by q.  The period polynomial
@@ -28,9 +32,11 @@ tower, inert conductor) are decided here.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt
 
 from .intmath import (
@@ -68,12 +74,23 @@ def _primitive_root(q: int) -> int:
     raise ArithmeticError(f"no primitive root modulo {q}")
 
 
+# Largest conductor of any descriptor.  ``_primitive_root`` factors q - 1
+# by trial division, whose time grows as sqrt(q): ``cyclic_descriptor(q, 3,
+# 1)`` with q - 1 = 6r, r prime, took 0.04 s near q = 10^12 and 0.33 s near
+# 10^14 on a 2-core host.
+MAX_CONDUCTOR = 10**14
+
+
 @lru_cache(maxsize=1024)
 def check_conductor(q: int, p: int, n: int) -> int:
     """Return the degree p^n after checking that q is a prime conductor
-    for it: q prime, p an odd prime, n >= 1 and q = 1 mod p^n.  A scan
-    checks the same few conductors for every field, so passing checks
-    are memoised (a failing one raises every time)."""
+    for it: q prime up to MAX_CONDUCTOR, p an odd prime, n >= 1 and
+    q = 1 mod p^n.  A scan checks the same few conductors for every field,
+    so passing checks are memoised (a failing one raises every time)."""
+    if q > MAX_CONDUCTOR:
+        raise ConductorInvalidError(
+            f"conductor {q} is above the conductor ceiling {MAX_CONDUCTOR}"
+        )
     if not is_prime(q):
         raise NotPrimeError(f"conductor {q} is not prime")
     if not is_prime(p) or p == 2:
@@ -86,27 +103,29 @@ def check_conductor(q: int, p: int, n: int) -> int:
     return degree
 
 
-# Largest conductor whose period table is built.  The rows take q - 1
-# modular powers; ``ext`` just below it took 4.6 s at degree 3, 4.5 s at
-# degree 25 and 6.9 s at degree 49 (2.1 s of it the Hankel discriminant,
-# against 6.1 s for the Sylvester determinant) on a 2-core host.
-# Descriptors without a table (``cyclic_descriptor``, ``check_conductor``)
-# have no ceiling.
+# Largest conductor whose period table is built.  The label table takes a
+# byte and a modular product per residue; ``ext`` just below it took 0.5 s
+# at degree 3, 0.9 s at degree 25 and 2.5 s at degree 49 (1.7 s of it the
+# Hankel discriminant) on a 2-core host.  Descriptors without a table
+# (``cyclic_descriptor``, ``check_conductor``) stop at MAX_CONDUCTOR.
 MAX_TABLE_CONDUCTOR = 2_000_000
 
-# Largest degree whose period table is built.  The period polynomial takes
-# e products of e-vectors and an e x e Hankel determinant; ``ext`` at the
-# largest admissible conductor below MAX_TABLE_CONDUCTOR took 5.4 s at
-# degree 49, 9.0 s at 61, 14.8 s at 67 and 20.9 s at 71 on a 2-core host.
+# Largest degree whose period table is built; labels fit in a byte.  The
+# period polynomial takes e products of e-vectors and an e x e Hankel
+# determinant; ``ext`` at the largest admissible conductor below
+# MAX_TABLE_CONDUCTOR took 2.5 s at degree 49, 6.6 s at 61, 12.1 s at 67
+# and 17.5 s at 71 on a 2-core host, all but 0.7 s of it the period
+# polynomial.
 MAX_TABLE_DEGREE = 61
 
 # Largest conductor whose ring images (``ring_image``) are taken modulo
 # Phi_q(2^w); above it they are taken modulo ell^k.  The three norms of a
-# sparse alpha, beta and alpha*beta on a fresh descriptor took, Phi_q(2^w)
-# against ell^k on a 2-core host, at degrees 3 and 25: 0.51 against 1.05 ms
-# and 2.2 against 4.7 ms near q = 1000; 2.7 against 2.8 ms and 13.1 against
-# 14.4 ms near q = 4000; 4.0 against 3.3 ms and 21.9 against 21.6 ms near
-# q = 5000; 13.4 against 7.5 ms and 74.9 against 48.9 ms near q = 10000.
+# sparse alpha, beta and alpha*beta on a descriptor with fresh images took,
+# Phi_q(2^w) against ell^k on a 2-core host, at degrees 3 and 25: 0.35
+# against 0.78 ms and 1.8 against 4.2 ms near q = 1000; 2.0 against 2.1 ms
+# and 14.4 against 14.4 ms near q = 4000; 3.6 against 3.9 ms and 19.0
+# against 18.1 ms near q = 5000; 12.1 against 7.9 ms and 70.9 against
+# 40.3 ms near q = 10000 (medians of three runs).
 KRONECKER_MAX_CONDUCTOR = 4000
 
 
@@ -127,9 +146,11 @@ class CyclicExtensionDescriptor:
     """Degree p^n cyclic field of prime conductor q (q = 1 mod p^n).
 
     Labels residues by power-residue class through a p^n-entry discrete-log
-    table; the cyclotomic rows and the period polynomial are materialized
-    lazily and cached.  ``subgroup`` and the dense ``struct_constants`` are
-    lazy too, and nothing here reads them.
+    table, so a descriptor keeps O(p^n) state until a period table is
+    asked for.  The label table of q bytes is built on first use by the
+    cyclotomic rows or the period images, and it, the rows and the period
+    polynomial are cached.  ``subgroup`` and the dense ``struct_constants``
+    are lazy too, and nothing here reads them.
     """
 
     def __init__(self, q: int, p: int, n: int):
@@ -144,6 +165,7 @@ class CyclicExtensionDescriptor:
         # discrete log there is the discrete log of x base g, mod degree
         gf = pow(self.g, self.f, q)
         self._dlog = {pow(gf, k, q): k for k in range(degree)}
+        self._labels: bytearray | None = None
         self._subgroup: tuple[int, ...] | None = None
         self._period_poly: tuple[int, ...] | None = None
         self._rows: tuple[tuple[tuple[int, int], ...], ...] | None = None
@@ -159,6 +181,23 @@ class CyclicExtensionDescriptor:
         if x == 0:
             raise ValueError("0 has no coset label")
         return self._dlog[pow(x, self.f, self.q)]
+
+    @property
+    def labels(self) -> bytearray:
+        """labels[x] = coset_label(x) for 0 < x < q, one byte per residue
+        (the degree is at most MAX_TABLE_DEGREE), from one walk of the
+        powers of g: labels[g^i] = i mod e, as (g^i)^f = (g^f)^i.  Built
+        on first use, by the rows or the period images, and cached."""
+        if self._labels is None:
+            q, e = self.q, self.degree
+            check_table(q, e)
+            labels = bytearray(q)
+            x = 1
+            for i in range(q - 1):
+                labels[x] = i % e
+                x = x * self.g % q
+            self._labels = labels
+        return self._labels
 
     def residue_degree(self, ell: int) -> int:
         """Order of ell in (Z/q)^* modulo the period subgroup.
@@ -185,7 +224,6 @@ class CyclicExtensionDescriptor:
         nonzero (k, t) pairs; the whole table is T[i][j][k] = R[j-i][k-i],
         indices mod the degree, by the cyclic Galois action."""
         if self._rows is None:
-            check_table(self.q, self.degree)
             self._rows = self._build_struct()
         return self._rows
 
@@ -211,25 +249,15 @@ class CyclicExtensionDescriptor:
         return self._struct
 
     def period_images(self, z: int, modulus: int) -> tuple[int, ...]:
-        """P[m] = sum over h in H of z^(g^m h) mod ``modulus``: the periods
-        under zeta -> z, for a z with Phi_q(z) = 0 modulo ``modulus``."""
-        q, g = self.q, self.g
-        zpow = [1] * q
-        acc = 1
-        for k in range(1, q):
-            acc = acc * z % modulus
-            zpow[k] = acc
-        ge = pow(g, self.degree, q)
-        images = []
-        gm = 1
-        for _ in range(self.degree):
-            s, x = 0, gm  # x runs over g^m * H
-            for _ in range(self.f):
-                s += zpow[x]
-                x = x * ge % q
-            images.append(s % modulus)
-            gm = gm * g % q
-        return tuple(images)
+        """P[m] = sum of z^x over the x with label m, mod ``modulus``: the
+        periods under zeta -> z, for a z with Phi_q(z) = 0 modulo
+        ``modulus``, in one pass over the label table."""
+        sums = [0] * self.degree
+        zx = 1
+        for label in islice(self.labels, 1, None):  # x = 1, ..., q - 1
+            zx = zx * z % modulus
+            sums[label] += zx
+        return tuple(s % modulus for s in sums)
 
     def ring_image(self, bound: int) -> tuple[int, tuple[int, ...]]:
         """An odd modulus M > ``bound`` and the period images P modulo M
@@ -245,31 +273,17 @@ class CyclicExtensionDescriptor:
         return self._ring_image
 
     def _build_struct(self):
-        # Substituting h2 = h1 * h in period_0 * period_m, the sum over
-        # h1, h2 in H of zeta^(h1 + g^m h2), gives the cyclotomic-number
-        # identity period_0 * period_m = sum over h in H of
-        # period_label(1 + g^m h).  The one h with 1 + g^m h = 0 contributes
-        # f * 1 = -f * (sum of periods).  H = <g^e> is walked, not stored.
-        q, e, f, g = self.q, self.degree, self.f, self.g
-        dlog = self._dlog
-        ge = pow(g, e, q)
-        rows = []
-        gm = 1
-        for _ in range(e):  # row m: period_0 * period_m
-            cnt = [0] * e
-            zero_hits = 0
-            x = gm  # runs over g^m * H
-            for _ in range(f):
-                y = x + 1
-                if y == q:
-                    zero_hits += 1
-                else:
-                    cnt[dlog[pow(y, f, q)]] += 1
-                x = x * ge % q
-            shift = f * zero_hits
-            rows.append(tuple((k, c - shift) for k, c in enumerate(cnt) if c != shift))
-            gm = gm * g % q
-        return tuple(rows)
+        # period_0 * period_m = sum over h in H of period_label(1 + g^m h),
+        # so R[m][k] is the cyclotomic number (m, k): the count of x with
+        # label(x) = m and label(x + 1) = k.  The one x = -1, whose x + 1
+        # is 0, adds f * 1 = -f * (sum of periods); -1 = (g^e)^(f/2) lies
+        # in H (f is even), so that correction is -f on row 0.
+        e, labels = self.degree, self.labels
+        counts = Counter(zip(islice(labels, 1, None), islice(labels, 2, None)))
+        counts.subtract({(0, k): self.f for k in range(e)})
+        return tuple(
+            tuple((k, counts[m, k]) for k in range(e) if counts[m, k]) for m in range(e)
+        )
 
     @property
     def period_poly(self) -> tuple[int, ...]:

@@ -275,6 +275,8 @@ class RunConfig:
             raise InvalidConfigError("dmax must be >= 2")
         if self.qmax < 0 or self.workers < 1:
             raise InvalidConfigError("bounds must be non-negative, workers >= 1")
+        if self.qmax > normtest.MAX_QMAX:
+            raise InvalidConfigError(f"qmax must be <= {normtest.MAX_QMAX}")
         if self.workers > MAX_WORKERS:
             raise InvalidConfigError(f"workers must be <= {MAX_WORKERS}")
         if any(p < 3 or p % 2 == 0 for p in self.p_list):

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from quadnorm import cyclicext, formclass
+from quadnorm import cyclicext, formclass, intmath, normtest
 from quadnorm.cli import main
 from quadnorm.harness import scan_one
 from quadnorm.intmath import is_prime
@@ -124,6 +124,44 @@ class TestExitCodes:
         # the ceiling is the table's: a descriptor without a table still works
         code, out, _ = run(capsys, "normindex", "--d", "10", "--q", str(q), "--p", str(p))
         assert code == 0 and "index=" in out
+
+    def test_conductor_above_ceiling_is_2(self, capsys, monkeypatch):
+        def no_factoring(q):
+            raise AssertionError("primitive root sought above the conductor ceiling")
+
+        monkeypatch.setattr(cyclicext, "_primitive_root", no_factoring)
+        q = cyclicext.MAX_CONDUCTOR + 1
+        while not (q % 3 == 1 and is_prime(q)):
+            q += 1
+        for argv in (
+            ("normindex", "--d", "10", "--q", str(q), "--p", "3"),
+            ("ext", "--q", str(q), "--p", "3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+            assert f"conductor {q} is above the conductor ceiling" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("detect", "--d", "79", "--p", "3"),
+            ("verify", "thm14", "--d", "10", "--l", "3", "--p", "3"),
+            ("scan", "--dmax", "10"),
+        ],
+    )
+    def test_qmax_above_ceiling_is_2(self, capsys, monkeypatch, argv):
+        def no_sieve(n):
+            raise AssertionError("sieved above the qmax ceiling")
+
+        monkeypatch.delenv("QUADNORM_CONFIG", raising=False)
+        monkeypatch.setattr(intmath, "primes_up_to", no_sieve)
+        monkeypatch.setattr(normtest, "primes_up_to", no_sieve)
+        monkeypatch.setattr(cyclicext, "_primitive_root", no_sieve)
+        code, out, err = run(capsys, *argv, "--qmax", str(normtest.MAX_QMAX + 1))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "qmax" in err and str(normtest.MAX_QMAX) in err
 
     def test_verify_ex79_records_discrepancy(self, capsys):
         code, out, _ = run(capsys, "verify", "ex79")

@@ -9,8 +9,10 @@ from quadnorm.cyclicext import (
     CyclicExtensionDescriptor,
     WildOrRamifiedConductorError,
     cyclic_descriptor,
+    kronecker_modulus,
     period_mul,
     period_polynomial,
+    prime_power_modulus,
     properness_report,
     relative_discriminant,
     same_field_by_split_patterns,
@@ -180,6 +182,109 @@ class TestDescriptorMemory:
         assert peak < 1_000_000
         assert desc.residue_degree(8) == 1  # a cube lies in the subgroup
         assert (desc.residue_degree(2) == 3) == (pow(2, desc.f, q) != 1)
+
+
+# The rows and the period images as built before the label table, kept as
+# oracles: both walk the cosets g^m * H, the rows labelling each x + 1 by a
+# modular power and the images summing a list of the q powers of z.  The
+# bodies are the former descriptor methods, unchanged.
+
+
+def coset_walk_rows(self):
+    # Substituting h2 = h1 * h in period_0 * period_m, the sum over
+    # h1, h2 in H of zeta^(h1 + g^m h2), gives the cyclotomic-number
+    # identity period_0 * period_m = sum over h in H of
+    # period_label(1 + g^m h).  The one h with 1 + g^m h = 0 contributes
+    # f * 1 = -f * (sum of periods).  H = <g^e> is walked, not stored.
+    q, e, f, g = self.q, self.degree, self.f, self.g
+    dlog = self._dlog
+    ge = pow(g, e, q)
+    rows = []
+    gm = 1
+    for _ in range(e):  # row m: period_0 * period_m
+        cnt = [0] * e
+        zero_hits = 0
+        x = gm  # runs over g^m * H
+        for _ in range(f):
+            y = x + 1
+            if y == q:
+                zero_hits += 1
+            else:
+                cnt[dlog[pow(y, f, q)]] += 1
+            x = x * ge % q
+        shift = f * zero_hits
+        rows.append(tuple((k, c - shift) for k, c in enumerate(cnt) if c != shift))
+        gm = gm * g % q
+    return tuple(rows)
+
+
+def coset_walk_period_images(self, z: int, modulus: int) -> tuple[int, ...]:
+    """P[m] = sum over h in H of z^(g^m h) mod ``modulus``: the periods
+    under zeta -> z, for a z with Phi_q(z) = 0 modulo ``modulus``."""
+    q, g = self.q, self.g
+    zpow = [1] * q
+    acc = 1
+    for k in range(1, q):
+        acc = acc * z % modulus
+        zpow[k] = acc
+    ge = pow(g, self.degree, q)
+    images = []
+    gm = 1
+    for _ in range(self.degree):
+        s, x = 0, gm  # x runs over g^m * H
+        for _ in range(self.f):
+            s += zpow[x]
+            x = x * ge % q
+        images.append(s % modulus)
+        gm = gm * g % q
+    return tuple(images)
+
+
+def _assert_tables_match_oracles(desc, moduli):
+    assert desc.rows == coset_walk_rows(desc), desc
+    for modulus in moduli:
+        M, z = modulus(desc.q, 2**64)
+        assert desc.period_images(z, M) == coset_walk_period_images(desc, z, M), (desc, M)
+
+
+class TestLabelTable:
+    def test_rows_and_images_match_the_coset_walks_below_1000(self):
+        count = 0
+        for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
+            for q in primes_up_to(999):
+                if q % p**n == 1:
+                    desc = cyclic_descriptor(q, p, n)
+                    _assert_tables_match_oracles(desc, (kronecker_modulus, prime_power_modulus))
+                    count += 1
+        assert count == 154
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_rows_and_images_match_the_coset_walks_at_100003(self, p):
+        # the oracle's list of q powers modulo Phi_q(2^w), which has more
+        # than q bits, would take q^2/2 bits here: only ell^k is compared
+        _assert_tables_match_oracles(cyclic_descriptor(100_003, p, 1), (prime_power_modulus,))
+
+    @pytest.mark.parametrize(
+        "q,p,n", [(7, 3, 1), (997, 3, 1), (19, 3, 2), (919, 3, 2), (101, 5, 2), (601, 5, 2)]
+    )
+    def test_labels_are_coset_labels(self, q, p, n):
+        desc = cyclic_descriptor(q, p, n)
+        labels = desc.labels
+        assert len(labels) == q
+        assert all(labels[x] == desc.coset_label(x) for x in range(1, q))
+
+    def test_period_images_keep_no_list_of_powers(self):
+        q = 100_003
+        desc = cyclic_descriptor(q, 3, 1)
+        M, z = prime_power_modulus(q, 2**64)
+        tracemalloc.start()
+        try:
+            images = desc.period_images(z, M)  # builds the q-byte label table too
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert images == coset_walk_period_images(desc, z, M)
 
 
 class TestTower:

@@ -9,6 +9,7 @@ import pytest
 
 import quadnorm
 from quadnorm import cli
+from quadnorm.normtest import MAX_QMAX
 from quadnorm.harness import (
     MAX_WORKERS,
     EmptyInputError,
@@ -168,6 +169,14 @@ class TestConfig:
             many.write_text(f"workers={workers}\n")
             with pytest.raises(InvalidConfigError, match=f"workers must be <= {MAX_WORKERS}"):
                 config_from_sources(str(many), {})
+
+    def test_qmax_ceiling(self, monkeypatch):
+        monkeypatch.delenv("QUADNORM_CONFIG", raising=False)
+        assert RunConfig(qmax=MAX_QMAX).validate().qmax == MAX_QMAX
+        with pytest.raises(InvalidConfigError, match=f"qmax must be <= {MAX_QMAX}"):
+            RunConfig(qmax=MAX_QMAX + 1).validate()
+        with pytest.raises(InvalidConfigError, match=f"qmax must be <= {MAX_QMAX}"):
+            config_from_sources(None, {"qmax": 10**9})
 
     def test_removed_key_rejected(self, tmp_path):
         stale = tmp_path / "stale.conf"

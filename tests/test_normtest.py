@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnorm import normtest
+from quadnorm import cyclicext, normtest
 from quadnorm.cyclicext import cyclic_descriptor
 from quadnorm.formclass import class_group
 from quadnorm.harness import RunConfig, scan
@@ -18,7 +18,7 @@ from quadnorm.normtest import (
     norm_index,
     verify_class_order,
 )
-from quadnorm.intmath import is_squarefree
+from quadnorm.intmath import is_prime, is_squarefree
 from quadnorm.quadfield import (
     QuadInteger,
     SplittingType,
@@ -288,3 +288,16 @@ class TestInertConductorLemma:
         monkeypatch.setattr(normtest, "inert_conductor_index", lambda F, q, p, n=1: 3)
         with pytest.raises(ArithmeticError, match="inert conductor 19 for d=79"):
             detect_p_divisibility(field79, 3, 50)
+
+
+def test_lemma_refuses_a_conductor_above_the_ceiling(field79, monkeypatch):
+    def no_factoring(q):
+        raise AssertionError("primitive root sought above the conductor ceiling")
+
+    monkeypatch.setattr(cyclicext, "_primitive_root", no_factoring)
+    q = cyclicext.MAX_CONDUCTOR + 1
+    while not (q % 9 == 1 and is_prime(q)):
+        q += 1
+    for call in (lambda: inert_conductor_index(field79, q, 3), lambda: cyclic_descriptor(q, 3, 1)):
+        with pytest.raises(cyclicext.ConductorInvalidError, match="above the conductor ceiling"):
+            call()
