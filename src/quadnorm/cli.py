@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import ExitStack
 
 from . import harness, normtest
 from .cyclicext import cyclic_descriptor, period_polynomial, tower_certificate
@@ -164,21 +165,24 @@ def _cmd_scan(args, config_path) -> int:
             "oracle_check": True if args.oracle_check else None,
         },
     )
-    records = list(scan(cfg))
-    lines = [r.to_json_line() for r in records]
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+    cfg.validate()  # before any file is opened
+    mismatches = []
+    with ExitStack() as stack:
+        out = sys.stdout
+        if cfg.out_path:
+            out = stack.enter_context(open(cfg.out_path, "w", encoding="utf-8"))
+        writer = None
+        if args.csv:
+            # line-buffered, so each row reaches the file with its record
+            writer = csv.writer(stack.enter_context(
+                open(args.csv, "w", encoding="utf-8", newline="", buffering=1)))
             writer.writerow(csv_header(cfg.p_list))
-            for r in records:
+        for r in scan(cfg):
+            print(r.to_json_line(), file=out, flush=True)  # as it arrives
+            if writer:
                 writer.writerow(r.csv_row(cfg.p_list))
-    mismatches = [r.d for r in records if r.h_oracle is not None and r.h_oracle != r.h]
+            if r.h_oracle is not None and r.h_oracle != r.h:
+                mismatches.append(r.d)
     if mismatches:
         print(f"oracle mismatches at d={mismatches}", file=sys.stderr)
         return 1

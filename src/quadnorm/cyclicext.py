@@ -1,33 +1,35 @@
 """Cyclic fields of odd prime-power degree and prime conductor.
 
 The degree-p^n subfield of the q-th cyclotomic field is realized through
-its Gaussian periods.  A descriptor keeps O(p^n) state: a residue x mod q
-is labelled by its p^n-th power-residue class, the discrete log of
-x^((q-1)/p^n) in the subgroup of order p^n.  Period tables add a label
-table of q bytes, labels[g^i] = i mod p^n from one walk of the powers of
-the primitive root g.  The period multiplication table
-T[i][j][k] = T[0][j-i][k-i] is kept as its row 0 alone: the p^n
-cyclotomic rows R[m] = T[0][m], whose entries are the cyclotomic numbers
-(m, k), counted as the consecutive labels (label(x), label(x + 1)) in one
-pass, and stored as their nonzero entries (at most (q-1)/p^n for
-m != 0).  ``period_mul`` is the one product over the rows, for integer
-vectors here and for the relative arithmetic of ``compose``.  Tables are
-built only up to the conductor MAX_TABLE_CONDUCTOR and the degree
-MAX_TABLE_DEGREE, and no descriptor is made above the conductor
-MAX_CONDUCTOR.  ``ring_image`` gives the periods' images in Z/M, summed
-in one pass over the label table, under a ring map zeta -> z with Phi_q(z) = 0 (mod M), for the relative norms of
-``compose``: M = Phi_q(2^w) and z = 2^w up to KRONECKER_MAX_CONDUCTOR, and
-above it M = ell^k for the least prime ell = 1 (mod 2q), sized by the
-caller's bound and not by q.  The period polynomial
-is computed exactly by group-ring arithmetic (power sums of periods are
-integers, turned into coefficients by Newton's identities).  On
-construction its discriminant, the Hankel determinant det(s_(i+j)) of the
-power sums, is verified to be the field discriminant
-q^(p^n - 1) times a perfect square, the square of the index of one
-period's power basis in the ring of integers; the literal identity
-disc = q^(p^n - 1) holds only where that index is 1.  Admissibility
-conditions on a compositum with a real quadratic field (class prime inert,
-tower, inert conductor) are decided here.
+its Gaussian periods.  A descriptor holds its conductor and degree; the
+residue degree of a prime ell is the order of ell^((q-1)/p^n), at most
+n + 1 modular powers, and the rest is computed on first read and cached:
+the primitive root g, the coset labels x -> discrete log of x^((q-1)/p^n)
+in the subgroup of order p^n, and the period tables.  These start from a
+label table of q bytes, labels[g^i] = i mod p^n from one walk of the
+powers of g.  The period multiplication table T[i][j][k] =
+T[0][j-i][k-i] is kept as its row 0 alone: the p^n cyclotomic rows
+R[m] = T[0][m], whose entries are the cyclotomic numbers (m, k), counted
+as the consecutive labels (label(x), label(x + 1)) in one pass, and
+stored as their nonzero entries (at most (q-1)/p^n for m != 0).
+``period_mul`` is the one product over the rows, for integer vectors here
+and for the relative arithmetic of ``compose``.  Tables are built only up
+to the conductor MAX_TABLE_CONDUCTOR and the degree MAX_TABLE_DEGREE, and
+no descriptor is made above the conductor MAX_CONDUCTOR.  ``ring_image``
+gives the periods' images in Z/M, summed in one pass over the label
+table, under a ring map zeta -> z with Phi_q(z) = 0 (mod M), for the
+relative norms of ``compose``: M = Phi_q(2^w) and z = 2^w up to
+KRONECKER_MAX_CONDUCTOR, and above it M = ell^k for the least prime
+ell = 1 (mod 2q), sized by the caller's bound and not by q.  The period
+polynomial is computed exactly by group-ring arithmetic (power sums of
+periods are integers, turned into coefficients by Newton's identities).
+On construction its discriminant, the Hankel determinant det(s_(i+j)) of
+the power sums, is verified to be the field discriminant q^(p^n - 1)
+times a perfect square, the square of the index of one period's power
+basis in the ring of integers; the literal identity disc = q^(p^n - 1)
+holds only where that index is 1.  Admissibility conditions on a
+compositum with a real quadratic field (class prime inert, tower, inert
+conductor) are decided here.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
-from math import gcd, isqrt
+from math import isqrt
 
 from .intmath import (
     bareiss_det,
@@ -74,10 +76,13 @@ def _primitive_root(q: int) -> int:
     raise ArithmeticError(f"no primitive root modulo {q}")
 
 
-# Largest conductor of any descriptor.  ``_primitive_root`` factors q - 1
-# by trial division, whose time grows as sqrt(q): ``cyclic_descriptor(q, 3,
-# 1)`` with q - 1 = 6r, r prime, took 0.04 s near q = 10^12 and 0.33 s near
-# 10^14 on a 2-core host.
+# Largest conductor of any descriptor.  Only a descriptor with a period
+# table seeks a primitive root (``_primitive_root`` factors q - 1 by trial
+# division), and it stops at MAX_TABLE_CONDUCTOR.  Without a table the one
+# step growing as sqrt(p) is the trial factorization of p^n in
+# ``ResidueFieldElement.multiplicative_order_dividing``: ``normindex`` at
+# q = 99999998000003, p = 49999999000001 (q = 2p + 1) took 1.4 s on a
+# 2-core host.
 MAX_CONDUCTOR = 10**14
 
 
@@ -97,9 +102,9 @@ def check_conductor(q: int, p: int, n: int) -> int:
         raise NotPrimeError(f"{p} is not an odd prime")
     if n < 1:
         raise ConductorInvalidError("exponent must be >= 1")
-    degree = p**n
-    if (q - 1) % degree != 0:
-        raise ConductorInvalidError(f"{q} is not 1 mod {degree}")
+    # n >= the bit length of the odd q gives p^n > 2^n >= q: refused unpowered
+    if n >= q.bit_length() or (q - 1) % (degree := p**n):
+        raise ConductorInvalidError(f"{q} is not 1 mod {p}^{n}")
     return degree
 
 
@@ -145,36 +150,34 @@ def check_table(q: int, degree: int) -> None:
 class CyclicExtensionDescriptor:
     """Degree p^n cyclic field of prime conductor q (q = 1 mod p^n).
 
-    Labels residues by power-residue class through a p^n-entry discrete-log
-    table, so a descriptor keeps O(p^n) state until a period table is
-    asked for.  The label table of q bytes is built on first use by the
-    cyclotomic rows or the period images, and it, the rows and the period
-    polynomial are cached.  ``subgroup`` and the dense ``struct_constants``
-    are lazy too, and nothing here reads them.
+    Holds the checked conductor and degree; ``residue_degree`` needs no
+    more.  The primitive root ``g``, the p^n-entry discrete-log table of
+    ``coset_label``, the q-byte label table of the rows and period images,
+    the rows and the period polynomial are cached properties, computed on
+    first read.  ``subgroup`` and the dense ``struct_constants`` are too.
     """
 
     def __init__(self, q: int, p: int, n: int):
-        degree = check_conductor(q, p, n)
+        self.degree = check_conductor(q, p, n)
         self.q = q
         self.p = p
         self.n = n
-        self.degree = degree
-        self.f = (q - 1) // degree
-        self.g = _primitive_root(q)
-        # x^f lies in the order-degree subgroup generated by g^f, and its
-        # discrete log there is the discrete log of x base g, mod degree
-        gf = pow(self.g, self.f, q)
-        self._dlog = {pow(gf, k, q): k for k in range(degree)}
-        self._labels: bytearray | None = None
-        self._subgroup: tuple[int, ...] | None = None
-        self._period_poly: tuple[int, ...] | None = None
-        self._rows: tuple[tuple[tuple[int, int], ...], ...] | None = None
-        self._struct: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-        self._power_basis_index: int | None = None
+        self.f = (q - 1) // self.degree
         self._ring_image: tuple[int, tuple[int, ...]] | None = None
 
     def __repr__(self) -> str:
         return f"CyclicExtensionDescriptor(q={self.q}, p={self.p}, n={self.n})"
+
+    @cached_property
+    def g(self) -> int:
+        return _primitive_root(self.q)
+
+    @cached_property
+    def _dlog(self) -> dict[int, int]:
+        # x^f lies in the order-degree subgroup generated by g^f, and its
+        # discrete log there is the discrete log of x base g, mod degree
+        gf = pow(self.g, self.f, self.q)
+        return {pow(gf, k, self.q): k for k in range(self.degree)}
 
     def coset_label(self, x: int) -> int:
         x %= self.q
@@ -182,71 +185,69 @@ class CyclicExtensionDescriptor:
             raise ValueError("0 has no coset label")
         return self._dlog[pow(x, self.f, self.q)]
 
-    @property
+    @cached_property
     def labels(self) -> bytearray:
         """labels[x] = coset_label(x) for 0 < x < q, one byte per residue
         (the degree is at most MAX_TABLE_DEGREE), from one walk of the
         powers of g: labels[g^i] = i mod e, as (g^i)^f = (g^f)^i.  Built
-        on first use, by the rows or the period images, and cached."""
-        if self._labels is None:
-            q, e = self.q, self.degree
-            check_table(q, e)
-            labels = bytearray(q)
-            x = 1
-            for i in range(q - 1):
-                labels[x] = i % e
-                x = x * self.g % q
-            self._labels = labels
-        return self._labels
+        on first use, by the rows or the period images."""
+        q, e = self.q, self.degree
+        check_table(q, e)
+        g = self.g  # a local: the cached property is slow to read in a loop
+        labels = bytearray(q)
+        x = 1
+        for i in range(q - 1):
+            labels[x] = i % e
+            x = x * g % q
+        return labels
 
     def residue_degree(self, ell: int) -> int:
-        """Order of ell in (Z/q)^* modulo the period subgroup.
+        """Order of ell in (Z/q)^* modulo the period subgroup H.
 
-        Returns 0 for the ramified case ell = q; the prime is inert in the
-        cyclic field exactly when the result equals the degree.
+        x -> x^f maps (Z/q)^* onto the subgroup of order p^n with kernel H,
+        so this is the order of ell^f: the least p^k with ell^(f p^k) = 1,
+        at most n + 1 modular powers.  Returns 0 for the ramified case
+        ell = q; the prime is inert in the cyclic field exactly when the
+        result equals the degree.
         """
         if ell % self.q == 0:
             return 0
-        k = self.coset_label(ell)
-        return self.degree // gcd(k, self.degree)
+        x, order = pow(ell, self.f, self.q), 1
+        while x != 1:
+            x, order = pow(x, self.p, self.q), order * self.p
+        return order
 
-    @property
+    @cached_property
     def subgroup(self) -> tuple[int, ...]:
         """The f elements of the index-p^n subgroup of (Z/q)^*, ascending."""
-        if self._subgroup is None:
-            gd = pow(self.g, self.degree, self.q)
-            self._subgroup = tuple(sorted(pow(gd, j, self.q) for j in range(self.f)))
-        return self._subgroup
+        gd = pow(self.g, self.degree, self.q)
+        return tuple(sorted(pow(gd, j, self.q) for j in range(self.f)))
 
-    @property
+    @cached_property
     def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """R[m] = T[0][m], the coefficients of period_0 * period_m, as the
         nonzero (k, t) pairs; the whole table is T[i][j][k] = R[j-i][k-i],
         indices mod the degree, by the cyclic Galois action."""
-        if self._rows is None:
-            self._rows = self._build_struct()
-        return self._rows
+        return self._build_struct()
 
-    @property
+    @cached_property
     def struct_constants(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """T[i][j][k]: coefficient of period_k in period_i * period_j,
-        expanded from the rows on first use."""
-        if self._struct is None:
-            e = self.degree
-            dense = []
-            for row in self.rows:
-                r = [0] * e
-                for k, t in row:
-                    r[k] = t
-                dense.append(r)
-            self._struct = tuple(
-                tuple(
-                    tuple(dense[(j - i) % e][(k - i) % e] for k in range(e))
-                    for j in range(e)
-                )
-                for i in range(e)
+        expanded from the rows."""
+        e = self.degree
+        dense = []
+        for row in self.rows:
+            r = [0] * e
+            for k, t in row:
+                r[k] = t
+            dense.append(r)
+        return tuple(
+            tuple(
+                tuple(dense[(j - i) % e][(k - i) % e] for k in range(e))
+                for j in range(e)
             )
-        return self._struct
+            for i in range(e)
+        )
 
     def period_images(self, z: int, modulus: int) -> tuple[int, ...]:
         """P[m] = sum of z^x over the x with label m, mod ``modulus``: the
@@ -299,17 +300,15 @@ class CyclicExtensionDescriptor:
         mod 31 and so splits into three primes of degree one, which no
         power basis can separate modulo 2.
         """
-        if self._period_poly is None:
-            self._period_poly = self._build_period_poly()
-        return self._period_poly
+        return self._period_poly[0]
 
     @property
     def power_basis_index(self) -> int:
-        self.period_poly
-        assert self._power_basis_index is not None
-        return self._power_basis_index
+        return self._period_poly[1]
 
-    def _build_period_poly(self) -> tuple[int, ...]:
+    @cached_property
+    def _period_poly(self) -> tuple[tuple[int, ...], int]:
+        """(coefficients, power basis index) of the period polynomial."""
         e = self.degree
         rows = self.rows
         # power sums of the periods: s_k = trace(period_0^k) = -sum(coords),
@@ -337,8 +336,7 @@ class CyclicExtensionDescriptor:
                 f"period polynomial discriminant {disc} is not {self.q}^{e - 1}"
                 " times a perfect square"
             )
-        self._power_basis_index = root
-        return tuple(coeffs)
+        return tuple(coeffs), root
 
 
 def primes_one_mod_2q(q: int) -> Iterator[int]:
@@ -437,7 +435,8 @@ def period_polynomial(q: int, p: int, n: int) -> CyclicExtensionDescriptor:
 
 
 def cyclic_descriptor(q: int, p: int, n: int) -> CyclicExtensionDescriptor:
-    """Cheap descriptor (O(p^n) state); the polynomial stays lazy."""
+    """Cheap descriptor: the checked conductor and degree, no table until
+    one is read."""
     return CyclicExtensionDescriptor(q, p, n)
 
 

@@ -212,6 +212,8 @@ def _sieved_primes(qmax: int) -> tuple[int, ...]:
 
 def admissible_conductors(F: QuadraticField, p: int, n: int, qmax: int) -> list[int]:
     """Primes q <= qmax with q = 1 mod p^n, tame and unramified for the field."""
+    if n >= qmax.bit_length():  # 2^n > qmax, so no q <= qmax is 1 mod p^n
+        return []
     e = p**n
     return [q for q in _sieved_primes(qmax) if q % e == 1 and F.disc % q and q != p and q % 2]
 

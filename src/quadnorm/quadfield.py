@@ -316,23 +316,21 @@ class ResidueFieldElement:
         if (self.q, self.dmod, self.root) != (other.q, other.dmod, other.root):
             raise ValueError("elements of different residue fields")
 
+    def _mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        """(x0 + x1*w)(y0 + y1*w) with w^2 = d, on coefficient pairs mod q."""
+        q = self.q
+        return (x[0] * y[0] + x[1] * y[1] * self.dmod) % q, (x[0] * y[1] + x[1] * y[0]) % q
+
     def __mul__(self, other: "ResidueFieldElement") -> "ResidueFieldElement":
         self._check(other)
-        q = self.q
-        c0 = (self.c0 * other.c0 + self.c1 * other.c1 * self.dmod) % q
-        c1 = (self.c0 * other.c1 + self.c1 * other.c0) % q
-        return ResidueFieldElement(q, c0, c1, self.dmod, self.root)
+        c0, c1 = self._mul((self.c0, self.c1), (other.c0, other.c1))
+        return ResidueFieldElement(self.q, c0, c1, self.dmod, self.root)
 
     def __pow__(self, k: int) -> "ResidueFieldElement":
         if k < 0:
             raise ValueError("negative powers not needed")
-        q, dmod = self.q, self.dmod
-
-        def mul(x, y):
-            return ((x[0] * y[0] + x[1] * y[1] * dmod) % q, (x[0] * y[1] + x[1] * y[0]) % q)
-
-        c0, c1 = power((self.c0, self.c1), k, mul, (1, 0))
-        return ResidueFieldElement(q, c0, c1, dmod, self.root)
+        c0, c1 = power((self.c0, self.c1), k, self._mul, (1, 0))
+        return ResidueFieldElement(self.q, c0, c1, self.dmod, self.root)
 
     def is_one(self) -> bool:
         return self.c0 == 1 and self.c1 == 0

@@ -2,10 +2,11 @@ import json
 import re
 import sys
 from contextlib import contextmanager
+from itertools import islice
 
 import pytest
 
-from quadnorm import cyclicext, formclass, intmath, normtest
+from quadnorm import cli, cyclicext, formclass, harness, intmath, normtest
 from quadnorm.cli import main
 from quadnorm.harness import scan_one
 from quadnorm.intmath import is_prime
@@ -163,6 +164,28 @@ class TestExitCodes:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "qmax" in err and str(normtest.MAX_QMAX) in err
 
+    @pytest.mark.parametrize(
+        "argv", [("ext", "--q", "7", "--p", "3"), ("normindex", "--d", "79", "--q", "7", "--p", "3")]
+    )
+    def test_huge_exponent_is_2_with_a_short_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--n", "1000000")
+        assert code == 2 and out == ""
+        assert err == "error: 7 is not 1 mod 3^1000000\n" and len(err) < 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ext", "--q", "7", "--p", "3"),
+            ("normindex", "--d", "79", "--q", "7", "--p", "3"),
+            ("verify", "thm14", "--d", "10", "--l", "3", "--p", "3", "--qmax", "200"),
+        ],
+    )
+    def test_exponent_1e9_is_2(self, capsys, argv):
+        # 3^(10^9) has 477 million digits: no command may compute it
+        code, out, err = run(capsys, *argv, "--n", "1000000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_verify_ex79_records_discrepancy(self, capsys):
         code, out, _ = run(capsys, "verify", "ex79")
         assert code == 1
@@ -193,6 +216,77 @@ class TestExitCodes:
 
     def test_verify_thm14_missing_args(self, capsys):
         assert run(capsys, "verify", "thm14", "--d", "79")[0] == 2
+
+
+class PrimitiveRootSought(Exception):
+    pass
+
+
+class TestLazyDescriptors:
+    def test_only_ext_seeks_a_primitive_root(self, capsys, monkeypatch):
+        def no_root(q):
+            raise PrimitiveRootSought(q)
+
+        monkeypatch.setattr(cyclicext, "_primitive_root", no_root)
+        for argv in (
+            ("normindex", "--d", "79", "--q", "7", "--p", "3"),
+            ("detect", "--d", "79", "--p", "3", "--qmax", "200"),
+            ("verify", "thm14", "--d", "10", "--l", "3", "--p", "3", "--qmax", "200"),
+        ):
+            assert run(capsys, *argv)[0] == 0, argv
+        with pytest.raises(PrimitiveRootSought):
+            run(capsys, "ext", "--q", "7", "--p", "3")
+
+    def test_normindex_at_a_safe_prime_near_the_ceiling(self, capsys):
+        # q = 2p + 1: a discrete-log table of the degree-p subgroup would
+        # have 5 * 10^13 entries
+        code, out, _ = run(
+            capsys, "normindex", "--d", "10", "--q", "99999998000003", "--p", "49999999000001"
+        )
+        assert code == 0 and "index=" in out
+
+
+class TestScanStreaming:
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_each_record_is_written_as_it_arrives(self, capsys, monkeypatch, tmp_path, to_file):
+        out_path, csv_path = tmp_path / "scan.jsonl", tmp_path / "scan.csv"
+        stdout = []
+
+        def lines_written():
+            if to_file:
+                return out_path.read_text().count("\n")
+            stdout.append(capsys.readouterr().out)
+            return "".join(stdout).count("\n")
+
+        expected = []
+
+        def streamed_scan(cfg):
+            for k, record in enumerate(harness.scan(cfg)):
+                assert lines_written() == k
+                assert csv_path.read_text().count("\n") == k + 1  # and the header
+                expected.append(record.to_json_line() + "\n")
+                yield record
+
+        monkeypatch.setattr(cli, "scan", streamed_scan)
+        argv = ["scan", "--dmax", "30", "--csv", str(csv_path)]
+        if to_file:
+            argv += ["--out", str(out_path)]
+        assert main(argv) == 0
+        stdout.append(capsys.readouterr().out)
+        written = out_path.read_text() if to_file else "".join(stdout)
+        assert len(expected) == 18 and written == "".join(expected)
+
+    def test_a_failing_scan_leaves_the_records_before_it(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "scan.jsonl"
+
+        def failing_scan(cfg):
+            yield from islice(harness.scan(cfg), 3)
+            raise ArithmeticError("failed at the fourth record")
+
+        monkeypatch.setattr(cli, "scan", failing_scan)
+        code, _, err = run(capsys, "scan", "--dmax", "30", "--out", str(out_path))
+        assert code == 2 and "fourth record" in err
+        assert [json.loads(line)["d"] for line in out_path.read_text().splitlines()] == [2, 3, 5]
 
 
 class TestScanStats:

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from quadnorm.cyclicext import (
     ConductorInvalidError,
     CyclicExtensionDescriptor,
     WildOrRamifiedConductorError,
+    check_conductor,
     cyclic_descriptor,
     kronecker_modulus,
     period_mul,
@@ -182,6 +184,59 @@ class TestDescriptorMemory:
         assert peak < 1_000_000
         assert desc.residue_degree(8) == 1  # a cube lies in the subgroup
         assert (desc.residue_degree(2) == 3) == (pow(2, desc.f, q) != 1)
+
+
+# The residue degree as computed before it was the order of ell^f, kept as
+# the oracle: it reads the discrete-log table behind ``coset_label``.  The
+# body is the former descriptor method, unchanged.
+
+
+def dlog_residue_degree(self, ell: int) -> int:
+    """Order of ell in (Z/q)^* modulo the period subgroup.
+
+    Returns 0 for the ramified case ell = q; the prime is inert in the
+    cyclic field exactly when the result equals the degree.
+    """
+    if ell % self.q == 0:
+        return 0
+    k = self.coset_label(ell)
+    return self.degree // gcd(k, self.degree)
+
+
+class TestResidueDegree:
+    def test_matches_the_discrete_log_oracle_below_1000(self):
+        count = 0
+        for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
+            for q in primes_up_to(999):
+                if q % p**n == 1:
+                    desc = cyclic_descriptor(q, p, n)
+                    for ell in range(1, 2 * q):
+                        assert desc.residue_degree(ell) == dlog_residue_degree(desc, ell), (
+                            desc, ell)
+                    count += 1
+        assert count == 154
+
+    def test_safe_prime_descriptor_keeps_no_table(self, field79):
+        # q = 2p + 1: the discrete-log table would have (q - 1)/2 entries
+        tracemalloc.start()
+        try:
+            desc = cyclic_descriptor(2_000_303, 1_000_151, 1)
+            degree_of_2 = desc.residue_degree(2)
+            report = properness_report(field79, desc, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        # f = 2 and ell^2 != 1, so 2 and 3 are inert
+        assert degree_of_2 == desc.degree == 1_000_151
+        assert report.inert_class_prime
+        assert "g" not in vars(desc) and "_dlog" not in vars(desc)
+
+    @pytest.mark.parametrize("n", [10**6, 10**9])
+    def test_huge_exponent_is_refused_without_the_power(self, n):
+        with pytest.raises(ConductorInvalidError) as err:
+            check_conductor(7, 3, n)
+        assert str(err.value) == f"7 is not 1 mod 3^{n}"
 
 
 # The rows and the period images as built before the label table, kept as
