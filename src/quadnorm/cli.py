@@ -154,6 +154,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_scan(args, config_path) -> int:
+    # validated here, before any file is opened
     cfg = config_from_sources(
         config_path,
         {
@@ -165,7 +166,6 @@ def _cmd_scan(args, config_path) -> int:
             "oracle_check": True if args.oracle_check else None,
         },
     )
-    cfg.validate()  # before any file is opened
     mismatches = []
     with ExitStack() as stack:
         out = sys.stdout

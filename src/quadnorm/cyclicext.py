@@ -48,6 +48,7 @@ from .intmath import (
     is_prime,
     kronecker,
     newton_charpoly,
+    p_power_order,
     poly_discriminant,
     primes_up_to,
 )
@@ -60,7 +61,7 @@ class ConductorInvalidError(ValueError):
 
 
 class WildOrRamifiedConductorError(ValueError):
-    """Conductor ramifies in the quadratic field or equals p."""
+    """Conductor ramifies in the quadratic field."""
 
 
 class ClassPrimeNotSplitError(ValueError):
@@ -78,11 +79,11 @@ def _primitive_root(q: int) -> int:
 
 # Largest conductor of any descriptor.  Only a descriptor with a period
 # table seeks a primitive root (``_primitive_root`` factors q - 1 by trial
-# division), and it stops at MAX_TABLE_CONDUCTOR.  Without a table the one
-# step growing as sqrt(p) is the trial factorization of p^n in
-# ``ResidueFieldElement.multiplicative_order_dividing``: ``normindex`` at
-# q = 99999998000003, p = 49999999000001 (q = 2p + 1) took 1.4 s on a
-# 2-core host.
+# division), and it stops at MAX_TABLE_CONDUCTOR.  Without a table every
+# step is a few modular powers (local orders by ``intmath.p_power_order``),
+# none growing as sqrt(p): ``normindex`` at q = 99999998000003,
+# p = 49999999000001 (q = 2p + 1) took 0.19 s on a 2-core host, interpreter
+# start included.
 MAX_CONDUCTOR = 10**14
 
 
@@ -212,10 +213,8 @@ class CyclicExtensionDescriptor:
         """
         if ell % self.q == 0:
             return 0
-        x, order = pow(ell, self.f, self.q), 1
-        while x != 1:
-            x, order = pow(x, self.p, self.q), order * self.p
-        return order
+        q, p = self.q, self.p
+        return p_power_order(pow(ell, self.f, q), p, self.n, lambda x: pow(x, p, q), 1)
 
     @cached_property
     def subgroup(self) -> tuple[int, ...]:
@@ -474,9 +473,9 @@ def relative_discriminant(
     """Relative discriminant of the compositum over the quadratic field:
     (q)^(degree - 1) as a formal prime-power list, with its absolute norm."""
     q = desc.q
-    if q == desc.p or F.disc % q == 0:
+    if F.disc % q == 0:
         raise WildOrRamifiedConductorError(
-            f"conductor {q} is wild or ramified for disc {F.disc}"
+            f"conductor {q} ramifies in disc {F.disc}"
         )
     expo = desc.degree - 1
     if splitting_type(F, q) is SplittingType.INERT:

@@ -12,6 +12,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import prod
 from typing import Iterable, Iterator
 
@@ -438,26 +439,22 @@ def scan_one(d: int, p_list: tuple[int, ...], qmax: int, oracle: bool) -> ScanRe
     )
 
 
-def _scan_worker(args: tuple) -> ScanRecord:
-    return scan_one(*args)
-
-
 def scan(config: RunConfig) -> Iterator[ScanRecord]:
     """One record per squarefree d <= dmax, ascending; the stream content is
-    independent of the worker count."""
+    independent of the worker count.  A serial scan takes each d as the
+    stream is read, so it holds no list of the fields."""
     config.validate()
-    ds = [d for d in range(2, config.dmax + 1) if is_squarefree(d)]
-    args = [(d, tuple(config.p_list), config.qmax, config.oracle_check) for d in ds]
+    args = (filter(is_squarefree, range(2, config.dmax + 1)), repeat(tuple(config.p_list)),
+            repeat(config.qmax), repeat(config.oracle_check))
     if config.workers <= 1:
-        for a in args:
-            yield scan_one(*a)
+        yield from map(scan_one, *args)
         return
     # imported here: the pool costs memory that serial runs never use
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        chunk = max(1, len(args) // (config.workers * 8))
-        yield from pool.map(_scan_worker, args, chunksize=chunk)
+        chunk = max(1, config.dmax // (config.workers * 8))
+        yield from pool.map(scan_one, *args, chunksize=chunk)
 
 
 # --- statistics -------------------------------------------------------------

@@ -4,7 +4,7 @@ Everything here is plain ``int`` arithmetic: no floats are used anywhere,
 so results are bit-exact at any size.  ``newton_charpoly`` takes the exact
 division of its ring as a callback, so the quadratic ring shares it with
 the integers.  The generic group routines at the end (powering, element
-order, closure) serve every group in the package.
+order, p-power order, closure) serve every group in the package.
 """
 
 from __future__ import annotations
@@ -303,6 +303,20 @@ def element_order(x, mul, one, bound: int | None = None) -> int:
         acc = mul(acc, x)
         k += 1
     return k
+
+
+def p_power_order(x, p: int, n: int, pth, one) -> int:
+    """Least p^k (k <= n) with x^(p^k) == one, by at most n calls to the
+    p-th-power map ``pth`` (Cohen, GTM 138, Alg. 1.4.3).
+
+    Raises ArithmeticError when x^(p^n) != one.
+    """
+    order, bound = 1, p**n
+    while x != one:
+        if order == bound:
+            raise ArithmeticError(f"order does not divide {bound}")
+        x, order = pth(x), order * p
+    return order
 
 
 def closure(gens, mul, one) -> frozenset:

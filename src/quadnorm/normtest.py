@@ -3,7 +3,9 @@
 For the cyclic compositum over the quadratic field, the extension is
 totally and tamely ramified at each prime above the conductor q, so a unit
 is a local norm there exactly when its residue image is a p^n-th power,
-i.e. when image^((q^f - 1)/p^n) = 1.  The Hasse norm theorem then makes
+i.e. when image^((q^f - 1)/p^n) = 1.  The order of that power, the local
+order, divides p^n and takes at most n p-th powers to find, with no
+factoring of p^n.  The Hasse norm theorem then makes
 the least power of the fundamental unit that is a norm of a field element
 equal to the lcm of the local orders.
 
@@ -33,7 +35,7 @@ from .cyclicext import (
     properness_report,
 )
 from .formclass import class_group, prime_form
-from .intmath import kronecker, lcm, p_part, primes_up_to
+from .intmath import kronecker, lcm, p_part, p_power_order, primes_up_to
 from .quadfield import (
     FundamentalUnit,
     QuadInteger,
@@ -45,10 +47,6 @@ from .quadfield import (
     split_roots,
     splitting_type,
 )
-
-
-class WildPrimeError(ValueError):
-    """Conductor equals p (wild ramification is out of reach here)."""
 
 
 class RamifiedInNError(ValueError):
@@ -84,13 +82,9 @@ class NormIndexReport:
 
 
 def _precheck(F: QuadraticField, desc: CyclicExtensionDescriptor) -> None:
-    q = desc.q
-    if q == desc.p:
-        raise WildPrimeError(f"conductor {q} equals p")
-    if F.disc % q == 0:
-        raise RamifiedInNError(f"conductor {q} ramifies in disc {F.disc}")
-    if q % 2 == 0 or F.d % q == 0:
-        raise RamifiedInNError(f"conductor {q} is not admissible for d={F.d}")
+    # the descriptor's q is an odd prime with q = 1 mod p^n, so q != p
+    if F.disc % desc.q == 0:
+        raise RamifiedInNError(f"conductor {desc.q} ramifies in disc {F.disc}")
 
 
 def local_norm_test(
@@ -115,7 +109,7 @@ def local_norm_test(
     image = reduce_mod_prime(F, u, q, root)
     exponent = (q**f - 1) // e
     power = image**exponent
-    order = power.multiplicative_order_dividing(e)
+    order = p_power_order(power, desc.p, desc.n, lambda x: x**desc.p, image**0)
     label = f"{q}" if not split else f"{q}@root={image.root}"
     return LocalNormVerdict(
         prime_label=label,
@@ -212,6 +206,7 @@ def _sieved_primes(qmax: int) -> tuple[int, ...]:
 
 def admissible_conductors(F: QuadraticField, p: int, n: int, qmax: int) -> list[int]:
     """Primes q <= qmax with q = 1 mod p^n, tame and unramified for the field."""
+    check_qmax(qmax)  # before anything is sieved
     if n >= qmax.bit_length():  # 2^n > qmax, so no q <= qmax is 1 mod p^n
         return []
     e = p**n

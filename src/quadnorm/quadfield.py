@@ -14,7 +14,6 @@ from enum import Enum
 from math import isqrt
 
 from .intmath import (
-    divisors,
     is_prime,
     is_squarefree,
     kronecker,
@@ -335,13 +334,6 @@ class ResidueFieldElement:
     def is_one(self) -> bool:
         return self.c0 == 1 and self.c1 == 0
 
-    def multiplicative_order_dividing(self, m: int) -> int:
-        """Smallest k dividing m with self**k = 1; raises if none divides."""
-        for k in divisors(m):
-            if (self**k).is_one():
-                return k
-        raise ArithmeticError(f"order does not divide {m}")
-
 
 def reduce_mod_prime(
     F: QuadraticField, x: QuadInteger, q: int, which_root: int | None = None
@@ -379,8 +371,5 @@ def split_roots(F: QuadraticField, q: int) -> tuple[int, int]:
     """The two square roots of d modulo a split odd prime q, ascending."""
     if splitting_type(F, q) is not SplittingType.SPLIT:
         raise ValueError(f"{q} does not split")
-    r0 = sqrt_mod_prime(F.d, q)
-    pair = sorted({r0, (q - r0) % q})
-    if len(pair) == 1:  # cannot happen for odd q with q not dividing d
-        raise ArithmeticError("degenerate root pair")
-    return pair[0], pair[1]
+    r0 = sqrt_mod_prime(F.d, q)  # the smaller root, and q does not divide d
+    return r0, q - r0

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import quadnorm
-from quadnorm import cli
+from quadnorm import cli, harness
 from quadnorm.normtest import MAX_QMAX
 from quadnorm.harness import (
     MAX_WORKERS,
@@ -81,6 +82,22 @@ class TestScan:
         serial = [r.to_json_line() for r in scan(RunConfig(dmax=60, workers=1))]
         parallel = [r.to_json_line() for r in scan(RunConfig(dmax=60, workers=2))]
         assert serial == parallel
+
+    def test_serial_scan_memory_is_flat_in_dmax(self, monkeypatch):
+        # stubs for the per-d work leave the scan's own allocations, which
+        # must not grow with the number of fields
+        monkeypatch.setattr(harness, "scan_one", lambda d, p_list, qmax, oracle: d)
+        monkeypatch.setattr(harness, "is_squarefree", lambda d: d % 4 != 0)
+        peaks = []
+        for dmax in (2000, 8000, 80000):
+            tracemalloc.start()
+            try:
+                for _ in scan(RunConfig(dmax=dmax)):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[-1] <= peaks[0] + 1024, peaks
 
     def test_import_does_not_load_the_process_pool(self):
         # the pool is imported only when a scan starts workers

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnorm import cyclicext, normtest
+from quadnorm import cyclicext, intmath, normtest
 from quadnorm.cyclicext import cyclic_descriptor
 from quadnorm.formclass import class_group
-from quadnorm.harness import RunConfig, scan
+from quadnorm.harness import RunConfig, detection_sweep, scan
 from quadnorm.normtest import (
     NoAdmissibleConductorError,
     NormIndexReport,
@@ -141,6 +141,19 @@ class TestNormIndex:
         rep = norm_index(field79, cyclic_descriptor(19, 3, 2))
         assert rep.index == 1
 
+    def test_large_prime_degree_needs_no_factoring(self, monkeypatch):
+        # the local orders divide p^n and are found by p-th powers, so no
+        # step factors p^n (here p near 5 * 10^13, q = 2p + 1)
+        F = make_field(10)
+
+        def no_factoring(n):
+            raise AssertionError(f"factorize({n}) on the local-norm path")
+
+        monkeypatch.setattr(intmath, "factorize", no_factoring)
+        p = 49999999000001
+        rep = norm_index(F, cyclic_descriptor(2 * p + 1, p, 1))
+        assert rep.index == p and [v.local_order for v in rep.verdicts] == [p, p]
+
 
 class TestCohomologicalRatio:
     def test_matches_index_p_part(self, field79, desc7):
@@ -225,6 +238,22 @@ class TestDetect:
         assert admissible_conductors(field79, 3, 2, 50) == [19, 37]
         assert admissible_conductors(field79, 3, 1, 0) == []
         assert admissible_conductors(field79, 3, 1, 2) == []
+
+    def test_qmax_above_the_ceiling_is_refused_before_sieving(self, field79, monkeypatch):
+        def no_sieve(n):
+            raise AssertionError(f"sieve up to {n} above the ceiling")
+
+        monkeypatch.setattr(intmath, "primes_up_to", no_sieve)
+        monkeypatch.setattr(normtest, "primes_up_to", no_sieve)
+        qmax = normtest.MAX_QMAX + 1
+        for call in (
+            lambda: admissible_conductors(field79, 3, 1, qmax),
+            lambda: detect_p_divisibility(field79, 3, qmax),
+            lambda: verify_class_order(field79, 3, 3, 1, qmax),
+            lambda: detection_sweep(2, (3,), qmax),
+        ):
+            with pytest.raises(ValueError, match="above the conductor-search ceiling"):
+                call()
 
     def test_scan_sieves_once_per_qmax(self, monkeypatch):
         calls = []

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnorm.intmath import floor_quadsurd, is_squarefree, primes_up_to
+from quadnorm.intmath import (
+    divisors,
+    factorize,
+    floor_quadsurd,
+    is_squarefree,
+    kronecker,
+    p_power_order,
+    primes_up_to,
+)
 from quadnorm.quadfield import (
     EvenPrimeError,
     FundamentalUnit,
@@ -15,6 +23,7 @@ from quadnorm.quadfield import (
     QuadInteger,
     QuadraticField,
     RamifiedPrimeError,
+    ResidueFieldElement,
     SplittingType,
     brute_force_unit,
     fundamental_unit,
@@ -23,6 +32,15 @@ from quadnorm.quadfield import (
     split_roots,
     splitting_type,
 )
+
+
+def multiplicative_order_dividing(x: ResidueFieldElement, m: int) -> int:
+    """Smallest k dividing m with x**k = 1; raises if none divides.  The
+    divisor-search oracle for ``intmath.p_power_order``."""
+    for k in divisors(m):
+        if (x**k).is_one():
+            return k
+    raise ArithmeticError(f"order does not divide {m}")
 
 
 class TestMakeField:
@@ -325,6 +343,63 @@ class TestReduceModPrime:
                 while not powers[-1].is_one():
                     powers.append(powers[-1] * img)
                 order = len(powers) - 1
-                assert img.multiplicative_order_dividing(group_order) == order
+                assert multiplicative_order_dividing(img, group_order) == order
                 for k in [0, 1, order] + [rng.randrange(3 * order) for _ in range(8)]:
                     assert img**k == powers[k % order]
+
+
+def residue_fields(q: int):
+    """F_q (a split residue field, root 1 of d = 1) and F_(q^2) (w^2 = the
+    least non-residue mod q), each with its group order."""
+    nonresidue = next(a for a in range(2, q) if kronecker(a, q) == -1)
+    return (
+        (ResidueFieldElement(q, 1, 0, 1, 1), q - 1),
+        (ResidueFieldElement(q, 1, 0, nonresidue), q * q - 1),
+    )
+
+
+def generator(one: ResidueFieldElement, m: int) -> ResidueFieldElement:
+    """A generator of the cyclic group of order m of the field of ``one``."""
+    q = one.q
+    for c0 in range(q):
+        for c1 in range(q if one.root is None else 1):
+            x = ResidueFieldElement(q, c0, c1, one.dmod, one.root)
+            if x.c0 or x.c1:
+                if all(not (x ** (m // ell)).is_one() for ell in factorize(m)):
+                    return x
+    raise AssertionError(f"no generator of order {m}")
+
+
+class TestPPowerOrder:
+    @pytest.mark.parametrize("q", primes_up_to(199)[1:])
+    def test_matches_divisor_search(self, q):
+        # x -> x^(m/p^n) maps the nonzero elements onto the p^n-torsion,
+        # the cyclic group of g^(m/p^n); each element of it is checked
+        for one, m in residue_fields(q):
+            g = generator(one, m)
+            for p, v in factorize(m).items():
+                for n in range(1, v + 1):
+                    h, y = g ** (m // p**n), one
+                    for _ in range(p**n):
+                        got = p_power_order(y, p, n, lambda x: x**p, one)
+                        assert got == multiplicative_order_dividing(y, p**n)
+                        y = y * h
+
+    def test_raises_past_p_to_the_n(self):
+        # 3 has order 16 mod 17: it takes the four squarings and no fewer
+        calls = []
+
+        def square(x):
+            calls.append(x)
+            return x * x % 17
+
+        assert p_power_order(3, 2, 4, square, 1) == 16 and len(calls) == 4
+        for n in range(4):
+            with pytest.raises(ArithmeticError, match=f"order does not divide {2**n}$"):
+                p_power_order(3, 2, n, square, 1)
+        one, m = residue_fields(7)[1]  # F_49, order 48 = 2^4 * 3
+        g = generator(one, m)
+        with pytest.raises(ArithmeticError, match="order does not divide 16$"):
+            p_power_order(g, 2, 4, lambda x: x**2, one)
+        with pytest.raises(ArithmeticError, match="order does not divide 16$"):
+            multiplicative_order_dividing(g, 16)
