@@ -4,7 +4,9 @@ Everything here is plain ``int`` arithmetic: no floats are used anywhere,
 so results are bit-exact at any size.  ``newton_charpoly`` takes the exact
 division of its ring as a callback, so the quadratic ring shares it with
 the integers.  The generic group routines at the end (powering, element
-order, p-power order, closure) serve every group in the package.
+order, p-power order, closure) serve every group in the package; only the
+multiplication-table groups of ``transfer`` read powers from a cached cycle
+per element instead.
 """
 
 from __future__ import annotations
@@ -78,13 +80,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
 
-def divisors(n: int) -> list[int]:
-    ds = [1]
-    for p, e in factorize(n).items():
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
 def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n (n > 0)."""
     if n <= 0:
@@ -130,8 +125,11 @@ def sqrt_mod_prime(a: int, q: int) -> int:
     """Smallest square root of a modulo an odd prime q (Tonelli-Shanks,
     Cohen GTM 138, Alg. 1.5.1).
 
-    Raises ValueError when a is a non-residue.
+    Raises ValueError when a is a non-residue, and at q = 2, where the
+    non-residue search below would never stop.
     """
+    if q == 2:
+        raise ValueError("sqrt_mod_prime expects an odd prime")
     a %= q
     if a == 0:
         return 0
@@ -319,16 +317,29 @@ def p_power_order(x, p: int, n: int, pth, one) -> int:
     return order
 
 
-def closure(gens, mul, one) -> frozenset:
+def closure(gens, mul, one, base=None) -> frozenset:
     """All products of the generators, the identity included.
 
     In a finite group this is the subgroup the generators generate: the
     inverse of g is a positive power of g, so right multiplication by the
     generators alone reaches every element.
+
+    ``base``, when given, must be the closure of every generator but the
+    last.  A product leaves ``base`` only through a right factor equal to
+    the last generator, so the walk starts from base * last and never
+    revisits the elements of ``base``.
     """
     gens = tuple(gens)
-    out = {one}
-    frontier = [one]
+    if base is None:
+        out = {one}
+        frontier = [one]
+    else:
+        out, frontier, last = set(base), [], gens[-1]
+        for b in base:
+            y = mul(b, last)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
     while frontier:
         x = frontier.pop()
         for g in gens:

@@ -4,8 +4,11 @@ Groups are explicit multiplication tables, validated on construction and
 capped in size.  Nothing in the set-up of a group or a subgroup is cubic:
 associativity is checked by Light's test on a generating set (Clifford-
 Preston, *The Algebraic Theory of Semigroups*, vol. 1), ``all_subgroups``
-joins each subgroup with one element per left coset, and the derived
-subgroup H' is closed from the commutators of H with a generating set of H.
+joins each subgroup with one element per left coset, walking each join
+<H, g> from H*g rather than from the identity, and the derived subgroup H'
+is closed from the commutators of H with a generating set of H.  Powers are
+read from the cycle e, a, a^2, ... of each element, walked once by table
+lookups.
 
 The transfer map is computed from its coset-product definition (Isaacs,
 *Finite Group Theory*, ch. 5), the restricted transfer on the quotient is
@@ -18,21 +21,24 @@ module is a falsification instrument: vanishing verdicts are reported,
 never assumed.
 
 What the transfer needs about H (the checked H, least coset elements as
-representatives, the coset map, the least element of xH' for every x, and
-whether H is normal) is a ``TransferContext``, computed once.
-``G.context(H)`` keeps one in a one-slot cache, replaced when H changes:
+representatives, the coset map, the greatest element of xH and the least
+element of xH' for every x, and whether H is normal) is a
+``TransferContext``, computed once.  The context also keeps the transfer
+image of every g computed so far, so each (G, H) pays for its coset
+products once per element.  ``G.context(H)`` keeps one in a one-slot
+cache, replaced when H changes, and recognises its own H by identity:
 callers take the subgroups one at a time, so one slot saves all the
 repeated work and holds the memory of a single context.  Supplied
-representatives get a context of their own.  Membership reads the same
-context: O(n) table lookups, no integer lattice.
+representatives get a context of their own, with its own store of images.
+Membership reads the same context: O(n) table lookups, no integer lattice.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .intmath import closure, power
+from .intmath import closure
 
 DEFAULT_MAX_ORDER = 64
 
@@ -99,14 +105,24 @@ class FiniteGroup:
                     raise GroupTableError("table is not associative")
         self._derived = None
         self._context = None
+        self._cycles = [None] * n
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse[a], -k)
-        return power(a, k, self.mul, self.identity)
+        """a**k for any integer k, read from the cycle e, a, a^2, ... of a,
+        walked once by table lookups and kept: the cycles of all n elements
+        hold at most n^2 entries."""
+        cycle = self._cycles[a]
+        if cycle is None:
+            row, ident = self.table, self.identity
+            cycle, x = [ident], a
+            while x != ident:
+                cycle.append(x)
+                x = row[x][a]
+            cycle = self._cycles[a] = tuple(cycle)
+        return cycle[k % len(cycle)]
 
     def check_subgroup(self, H) -> frozenset[int]:
         H = frozenset(H)
@@ -118,8 +134,9 @@ class FiniteGroup:
         for a in H:
             if self.inverse[a] not in H:
                 raise NotSubgroupError(f"subgroup not closed under inverse: {a}")
+            row = self.table[a]
             for b in H:
-                if self.mul(a, b) not in H:
+                if row[b] not in H:
                     raise NotSubgroupError(f"subgroup not closed: {a}*{b}")
         return H
 
@@ -138,23 +155,35 @@ class FiniteGroup:
 
     def context(self, H) -> TransferContext:
         """The transfer context of H, from a one-slot cache that the next
-        different H replaces."""
+        different H replaces.  The context's own Hset is recognised by
+        identity, without comparing sets."""
+        ctx = self._context
+        if ctx is not None and H is ctx.Hset:
+            return ctx
         Hset = frozenset(H)
-        if self._context is None or self._context.Hset != Hset:
+        if ctx is None or ctx.Hset != Hset:
             Hset = self.check_subgroup(Hset)
             least = self._coset_minima(Hset)
             reps = tuple(x for x in range(self.n) if least[x] == x)
+            greatest = dict(zip(least, range(self.n)))  # the last x of each coset
             mod_derived = self._coset_minima(_derived_of_subgroup(self, Hset))
             # g = rk with k in H conjugates H as r does: n lookups decide it
             table, inverse = self.table, self.inverse
             normal = all(table[table[r][h]][inverse[r]] in Hset for r in reps for h in Hset)
-            self._context = TransferContext(
-                Hset, reps, tuple(least), tuple(mod_derived), normal
+            ctx = self._context = TransferContext(
+                Hset,
+                reps,
+                tuple(least),
+                tuple(map(greatest.__getitem__, least)),
+                tuple(mod_derived),
+                normal,
             )
-        return self._context
+        return ctx
 
-    def subgroup_closure(self, seed) -> frozenset[int]:
-        return closure(seed, self.mul, self.identity)
+    def subgroup_closure(self, seed, base=None) -> frozenset[int]:
+        """<seed>; ``base``, if given, is the subgroup generated by every
+        element of the tuple ``seed`` but the last."""
+        return closure(seed, self.mul, self.identity, base)
 
     def _coset_minima(self, K) -> list[int]:
         """For every x, the least element of the left coset xK of the
@@ -169,7 +198,8 @@ class FiniteGroup:
 
     def all_subgroups(self) -> list[frozenset[int]]:
         """Every subgroup, each closed from a generating tuple.  The join
-        <H, g> equals <H, gh>, so one g per left coset of H is enough."""
+        <H, g> equals <H, gh>, so one g per left coset of H is enough, and
+        its closure walk starts from H*g."""
         trivial = frozenset([self.identity])
         found = {trivial}
         frontier = [(trivial, ())]
@@ -179,7 +209,7 @@ class FiniteGroup:
             for g in range(self.n):
                 if least[g] != g or g in H:
                     continue
-                K = self.subgroup_closure(gens + (g,))
+                K = self.subgroup_closure(gens + (g,), H)
                 if K not in found:
                     found.add(K)
                     frontier.append((K, gens + (g,)))
@@ -231,13 +261,16 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class TransferContext:
-    """What the transfer needs about one subgroup H of G."""
+    """What the transfer needs about one subgroup H of G, and the transfer
+    images computed so far with its representatives."""
 
     Hset: frozenset[int]
     reps: tuple[int, ...]  # one representative per left coset of H
     coset_of: tuple[int, ...]  # coset_of[x]: the representative of xH
+    greatest: tuple[int, ...]  # greatest[x]: the greatest element of xH
     mod_derived: tuple[int, ...]  # mod_derived[x]: the least element of xH'
     normal: bool  # whether H is normal in G
+    images: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
 
 def transfer(G: FiniteGroup, H, g: int, reps: list[int] | None = None) -> int:
@@ -246,6 +279,8 @@ def transfer(G: FiniteGroup, H, g: int, reps: list[int] | None = None) -> int:
 
     The representative set may be supplied (any transversal works; the
     result is representative-independent, which the tests exercise).
+    Each value is computed once per context and read from its ``images``
+    after that; supplied representatives get a fresh store.
     """
     if not 0 <= g < G.n:
         raise ValueError(f"element {g} outside 0..{G.n - 1}")
@@ -259,16 +294,22 @@ def transfer(G: FiniteGroup, H, g: int, reps: list[int] | None = None) -> int:
         rep_of = {ctx.coset_of[r]: r for r in reps}
         if len(rep_of) != len(reps):
             raise ValueError("representatives do not cover the group")
-        ctx = replace(ctx, reps=tuple(reps), coset_of=tuple(rep_of[m] for m in ctx.coset_of))
-    table, inverse, coset_of = G.table, G.inverse, ctx.coset_of
-    prod = G.identity
+        ctx = replace(
+            ctx, reps=tuple(reps), coset_of=tuple(rep_of[m] for m in ctx.coset_of), images={}
+        )
+    image = ctx.images.get(g)
+    if image is not None:
+        return image
+    table, inverse, coset_of, Hset = G.table, G.inverse, ctx.coset_of, ctx.Hset
+    row, prod = table[g], G.identity
     for r in ctx.reps:
-        gr = table[g][r]
+        gr = row[r]
         factor = table[inverse[coset_of[gr]]][gr]
-        if factor not in ctx.Hset:
+        if factor not in Hset:
             raise ArithmeticError("coset product factor left the subgroup")
         prod = table[prod][factor]
-    return ctx.mod_derived[prod]
+    image = ctx.images[g] = ctx.mod_derived[prod]
+    return image
 
 
 def _generating_set(G: FiniteGroup, elements) -> tuple[int, ...]:
@@ -395,9 +436,10 @@ class GroupRingElement:
 LATTICE_KINDS = ("IG2", "IGIH", "IH+IGIH")
 
 
-def _abelian_image(G: FiniteGroup, ctx: TransferContext, coeffs) -> int | None:
-    """The image of v in ZG*I_K / I_G*I_K = K/K' for the subgroup K of ctx,
-    as the least element of its K'-coset; None when v is not in ZG*I_K.
+def _abelian_image(G: FiniteGroup, ctx: TransferContext, terms) -> int | None:
+    """The image of v = sum of c*x over the (x, c) ``terms`` in
+    ZG*I_K / I_G*I_K = K/K' for the subgroup K of ctx, as the least element
+    of its K'-coset; None when v is not in ZG*I_K.
 
     v lies in ZG*I_K = I_K + I_G*I_K, the kernel of ZG -> Z[G/K], exactly
     when its coefficients sum to 0 on every left coset xK, and then maps to
@@ -405,19 +447,14 @@ def _abelian_image(G: FiniteGroup, ctx: TransferContext, coeffs) -> int | None:
     xK, not the least one that ``transfer`` uses, so that ``diagram_check``
     compares the transfer with its product over another transversal.
     """
-    table, inverse, coset_of = G.table, G.inverse, ctx.coset_of
-    greatest = {}
-    for x in range(G.n):
-        greatest[coset_of[x]] = x
-    sums = dict.fromkeys(greatest, 0)
-    order = len(ctx.Hset)
+    table, inverse, coset_of, greatest = G.table, G.inverse, ctx.coset_of, ctx.greatest
+    sums = {}
     prod = G.identity
-    for x, c in enumerate(coeffs):
+    for x, c in terms:
         if c:
             rep = coset_of[x]
-            sums[rep] += c
-            k = table[inverse[greatest[rep]]][x]
-            prod = table[prod][G.power(k, c % order)]
+            sums[rep] = sums.get(rep, 0) + c
+            prod = table[prod][G.power(table[inverse[greatest[x]]][x], c)]
     if any(sums.values()):
         return None
     return ctx.mod_derived[prod]
@@ -433,7 +470,7 @@ def augmentation_membership(
     if lattice_kind not in LATTICE_KINDS:
         raise ValueError(f"unknown lattice kind {lattice_kind!r}; use one of {LATTICE_KINDS}")
     ctx = G.context(range(G.n) if lattice_kind == "IG2" else Hset)
-    image = _abelian_image(G, ctx, x.coeffs)
+    image = _abelian_image(G, ctx, enumerate(x.coeffs))
     if lattice_kind == "IH+IGIH":
         return image is not None
     return image == ctx.mod_derived[G.identity]
@@ -457,19 +494,19 @@ def diagram_check(G: FiniteGroup, H) -> DiagramReport:
     ctx = _quotient_context(G, H)
     Hset, reps, table = ctx.Hset, ctx.reps, G.table
     trivial = ctx.mod_derived[G.identity]
-    minus_norm = [0] * G.n  # -(sum of the representatives)
-    for r in reps:
-        minus_norm[r] = -1
     violations = []
     for g in reps:
-        # (g - 1)*sum(reps) - (t - 1), straight from the table
-        v = minus_norm.copy()
+        # (g - 1)*sum(reps) - (t - 1), straight from the table, as the at
+        # most 2[G:H] + 2 nonzero terms
+        v = dict.fromkeys(reps, -1)
         row = table[g]
         for r in reps:
-            v[row[r]] += 1
-        v[transfer(G, Hset, g)] -= 1
-        v[G.identity] += 1
-        if _abelian_image(G, ctx, v) != trivial:
+            y = row[r]
+            v[y] = v.get(y, 0) + 1
+        t = transfer(G, Hset, g)
+        v[t] = v.get(t, 0) - 1
+        v[G.identity] = v.get(G.identity, 0) + 1
+        if _abelian_image(G, ctx, v.items()) != trivial:
             violations.append(g)
     return DiagramReport(
         group_name=G.name,

@@ -34,7 +34,6 @@ from quadnorm.formclass import (
 )
 from quadnorm.harness import abelian_group_types
 from quadnorm.intmath import (
-    divisors,
     factorize,
     is_square,
     is_squarefree,
@@ -44,6 +43,13 @@ from quadnorm.intmath import (
 )
 from quadnorm.quadfield import fundamental_unit, make_field
 from quadnorm.transfer import FiniteGroup
+
+
+def divisors(n: int) -> list[int]:
+    ds = [1]
+    for p, e in factorize(n).items():
+        ds = [d * p**k for d in ds for k in range(e + 1)]
+    return sorted(ds)
 
 
 # The form-level group law, the class table's oracle: every product walks

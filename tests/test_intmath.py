@@ -5,6 +5,7 @@ import pytest
 from quadnorm.harness import abelian_group_types
 from quadnorm.intmath import closure, crt, element_order, power, primes_up_to, sqrt_mod_prime
 from quadnorm.transfer import FiniteGroup
+from test_transfer import oracle_groups
 
 
 def mulmod(m):
@@ -92,6 +93,16 @@ class TestClosure:
             if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
         }
         assert got == even and len(got) == derived_order
+
+    def test_seeded_joins_match_unseeded(self):
+        """A walk seeded with H = <gens> gives <gens, g>, as the walk from
+        the identity does, for every subgroup H and every g."""
+        for G in oracle_groups():
+            for H in G.all_subgroups():
+                gens = tuple(sorted(H))
+                for g in range(G.n):
+                    seeded = closure(gens + (g,), G.mul, G.identity, base=H)
+                    assert seeded == closure(gens + (g,), G.mul, G.identity)
 
     def test_empty_generators_give_identity(self):
         assert closure([], mulmod(7), 1) == frozenset({1})

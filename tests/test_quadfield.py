@@ -1,4 +1,5 @@
 import random
+import signal
 from math import gcd
 
 import pytest
@@ -6,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadnorm.intmath import (
-    divisors,
     factorize,
     floor_quadsurd,
     is_squarefree,
     kronecker,
     p_power_order,
     primes_up_to,
+    sqrt_mod_prime,
 )
 from quadnorm.quadfield import (
     EvenPrimeError,
@@ -32,6 +33,7 @@ from quadnorm.quadfield import (
     split_roots,
     splitting_type,
 )
+from test_formclass import divisors
 
 
 def multiplicative_order_dividing(x: ResidueFieldElement, m: int) -> int:
@@ -87,6 +89,25 @@ class TestSplitting:
         assert counts[SplittingType.RAMIFIED] == len(
             [p for p in primes if F.disc % p == 0]
         )
+
+    def test_even_prime_is_refused_at_once(self):
+        """2 splits in Q(sqrt 17) (17 = 1 mod 8), but the root search is for
+        odd primes only: at q = 2 its non-residue search would never stop."""
+
+        def stuck(signum, frame):
+            raise TimeoutError("q = 2 was not refused")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(5)
+        try:
+            assert splitting_type(make_field(17), 2) is SplittingType.SPLIT
+            with pytest.raises(ValueError, match="odd prime"):
+                split_roots(make_field(17), 2)
+            with pytest.raises(ValueError, match="odd prime"):
+                sqrt_mod_prime(1, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestQuadInteger:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from quadnorm.harness import abelian_group_types
-from quadnorm.intmath import closure
+from quadnorm.intmath import closure, power
 from quadnorm.transfer import (
     LATTICE_KINDS,
     CommutatorNotContainedError,
@@ -450,6 +450,39 @@ class TestTransferOracle:
                         got = transfer(G, H, g, reps=reps)
                         assert got == coset_product_transfer(G, H, g, reps=reps)
                         assert got == transfer(G, H, g)
+
+
+class TestCyclePowers:
+    def test_match_binary_powering(self):
+        for G in oracle_groups():
+            for a in range(G.n):
+                for k in range(-2 * G.n, 2 * G.n + 1):
+                    x = a if k >= 0 else G.inverse[a]
+                    assert G.power(a, k) == power(x, abs(k), G.mul, G.identity)
+
+
+class TestStoredImages:
+    def test_supplied_transversals_leave_the_default_images(self):
+        """Supplied representatives neither read nor fill the images of the
+        default context, whichever kind of call comes first; each H starts
+        with an empty store, as the H before it differs."""
+        rng = random.Random(3)
+        for supplied_first in (True, False):
+            for G in oracle_groups():
+                for H in G.all_subgroups():
+                    cosets = {frozenset(G.mul(x, h) for h in H) for x in range(G.n)}
+                    reps = [rng.choice(sorted(c)) for c in sorted(cosets, key=min)]
+                    expected = {g: coset_product_transfer(G, H, g) for g in range(G.n)}
+                    if not supplied_first:
+                        assert {g: transfer(G, H, g) for g in range(G.n)} == expected
+                    before = dict(G.context(H).images)
+                    assert before == ({} if supplied_first else expected)
+                    for g in range(G.n):
+                        got = transfer(G, H, g, reps=reps)
+                        assert got == coset_product_transfer(G, H, g, reps=reps)
+                    assert G.context(H).images == before
+                    assert {g: transfer(G, H, g) for g in range(G.n)} == expected
+                    assert G.context(H).images == expected
 
 
 class TestSubgroupEnumeration:
