@@ -41,7 +41,6 @@ from .cyclicext import (
 from .normtest import (
     LocalNormVerdict,
     NormIndexReport,
-    cohomological_ratio,
     detect_p_divisibility,
     inert_conductor_index,
     local_norm_test,

@@ -190,8 +190,16 @@ def _cmd_scan(args, config_path) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if min(args.p_list) < 2:
+        raise ValueError("--p must be at least 2")
+    records = []
     with open(args.in_path, "r", encoding="utf-8") as fh:
-        records = [ScanRecord.from_json_line(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(ScanRecord.from_json_line(line))
+                except ValueError as exc:
+                    raise ValueError(f"{args.in_path} line {number}: {exc}") from None
     for p in args.p_list:
         print(stats(records, p).to_text())
     return 0

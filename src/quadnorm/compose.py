@@ -74,9 +74,6 @@ class RelativeElement:
     def norm(self) -> QuadInteger:
         return self.ext.relative_norm(self)
 
-    def is_scalar(self) -> bool:
-        return all(c == self.coords[0] for c in self.coords)
-
     def height(self) -> int:
         return max(c.height() for c in self.coords)
 
@@ -134,9 +131,6 @@ class RelativeExtension:
             raise ValueError(f"need {self.degree} coordinates")
         return RelativeElement(self, coords)
 
-    def zero(self) -> RelativeElement:
-        return self.element([self._zero] * self.degree)
-
     def scalar(self, c: QuadInteger) -> RelativeElement:
         """Embed c from the quadratic ring: c = -c * (sum of periods)."""
         return self.element([-c] * self.degree)
@@ -145,9 +139,6 @@ class RelativeExtension:
         coords = [self._zero] * self.degree
         coords[i % self.degree] = self._one
         return self.element(coords)
-
-    def from_int(self, k: int) -> RelativeElement:
-        return self.scalar(QuadInteger(self.field.d, k, 0))
 
     def _quad(self, u: int, v: int) -> QuadInteger:
         return QuadInteger(self.field.d, u, v, 2)

@@ -85,25 +85,6 @@ class Report:
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "title": self.title,
-                "overall": self.passed,
-                "claims": [
-                    {
-                        "name": c.name,
-                        "expected": repr(c.expected),
-                        "computed": repr(c.computed),
-                        "passed": c.passed,
-                        "note": c.note,
-                    }
-                    for c in self.claims
-                ],
-            },
-            separators=(",", ":"),
-        )
-
 
 EX79_REFERENCE_CUBIC = [-11, 21, -10, 1]  # ascending coefficients
 APPENDIX_CUBIC = [-167, 101, -18, 1]
@@ -287,6 +268,8 @@ class RunConfig:
 
 CONFIG_ENV_VAR = "QUADNORM_CONFIG"
 CONFIG_KEYS = ("dmax", "qmax", "p", "workers", "out", "oracle_check")
+# any other value is refused, so that a typo cannot turn a check off
+BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -323,7 +306,7 @@ def config_from_sources(path: str | None, overrides: dict) -> RunConfig:
         if key in data:
             try:
                 return cast(data[key])
-            except ValueError as exc:
+            except (ValueError, KeyError) as exc:
                 raise InvalidConfigError(f"bad value for {key}: {data[key]!r}") from exc
         return current
 
@@ -333,8 +316,7 @@ def config_from_sources(path: str | None, overrides: dict) -> RunConfig:
     cfg.p_list = tuple(plist)
     cfg.workers = pick("workers", int, cfg.workers)
     cfg.out_path = pick("out", str, cfg.out_path)
-    cfg.oracle_check = pick("oracle_check", lambda s: s.lower() in ("1", "true", "yes"),
-                            cfg.oracle_check)
+    cfg.oracle_check = pick("oracle_check", lambda s: BOOLEANS[s.lower()], cfg.oracle_check)
     return cfg.validate()
 
 
@@ -373,19 +355,24 @@ class ScanRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "ScanRecord":
+        """The record of a line that ``to_json_line`` wrote.  A malformed
+        line raises ValueError naming the missing or ill-typed key."""
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError("record is not a JSON object")
+        eps = _typed(data, "eps", dict)
         return cls(
-            d=data["d"],
-            delta=data["delta"],
-            h=data["h"],
-            h_plus=data["h_plus"],
-            divisors=tuple(data["divisors"]),
-            eps_a=data["eps"]["a"],
-            eps_b=data["eps"]["b"],
-            eps_den=data["eps"]["den"],
-            eps_norm=data["eps"]["norm"],
-            per_p=tuple(data["per_p"]),
-            h_oracle=data.get("h_oracle"),
+            d=_typed(data, "d", int),
+            delta=_typed(data, "delta", int),
+            h=_typed(data, "h", int),
+            h_plus=_typed(data, "h_plus", int),
+            divisors=tuple(_typed(data, "divisors", list)),
+            eps_a=_typed(eps, "a", int, where="eps."),
+            eps_b=_typed(eps, "b", int, where="eps."),
+            eps_den=_typed(eps, "den", int, where="eps."),
+            eps_norm=_typed(eps, "norm", int, where="eps."),
+            per_p=tuple(_typed(data, "per_p", list)),
+            h_oracle=None if data.get("h_oracle") is None else _typed(data, "h_oracle", int),
         )
 
     def csv_row(self, p_list: Iterable[int]) -> list[str]:
@@ -401,6 +388,17 @@ class ScanRecord:
             row.append(str(entry.get("witness_q", "")))
             row.append(str(entry.get("index", "")))
         return row
+
+
+def _typed(data: dict, key: str, kind: type, where: str = ""):
+    """data[key], checked to be a ``kind``; JSON's true and false are not
+    integers here."""
+    if key not in data:
+        raise ValueError(f"missing key '{where}{key}'")
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"key '{where}{key}' is not of type {kind.__name__}")
+    return value
 
 
 def csv_header(p_list: Iterable[int]) -> list[str]:

@@ -158,12 +158,6 @@ def norm_index(
     )
 
 
-def cohomological_ratio(report: NormIndexReport) -> int:
-    """p-part of the unit-cohomology ratio for the two tower layers; equals
-    the p-part of the index (the remaining factor is prime to p)."""
-    return p_part(report.index, report.p)
-
-
 @dataclass(frozen=True)
 class ConductorRecord:
     q: int

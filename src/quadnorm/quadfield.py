@@ -169,9 +169,6 @@ class QuadInteger:
             raise ArithmeticError("trace is not a rational integer")
         return q
 
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
-
     def inverse(self) -> "QuadInteger":
         n = self.norm()
         if abs(n) != 1:
@@ -201,10 +198,6 @@ class QuadInteger:
     def is_greater_than_one(self) -> bool:
         shifted = QuadInteger(self.d, self.a - self.den, self.b, 1)
         return shifted.sign() > 0
-
-
-def one(F: QuadraticField) -> QuadInteger:
-    return QuadInteger(F.d, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -311,17 +304,14 @@ class ResidueFieldElement:
     dmod: int
     root: int | None = None
 
-    def _check(self, other: "ResidueFieldElement") -> None:
-        if (self.q, self.dmod, self.root) != (other.q, other.dmod, other.root):
-            raise ValueError("elements of different residue fields")
-
     def _mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         """(x0 + x1*w)(y0 + y1*w) with w^2 = d, on coefficient pairs mod q."""
         q = self.q
         return (x[0] * y[0] + x[1] * y[1] * self.dmod) % q, (x[0] * y[1] + x[1] * y[0]) % q
 
     def __mul__(self, other: "ResidueFieldElement") -> "ResidueFieldElement":
-        self._check(other)
+        if (self.q, self.dmod, self.root) != (other.q, other.dmod, other.root):
+            raise ValueError("elements of different residue fields")
         c0, c1 = self._mul((self.c0, self.c1), (other.c0, other.c1))
         return ResidueFieldElement(self.q, c0, c1, self.dmod, self.root)
 

@@ -28,15 +28,14 @@ image of every g computed so far, so each (G, H) pays for its coset
 products once per element.  ``G.context(H)`` keeps one in a one-slot
 cache, replaced when H changes, and recognises its own H by identity:
 callers take the subgroups one at a time, so one slot saves all the
-repeated work and holds the memory of a single context.  Supplied
-representatives get a context of their own, with its own store of images.
-Membership reads the same context: O(n) table lookups, no integer lattice.
+repeated work and holds the memory of a single context.  Membership
+reads the same context: O(n) table lookups, no integer lattice.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .intmath import closure
 
@@ -262,7 +261,7 @@ class FiniteGroup:
 @dataclass(frozen=True)
 class TransferContext:
     """What the transfer needs about one subgroup H of G, and the transfer
-    images computed so far with its representatives."""
+    images computed so far."""
 
     Hset: frozenset[int]
     reps: tuple[int, ...]  # one representative per left coset of H
@@ -273,30 +272,16 @@ class TransferContext:
     images: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
 
-def transfer(G: FiniteGroup, H, g: int, reps: list[int] | None = None) -> int:
+def transfer(G: FiniteGroup, H, g: int) -> int:
     """Transfer of g into H modulo the derived subgroup of H, by the coset
-    product formula; returned as the least element of its H'-coset.
-
-    The representative set may be supplied (any transversal works; the
-    result is representative-independent, which the tests exercise).
-    Each value is computed once per context and read from its ``images``
-    after that; supplied representatives get a fresh store.
+    product formula over the least coset elements; returned as the least
+    element of its H'-coset.  The value does not depend on the
+    transversal.  Each value is computed once per context and read from
+    its ``images`` after that.
     """
     if not 0 <= g < G.n:
         raise ValueError(f"element {g} outside 0..{G.n - 1}")
     ctx = G.context(H)
-    if reps is not None:
-        for r in reps:
-            if not 0 <= r < G.n:
-                raise ValueError(f"representative {r} outside 0..{G.n - 1}")
-        if len(reps) * len(ctx.Hset) != G.n:
-            raise ValueError("not a transversal")
-        rep_of = {ctx.coset_of[r]: r for r in reps}
-        if len(rep_of) != len(reps):
-            raise ValueError("representatives do not cover the group")
-        ctx = replace(
-            ctx, reps=tuple(reps), coset_of=tuple(rep_of[m] for m in ctx.coset_of), images={}
-        )
     image = ctx.images.get(g)
     if image is not None:
         return image

@@ -82,6 +82,55 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "search_bound" in err
 
+    @pytest.mark.parametrize("value", ["ture", "2", ""])
+    def test_oracle_check_typo_is_2(self, capsys, tmp_path, value):
+        cfg = tmp_path / "scan.conf"
+        cfg.write_text(f"dmax=10\noracle_check={value}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "scan")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad value for oracle_check: {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["1", "true", "YES", "0", "False", "no"])
+    def test_oracle_check_values_in_any_case(self, capsys, tmp_path, value):
+        cfg = tmp_path / "scan.conf"
+        cfg.write_text(f"dmax=10\noracle_check={value}\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "scan")
+        assert code == 0
+        assert ('"h_oracle"' in out) == (value.lower() in ("1", "true", "yes"))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: {}, "missing key 'eps'"),
+        (lambda r: [1, 2], "record is not a JSON object"),
+        (lambda r: {**r, "eps": 5}, "key 'eps' is not of type dict"),
+        (lambda r: {**r, "h": "3"}, "key 'h' is not of type int"),
+        (lambda r: {**r, "h": True}, "key 'h' is not of type int"),
+        (lambda r: {**r, "per_p": None}, "key 'per_p' is not of type list"),
+        (lambda r: {**r, "h_oracle": 1.5}, "key 'h_oracle' is not of type int"),
+        (lambda r: {**r, "eps": {"a": 3, "b": 1, "norm": -1}}, "missing key 'eps.den'"),
+    ], ids=["empty", "list", "eps-int", "h-str", "h-bool", "per_p-null", "h_oracle-float",
+            "no-eps.den"])
+    def test_malformed_stats_record_is_2(self, capsys, tmp_path, edit, message):
+        good = scan_one(10, (3,), 0, False).to_json_line()
+        bad = json.dumps(edit(json.loads(good)))
+        path = tmp_path / "scan.jsonl"
+        path.write_text(f"{good}\n\n{bad}\n")
+        code, out, err = run(capsys, "stats", "--in", str(path), "--p", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} line 3: {message}\n"
+
+    def test_stats_line_that_is_not_json_is_2(self, capsys, tmp_path):
+        path = tmp_path / "scan.jsonl"
+        path.write_text("{\"d\": 2,\n")
+        code, out, err = run(capsys, "stats", "--in", str(path), "--p", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} line 1: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["0", "1", "-3"])
+    def test_stats_p_below_2_is_2_before_reading(self, capsys, tmp_path, p):
+        missing = tmp_path / "absent.jsonl"
+        code, out, err = run(capsys, "stats", "--in", str(missing), "--p", "3", "--p", p)
+        assert (code, out, err) == (2, "", "error: --p must be at least 2\n")
+
     def test_reduction_past_step_cap_is_2(self, capsys, monkeypatch):
         # the principal triple (1, 0, -94) is two rho steps from reduced
         monkeypatch.setattr(formclass, "_MAX_REDUCE_STEPS", 1)

@@ -79,7 +79,7 @@ class TestGaloisAction:
 
 class TestRelativeNorm:
     def test_norm_of_one(self, ext7_79):
-        assert ext7_79.relative_norm(ext7_79.from_int(1)) == QuadInteger(79, 1, 0)
+        assert ext7_79.relative_norm(ext7_79.scalar(QuadInteger(79, 1, 0))) == QuadInteger(79, 1, 0)
 
     def test_norm_of_period_conductor_7(self, ext7_79):
         assert ext7_79.relative_norm(ext7_79.period(0)) == QuadInteger(79, 1, 0)
@@ -592,7 +592,7 @@ class TestSearch:
     def test_finds_one_at_bound_1(self, ext7_10):
         hit = ext7_10.search_norm_element(QuadInteger(10, 1, 0), 1)
         assert hit != NOT_FOUND
-        assert hit.is_scalar() and hit.coords[0] == QuadInteger(10, -1, 0)
+        assert hit.coords == (QuadInteger(10, -1, 0),) * 3
 
     def test_finds_scalar_unit_at_its_height(self, ext7_10, field10):
         eps = fundamental_unit(field10).value
@@ -628,7 +628,7 @@ class TestFamilyPolynomial:
 
     def test_wrong_norm(self, ext37_79):
         with pytest.raises(WrongNormError):
-            ext37_79.family_polynomial(ext37_79.from_int(1))
+            ext37_79.family_polynomial(ext37_79.scalar(QuadInteger(79, 1, 0)))
 
 
 class TestCompositionCheck:

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -57,8 +56,7 @@ class TestVerifyScenarios:
         lines = rep.to_text().splitlines()
         assert len(lines) == len(rep.claims) + 2  # title and overall
         assert all(l.startswith(("PASS", "FAIL")) for l in lines[1:-1])
-        parsed = json.loads(rep.to_json())
-        assert parsed["overall"] is True
+        assert lines[-1] == "overall: PASS"
 
 
 class TestScan:

@@ -8,10 +8,8 @@ from quadnorm.formclass import class_group
 from quadnorm.harness import RunConfig, detection_sweep, scan
 from quadnorm.normtest import (
     NoAdmissibleConductorError,
-    NormIndexReport,
     RamifiedInNError,
     admissible_conductors,
-    cohomological_ratio,
     detect_p_divisibility,
     inert_conductor_index,
     local_norm_test,
@@ -153,22 +151,6 @@ class TestNormIndex:
         p = 49999999000001
         rep = norm_index(F, cyclic_descriptor(2 * p + 1, p, 1))
         assert rep.index == p and [v.local_order for v in rep.verdicts] == [p, p]
-
-
-class TestCohomologicalRatio:
-    def test_matches_index_p_part(self, field79, desc7):
-        assert cohomological_ratio(norm_index(field79, desc7)) == 3
-
-    def test_trivial_index(self, field10, desc7):
-        assert cohomological_ratio(norm_index(field10, desc7)) == 1
-
-    def test_p_square_index(self, field79, desc37):
-        base = norm_index(field79, desc37)
-        fake = NormIndexReport(
-            d=base.d, q=base.q, p=3, n=2, verdicts=base.verdicts, index=9,
-            ratio_p_part=9, t=0, caveat=True, c_estimate="1 or 2",
-        )
-        assert cohomological_ratio(fake) == 9
 
 
 class TestVerifyClassOrder:
