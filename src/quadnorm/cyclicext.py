@@ -4,14 +4,13 @@ The degree-p^n subfield of the q-th cyclotomic field is realized through
 its Gaussian periods.  A descriptor holds its conductor and degree; the
 residue degree of a prime ell is the order of ell^((q-1)/p^n), at most
 n + 1 modular powers, and the rest is computed on first read and cached:
-the primitive root g, the coset labels x -> discrete log of x^((q-1)/p^n)
-in the subgroup of order p^n, and the period tables.  These start from a
-label table of q bytes, labels[g^i] = i mod p^n from one walk of the
-powers of g.  The period multiplication table T[i][j][k] =
-T[0][j-i][k-i] is kept as its row 0 alone: the p^n cyclotomic rows
-R[m] = T[0][m], whose entries are the cyclotomic numbers (m, k), counted
-as the consecutive labels (label(x), label(x + 1)) in one pass, and
-stored as their nonzero entries (at most (q-1)/p^n for m != 0).
+the primitive root g and the period tables.  These start from a label
+table of q bytes, labels[g^i] = i mod p^n from one walk of the powers of
+g.  The period multiplication table T[i][j][k] = T[0][j-i][k-i] is kept
+as its row 0 alone: the p^n cyclotomic rows R[m] = T[0][m], whose
+entries are the cyclotomic numbers (m, k), counted as the consecutive
+labels (label(x), label(x + 1)) in one pass, and stored as their
+nonzero entries (at most (q-1)/p^n for m != 0).
 ``period_mul`` is the one product over the rows, for integer vectors here
 and for the relative arithmetic of ``compose``.  Tables are built only up
 to the conductor MAX_TABLE_CONDUCTOR and the degree MAX_TABLE_DEGREE, and
@@ -152,10 +151,9 @@ class CyclicExtensionDescriptor:
     """Degree p^n cyclic field of prime conductor q (q = 1 mod p^n).
 
     Holds the checked conductor and degree; ``residue_degree`` needs no
-    more.  The primitive root ``g``, the p^n-entry discrete-log table of
-    ``coset_label``, the q-byte label table of the rows and period images,
-    the rows and the period polynomial are cached properties, computed on
-    first read.  ``subgroup`` and the dense ``struct_constants`` are too.
+    more.  The primitive root ``g``, the q-byte label table of the rows and
+    period images, the rows, the dense ``struct_constants`` and the period
+    polynomial are cached properties, computed on first read.
     """
 
     def __init__(self, q: int, p: int, n: int):
@@ -174,24 +172,12 @@ class CyclicExtensionDescriptor:
         return _primitive_root(self.q)
 
     @cached_property
-    def _dlog(self) -> dict[int, int]:
-        # x^f lies in the order-degree subgroup generated by g^f, and its
-        # discrete log there is the discrete log of x base g, mod degree
-        gf = pow(self.g, self.f, self.q)
-        return {pow(gf, k, self.q): k for k in range(self.degree)}
-
-    def coset_label(self, x: int) -> int:
-        x %= self.q
-        if x == 0:
-            raise ValueError("0 has no coset label")
-        return self._dlog[pow(x, self.f, self.q)]
-
-    @cached_property
     def labels(self) -> bytearray:
-        """labels[x] = coset_label(x) for 0 < x < q, one byte per residue
-        (the degree is at most MAX_TABLE_DEGREE), from one walk of the
-        powers of g: labels[g^i] = i mod e, as (g^i)^f = (g^f)^i.  Built
-        on first use, by the rows or the period images."""
+        """labels[x] for 0 < x < q is the discrete log of x^f base g^f,
+        which names the coset of x modulo the period subgroup; one byte per
+        residue (the degree is at most MAX_TABLE_DEGREE), from one walk of
+        the powers of g: labels[g^i] = i mod e, as (g^i)^f = (g^f)^i.
+        Built on first use, by the rows or the period images."""
         q, e = self.q, self.degree
         check_table(q, e)
         g = self.g  # a local: the cached property is slow to read in a loop
@@ -215,12 +201,6 @@ class CyclicExtensionDescriptor:
             return 0
         q, p = self.q, self.p
         return p_power_order(pow(ell, self.f, q), p, self.n, lambda x: pow(x, p, q), 1)
-
-    @cached_property
-    def subgroup(self) -> tuple[int, ...]:
-        """The f elements of the index-p^n subgroup of (Z/q)^*, ascending."""
-        gd = pow(self.g, self.degree, self.q)
-        return tuple(sorted(pow(gd, j, self.q) for j in range(self.f)))
 
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:

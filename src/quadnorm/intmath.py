@@ -81,9 +81,11 @@ def is_squarefree(n: int) -> bool:
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n (n > 0)."""
+    """Largest power of p dividing n (n > 0, p > 1)."""
     if n <= 0:
         raise ValueError("p_part expects n > 0")
+    if p < 2:
+        raise ValueError("p_part expects p > 1")
     out = 1
     while n % p == 0:
         out *= p

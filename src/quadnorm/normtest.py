@@ -35,9 +35,10 @@ from .cyclicext import (
     properness_report,
 )
 from .formclass import class_group, prime_form
-from .intmath import kronecker, lcm, p_part, p_power_order, primes_up_to
+from .intmath import is_prime, kronecker, lcm, p_part, p_power_order, primes_up_to
 from .quadfield import (
     FundamentalUnit,
+    NotPrimeError,
     QuadInteger,
     QuadraticField,
     ResidueFieldElement,
@@ -199,8 +200,11 @@ def _sieved_primes(qmax: int) -> tuple[int, ...]:
 
 
 def admissible_conductors(F: QuadraticField, p: int, n: int, qmax: int) -> list[int]:
-    """Primes q <= qmax with q = 1 mod p^n, tame and unramified for the field."""
+    """Primes q <= qmax with q = 1 mod p^n, tame and unramified for the
+    field, for an odd prime p."""
     check_qmax(qmax)  # before anything is sieved
+    if p == 2 or not is_prime(p):
+        raise NotPrimeError(f"{p} is not an odd prime")
     if n >= qmax.bit_length():  # 2^n > qmax, so no q <= qmax is 1 mod p^n
         return []
     e = p**n
@@ -214,6 +218,7 @@ def verify_class_order(
     every proper conductor up to qmax."""
     if splitting_type(F, ell) is not SplittingType.SPLIT:
         raise ValueError(f"class prime {ell} must split in d={F.d}")
+    conductors = admissible_conductors(F, p, n, qmax)  # refuses a bad p first
     group = class_group(F, "wide")
     order = group.order_of(prime_form(F, ell))
     order_p = p_part(order, p)
@@ -221,7 +226,7 @@ def verify_class_order(
     records = []
     discrepancies = []
     any_proper = False
-    for q in admissible_conductors(F, p, n, qmax):
+    for q in conductors:
         desc = cyclic_descriptor(q, p, n)
         rep = properness_report(F, desc, ell)
         if not rep.overall:
@@ -281,8 +286,10 @@ def detect_p_divisibility(F: QuadraticField, p: int, qmax: int) -> DetectionResu
     for a witness that p divides the class number: one with index > 1.
 
     Every conductor scanned is inert, where ``inert_conductor_index``
-    decides the index as 1; its premises are checked per conductor, so a
-    bad p fails at the first conductor scanned.  The first conductor also
+    decides the index as 1; its premises are checked per conductor, and
+    ``admissible_conductors`` refuses a p that is not an odd prime before
+    any conductor is listed, so a bad p fails even when none would be
+    scanned.  The first conductor also
     goes through the full residue test (``norm_index``) as a run-time check
     of the lemma, and a disagreement raises ``ArithmeticError``.  The
     search therefore cannot return a witness: ``witness_q`` and

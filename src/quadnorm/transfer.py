@@ -6,9 +6,8 @@ associativity is checked by Light's test on a generating set (Clifford-
 Preston, *The Algebraic Theory of Semigroups*, vol. 1), ``all_subgroups``
 joins each subgroup with one element per left coset, walking each join
 <H, g> from H*g rather than from the identity, and the derived subgroup H'
-is closed from the commutators of H with a generating set of H.  Powers are
-read from the cycle e, a, a^2, ... of each element, walked once by table
-lookups.
+is closed from the commutators of H with H itself.  Powers are read from
+the cycle e, a, a^2, ... of each element, walked once by table lookups.
 
 The transfer map is computed from its coset-product definition (Isaacs,
 *Finite Group Theory*, ch. 5), the restricted transfer on the quotient is
@@ -95,7 +94,7 @@ class FiniteGroup:
         # Light's test: the s with (xs)y = x(sy) for all x, y are closed
         # under products, and right products of the generators reach every
         # element, so checking s in the generators alone is exact
-        self._gens = _generating_set(self, range(n))
+        self._gens = _generating_set(self)
         for s in self._gens:
             row_s = table[s]
             for x in range(n):
@@ -139,14 +138,6 @@ class FiniteGroup:
                     raise NotSubgroupError(f"subgroup not closed: {a}*{b}")
         return H
 
-    def is_normal(self, H) -> bool:
-        H = frozenset(H)
-        return all(
-            self.mul(self.mul(g, h), self.inverse[g]) in H
-            for g in range(self.n)
-            for h in H
-        )
-
     def derived_subgroup(self) -> frozenset[int]:
         if self._derived is None:
             self._derived = _derived_of_subgroup(self, range(self.n), self._gens)
@@ -165,7 +156,7 @@ class FiniteGroup:
             least = self._coset_minima(Hset)
             reps = tuple(x for x in range(self.n) if least[x] == x)
             greatest = dict(zip(least, range(self.n)))  # the last x of each coset
-            mod_derived = self._coset_minima(_derived_of_subgroup(self, Hset))
+            mod_derived = self._coset_minima(_derived_of_subgroup(self, Hset, Hset))
             # g = rk with k in H conjugates H as r does: n lookups decide it
             table, inverse = self.table, self.inverse
             normal = all(table[table[r][h]][inverse[r]] in Hset for r in reps for h in Hset)
@@ -235,17 +226,6 @@ class FiniteGroup:
         return g
 
     @classmethod
-    def symmetric(cls, n: int, max_order: int = DEFAULT_MAX_ORDER):
-        perms = sorted(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-        table = [
-            [index[tuple(a[b[i]] for i in range(n))] for b in perms] for a in perms
-        ]
-        g = cls(table, name=f"S{n}", max_order=max_order)
-        g.element_labels = tuple(perms)
-        return g
-
-    @classmethod
     def from_table_text(cls, text: str, name: str = "G", max_order: int = DEFAULT_MAX_ORDER):
         """Parse the text table format: one row per element, space-separated
         element indices."""
@@ -297,23 +277,21 @@ def transfer(G: FiniteGroup, H, g: int) -> int:
     return image
 
 
-def _generating_set(G: FiniteGroup, elements) -> tuple[int, ...]:
-    """Generators of the subgroup on ``elements``, taken greedily: the least
-    element not yet among the products of the earlier ones."""
+def _generating_set(G: FiniteGroup) -> tuple[int, ...]:
+    """Generators of G, taken greedily: the least element not yet among the
+    products of the earlier ones."""
     gens, span = (), {G.identity}
-    for x in sorted(elements):
+    for x in range(G.n):
         if x not in span:
             gens += (x,)
             span = closure(gens, G.mul, G.identity)
     return gens
 
 
-def _derived_of_subgroup(G: FiniteGroup, Hset, gens=None) -> frozenset[int]:
+def _derived_of_subgroup(G: FiniteGroup, Hset, gens) -> frozenset[int]:
     """H' as the closure of the commutators [a, s] for a in H and s in a
     generating set S of H.  By [xy, s] = x[y, s]x^-1 [x, s] the closure N is
     normal in H, and S is central modulo N, so H/N is abelian and N = H'."""
-    if gens is None:
-        gens = _generating_set(G, Hset)
     table, inverse = G.table, G.inverse
     commutators = {
         table[table[a][s]][table[inverse[a]][inverse[s]]] for a in Hset for s in gens

@@ -12,6 +12,8 @@ from quadnorm.harness import scan_one
 from quadnorm.intmath import is_prime
 from quadnorm.transfer import FiniteGroup
 
+from test_transfer import symmetric
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -49,12 +51,16 @@ class TestBasicCommands:
     @pytest.mark.parametrize("p, qmax, code_want, text", [
         ("9", "1000", 2, "error: 9 is not an odd prime"),
         ("2", "100", 2, "error: 2 is not an odd prime"),
-        ("9", "50", 0, "d=79 p=9 qmax=50 witness=none checked=-"),
+        ("9", "50", 2, "error: 9 is not an odd prime"),
+        ("9", "100", 2, "error: 9 is not an odd prime"),
+        ("4", "10", 2, "error: 4 is not an odd prime"),
+        ("1", "50", 2, "error: 1 is not an odd prime"),
+        ("0", "50", 2, "error: 0 is not an odd prime"),
+        ("-3", "50", 2, "error: -3 is not an odd prime"),
         ("3", "200", 0, "d=79 p=3 qmax=200 witness=none checked=19,37,109,163"),
     ])
     def test_detect_outcomes(self, capsys, p, qmax, code_want, text):
-        # a bad p fails at the first conductor the search decides, and
-        # passes when no conductor reaches the check
+        # a bad p fails before any conductor, also when none would be scanned
         code, out, err = run(capsys, "detect", "--d", "79", "--p", p, "--qmax", qmax)
         assert code == code_want
         assert (out if code == 0 else err).strip() == text
@@ -62,8 +68,9 @@ class TestBasicCommands:
     def test_scan_with_composite_p_is_2(self, capsys):
         code, _, err = run(capsys, "scan", "--dmax", "50", "--p", "9", "--qmax", "1000")
         assert code == 2 and "9 is not an odd prime" in err
-        code, out, _ = run(capsys, "scan", "--dmax", "10", "--p", "9", "--qmax", "50")
-        assert code == 0 and '"p":9' in out
+        # refused at the first field, though no conductor below 50 is 1 mod 81
+        code, out, err = run(capsys, "scan", "--dmax", "10", "--p", "9", "--qmax", "50")
+        assert (code, out) == (2, "") and "9 is not an odd prime" in err
 
 
 class TestExitCodes:
@@ -266,6 +273,18 @@ class TestExitCodes:
     def test_verify_thm14_missing_args(self, capsys):
         assert run(capsys, "verify", "thm14", "--d", "79")[0] == 2
 
+    @pytest.mark.parametrize("p", ["1", "4"])
+    def test_verify_thm14_refuses_a_bad_p_before_the_class_group(self, capsys, monkeypatch, p):
+        # p = 1 made the p-part of the class order loop for ever
+        def no_class_group(*args):
+            raise AssertionError("class group computed before p was checked")
+
+        monkeypatch.setattr(normtest, "class_group", no_class_group)
+        code, out, err = run(
+            capsys, "verify", "thm14", "--d", "10", "--l", "3", "--p", p, "--qmax", "50"
+        )
+        assert (code, out, err) == (2, "", f"error: {p} is not an odd prime\n")
+
 
 class PrimitiveRootSought(Exception):
     pass
@@ -432,7 +451,7 @@ class TestTransferCommand:
         )
 
     def test_s3_output_is_pinned(self, capsys, tmp_path):
-        S3 = FiniteGroup.symmetric(3)
+        S3 = symmetric(3)
         table = tmp_path / "s3.table"
         table.write_text(
             "\n".join(" ".join(str(x) for x in row) for row in S3.table) + "\n"

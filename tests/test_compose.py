@@ -36,6 +36,7 @@ from quadnorm.formclass import (
 )
 from quadnorm.quadfield import QuadInteger, fundamental_unit, make_field
 
+from test_cyclicext import subgroup
 from test_formclass import principal_class, sign_class, wide_rep
 
 
@@ -125,7 +126,7 @@ class TestStructConstants:
     def test_match_brute_cyclotomic(self, q, p, n):
         desc = period_polynomial(q, p, n)
         e = desc.degree
-        H = desc.subgroup
+        H = subgroup(desc)
         g = desc.g
         cosets = [[pow(g, j, q) * h % q for h in H] for j in range(e)]
         for i in range(e):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import tracemalloc
 from math import gcd
@@ -186,6 +187,35 @@ class TestDescriptorMemory:
         assert (desc.residue_degree(2) == 3) == (pow(2, desc.f, q) != 1)
 
 
+# The coset labels by a p^n-entry discrete-log table, and the period
+# subgroup as a sorted tuple: the inputs of the oracles below and of the
+# brute-force cyclotomic numbers in ``test_compose``.  The bodies are the
+# former descriptor members, unchanged; the cached properties are cached
+# per descriptor.
+
+
+@functools.cache
+def _dlog(self) -> dict[int, int]:
+    # x^f lies in the order-degree subgroup generated by g^f, and its
+    # discrete log there is the discrete log of x base g, mod degree
+    gf = pow(self.g, self.f, self.q)
+    return {pow(gf, k, self.q): k for k in range(self.degree)}
+
+
+def coset_label(self, x: int) -> int:
+    x %= self.q
+    if x == 0:
+        raise ValueError("0 has no coset label")
+    return _dlog(self)[pow(x, self.f, self.q)]
+
+
+@functools.cache
+def subgroup(self) -> tuple[int, ...]:
+    """The f elements of the index-p^n subgroup of (Z/q)^*, ascending."""
+    gd = pow(self.g, self.degree, self.q)
+    return tuple(sorted(pow(gd, j, self.q) for j in range(self.f)))
+
+
 # The residue degree as computed before it was the order of ell^f, kept as
 # the oracle: it reads the discrete-log table behind ``coset_label``.  The
 # body is the former descriptor method, unchanged.
@@ -199,7 +229,7 @@ def dlog_residue_degree(self, ell: int) -> int:
     """
     if ell % self.q == 0:
         return 0
-    k = self.coset_label(ell)
+    k = coset_label(self, ell)
     return self.degree // gcd(k, self.degree)
 
 
@@ -252,7 +282,7 @@ def coset_walk_rows(self):
     # period_label(1 + g^m h).  The one h with 1 + g^m h = 0 contributes
     # f * 1 = -f * (sum of periods).  H = <g^e> is walked, not stored.
     q, e, f, g = self.q, self.degree, self.f, self.g
-    dlog = self._dlog
+    dlog = _dlog(self)
     ge = pow(g, e, q)
     rows = []
     gm = 1
@@ -326,7 +356,7 @@ class TestLabelTable:
         desc = cyclic_descriptor(q, p, n)
         labels = desc.labels
         assert len(labels) == q
-        assert all(labels[x] == desc.coset_label(x) for x in range(1, q))
+        assert all(labels[x] == coset_label(desc, x) for x in range(1, q))
 
     def test_period_images_keep_no_list_of_powers(self):
         q = 100_003

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +29,7 @@ from quadnorm.formclass import (
     _abelian_basis,
     _class_key,
     _ClassTable,
+    _group_structure,
     _progression_starts,
     _structure,
 )
@@ -452,6 +453,33 @@ class TestNonCyclicStructure:
             for dv in divs:
                 expected *= gcd(k, dv)
             assert count == expected, f"d={d}, k={k}"
+
+
+# Two checks of the printed structure that run no ``_abelian_basis``.  Genus
+# theory gives the narrow 2-rank with no group law: it is omega(D) - 1, for
+# omega(D) the number of primes dividing D (Buell, *Binary Quadratic Forms*,
+# ch. 6).  And an abelian group with invariant factors m_1 | ... | m_r has
+# prod gcd(k, m_i) elements with x^k = 1; these counts for every k dividing
+# the exponent, with h = prod m_i, determine the group.
+SQUAREFREE_TO_10_000 = [d for d in range(2, 10_001) if is_squarefree(d)]
+
+
+class TestStructureWithoutTheBasis:
+    def test_genus_2_rank_and_order_counts(self):
+        for d in SQUAREFREE_TO_10_000:
+            D = make_field(d).disc
+            table = _ClassTable(D)  # one table for both flavors, as class_data shares it
+            for flavor in ("narrow", "wide"):
+                divs = _group_structure(table, flavor).elementary_divisors
+                if flavor == "narrow":
+                    assert sum(m % 2 == 0 for m in divs) == len(factorize(D)) - 1, d
+                rep, mul = table.law(flavor)
+                one = rep(table.identity)
+                elements = {rep(i) for i in range(len(table.classes))}
+                assert len(elements) == prod(divs), (d, flavor)
+                for k in divisors(divs[-1] if divs else 1):
+                    count = sum(power(x, k, mul, one) == one for x in elements)
+                    assert count == prod(gcd(k, m) for m in divs), (d, flavor, k)
 
 
 class TestReducedFormEnumeration:

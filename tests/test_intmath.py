@@ -3,9 +3,17 @@ import itertools
 import pytest
 
 from quadnorm.harness import abelian_group_types
-from quadnorm.intmath import closure, crt, element_order, power, primes_up_to, sqrt_mod_prime
+from quadnorm.intmath import (
+    closure,
+    crt,
+    element_order,
+    p_part,
+    power,
+    primes_up_to,
+    sqrt_mod_prime,
+)
 from quadnorm.transfer import FiniteGroup
-from test_transfer import oracle_groups
+from test_transfer import oracle_groups, symmetric
 
 
 def mulmod(m):
@@ -67,7 +75,7 @@ class TestClosure:
             FiniteGroup.cyclic_product(factors, max_order=36)
             for factors in abelian_group_types(36)
         ]
-        groups += [FiniteGroup.symmetric(3), FiniteGroup.symmetric(4)]
+        groups += [symmetric(3), symmetric(4)]
         checked = 0
         for G in groups:
             for H in G.all_subgroups():
@@ -82,7 +90,7 @@ class TestClosure:
 
     @pytest.mark.parametrize("n, derived_order", [(3, 3), (4, 12)])
     def test_commutator_closure_is_alternating_group(self, n, derived_order):
-        G = FiniteGroup.symmetric(n)
+        G = symmetric(n)
         seed = commutators(G)
         got = closure(seed, G.mul, G.identity)
         assert got == naive_closure(seed, G.mul, G.identity)
@@ -109,6 +117,18 @@ class TestClosure:
 
     def test_residue_powers(self):
         assert closure([2], mulmod(7), 1) == frozenset({1, 2, 4})
+
+
+class TestPPart:
+    def test_largest_power_dividing(self):
+        assert [p_part(n, 2) for n in (1, 2, 12, 96)] == [1, 2, 4, 32]
+        assert p_part(2 * 3**5, 3) == 3**5
+
+    @pytest.mark.parametrize("p", [1, 0, -2])
+    def test_p_below_2_is_refused(self, p):
+        # p = 1 divides every n, so the loop would never end
+        with pytest.raises(ValueError, match="^p_part expects p > 1$"):
+            p_part(12, p)
 
 
 class TestSqrtModPrime:

@@ -18,6 +18,7 @@ from quadnorm.normtest import (
 )
 from quadnorm.intmath import is_prime, is_squarefree
 from quadnorm.quadfield import (
+    NotPrimeError,
     QuadInteger,
     SplittingType,
     fundamental_unit,
@@ -220,6 +221,17 @@ class TestDetect:
         assert admissible_conductors(field79, 3, 2, 50) == [19, 37]
         assert admissible_conductors(field79, 3, 1, 0) == []
         assert admissible_conductors(field79, 3, 1, 2) == []
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 4, 9, -3])
+    def test_p_that_is_not_an_odd_prime_is_refused_before_sieving(self, field79, monkeypatch, p):
+        def no_sieve(n):
+            raise AssertionError(f"sieve up to {n} for p = {p}")
+
+        monkeypatch.setattr(normtest, "primes_up_to", no_sieve)
+        normtest._sieved_primes.cache_clear()
+        for qmax in (0, 10, 100):
+            with pytest.raises(NotPrimeError, match=f"^{p} is not an odd prime$"):
+                admissible_conductors(field79, p, 1, qmax)
 
     def test_qmax_above_the_ceiling_is_refused_before_sieving(self, field79, monkeypatch):
         def no_sieve(n):

@@ -30,22 +30,15 @@ from quadnorm.transfer import FiniteGroup
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-ORACLE = "an independent oracle, or an oracle's input"
 TRACED = "a name that perfbench/layers.py resolves"
 SIZE = "a branch chosen by input size"
 ACCEPTANCE = "a member that the acceptance tests read"
 API = "Python API that README declares"
 
 ALLOWLIST = {
-    "formclass.FormClass.__mul__": ORACLE,  # the form-level wide law
-    "quadfield.brute_force_unit": ORACLE,
-    "cyclicext.CyclicExtensionDescriptor.coset_label": ORACLE,  # the label-table oracle
-    "cyclicext.CyclicExtensionDescriptor._dlog": ORACLE,
-    "cyclicext.CyclicExtensionDescriptor.subgroup": ORACLE,  # brute cyclotomic numbers
-    "transfer.FiniteGroup.is_normal": ORACLE,
-    "transfer.FiniteGroup.symmetric": ORACLE,  # S3 and S4 of the oracle groups
     "formclass.all_reduced_forms": TRACED,
     "cyclicext.prime_power_modulus": SIZE,  # ring images above KRONECKER_MAX_CONDUCTOR
+    "formclass.FormClass.__mul__": ACCEPTANCE,  # criterion 8 squares a class
     "harness.Report.claim": ACCEPTANCE,
     "harness.SurveyInstance.vanishing_discrepancy": ACCEPTANCE,
     "cyclicext.CyclicExtensionDescriptor.struct_constants": ACCEPTANCE,
