@@ -17,7 +17,7 @@ from math import gcd, isqrt
 
 from .intmath import (
     closure,
-    element_order,
+    cycle,
     factorize,
     floor_quadsurd,
     is_prime,
@@ -374,7 +374,7 @@ class ClassGroupStructure:
     def order_of(self, cls: FormClass) -> int:
         rep, mul = self._table.law(self.flavor)
         one = rep(self._table.identity)
-        return element_order(self._index(cls), mul, one, bound=self.h)
+        return len(cycle(self._index(cls), mul, one, bound=self.h))
 
 
 def _abelian_basis(elements, mul, identity, key=repr):
@@ -382,13 +382,19 @@ def _abelian_basis(elements, mul, identity, key=repr):
     each order divides the one before it.
 
     Works on any hashable element list with a multiplication callback;
-    ``key`` orders the elements where a choice is made.  Intended for
-    desk-scale orders.
+    ``key`` orders the elements where a choice is made.  One ``cycle`` per
+    cyclic subgroup gives every order (x^j has order m/gcd(j, m)), and one
+    sweep in ``key`` order meets each coset y<x> first at its least element.
     """
     n = len(elements)
     if n == 1:
         return []
-    orders = {x: element_order(x, mul, identity, bound=n) for x in elements}
+    orders = {}
+    for y in elements:
+        if y not in orders:
+            powers = cycle(y, mul, identity, bound=n)
+            m = len(powers)
+            orders.update((z, m // gcd(j, m)) for j, z in enumerate(powers))
     basis = []
     x = min(elements, key=lambda y: (-orders[y], key(y)))  # order = exponent
     m = orders[x]
@@ -396,12 +402,13 @@ def _abelian_basis(elements, mul, identity, key=repr):
     if m == n:
         return basis
     # quotient by <x>, recurse, and lift generators back
-    xpow = [identity]
-    for _ in range(1, m):
-        xpow.append(mul(xpow[-1], x))
+    xpow = cycle(x, mul, identity)
     cyc = {acc: k for k, acc in enumerate(xpow)}
-    coset_rep = {y: min((mul(y, acc) for acc in xpow), key=key) for y in elements}
-    quotient = sorted(set(coset_rep.values()), key=key)
+    coset_rep, quotient = {}, []
+    for y in sorted(elements, key=key):
+        if y not in coset_rep:
+            quotient.append(y)
+            coset_rep.update((mul(y, acc), y) for acc in xpow)
 
     def qmul(u, v):
         return coset_rep[mul(u, v)]

@@ -23,7 +23,7 @@ from .cyclicext import (
     same_field_by_split_patterns,
 )
 from .formclass import class_data, class_group, minkowski_class_number, prime_form
-from .intmath import factorize, is_squarefree, poly_discriminant
+from .intmath import factorize, is_prime, is_squarefree, poly_discriminant
 from .quadfield import fundamental_unit, make_field
 from .transfer import FiniteGroup, diagram_check, restricted_transfer, transfer
 
@@ -261,8 +261,9 @@ class RunConfig:
             raise InvalidConfigError(f"qmax must be <= {normtest.MAX_QMAX}")
         if self.workers > MAX_WORKERS:
             raise InvalidConfigError(f"workers must be <= {MAX_WORKERS}")
-        if any(p < 3 or p % 2 == 0 for p in self.p_list):
-            raise InvalidConfigError("p values must be odd primes >= 3")
+        for p in self.p_list:
+            if p == 2 or not is_prime(p):
+                raise InvalidConfigError(f"{p} is not an odd prime")
         return self
 
 

@@ -3,10 +3,10 @@
 Everything here is plain ``int`` arithmetic: no floats are used anywhere,
 so results are bit-exact at any size.  ``newton_charpoly`` takes the exact
 division of its ring as a callback, so the quadratic ring shares it with
-the integers.  The generic group routines at the end (powering, element
-order, p-power order, closure) serve every group in the package; only the
-multiplication-table groups of ``transfer`` read powers from a cached cycle
-per element instead.
+the integers.  The generic group routines at the end (powering, the cycle
+of powers that gives an element's order, p-power order, closure) serve
+every group in the package; the multiplication-table groups of
+``transfer`` keep each element's ``cycle`` and read their powers from it.
 """
 
 from __future__ import annotations
@@ -291,18 +291,18 @@ def power(x, k: int, mul, one):
     return acc
 
 
-def element_order(x, mul, one, bound: int | None = None) -> int:
-    """Least k >= 1 with x**k == one, by repeated multiplication.
+def cycle(x, mul, one, bound: int | None = None) -> list:
+    """The powers one, x, x**2, ..., x**(m-1) of x, m its order.
 
     Raises ArithmeticError when the order would exceed ``bound``.
     """
-    k, acc = 1, x
+    powers, acc = [one], x
     while acc != one:
-        if bound is not None and k >= bound:
+        if bound is not None and len(powers) >= bound:
             raise ArithmeticError(f"element order exceeds {bound}")
+        powers.append(acc)
         acc = mul(acc, x)
-        k += 1
-    return k
+    return powers
 
 
 def p_power_order(x, p: int, n: int, pth, one) -> int:

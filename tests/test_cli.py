@@ -72,6 +72,25 @@ class TestBasicCommands:
         code, out, err = run(capsys, "scan", "--dmax", "10", "--p", "9", "--qmax", "50")
         assert (code, out) == (2, "") and "9 is not an odd prime" in err
 
+    @pytest.mark.parametrize("p", ["9", "15"])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_scan_refuses_composite_p_before_any_field(
+        self, capsys, monkeypatch, tmp_path, p, from_file
+    ):
+        # the config check refuses it: no field is computed, no pool starts
+        def unreachable(*args, **kwargs):
+            raise AssertionError("scan started")
+
+        monkeypatch.setattr(harness, "scan_one", unreachable)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", unreachable)
+        if from_file:
+            cfg = tmp_path / "scan.conf"
+            cfg.write_text(f"dmax=6\nqmax=0\np={p}\nworkers=2\n")
+            argv = ("--config", str(cfg), "scan")
+        else:
+            argv = ("scan", "--dmax", "6", "--qmax", "0", "--p", p, "--workers", "2")
+        assert run(capsys, *argv) == (2, "", f"error: {p} is not an odd prime\n")
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):

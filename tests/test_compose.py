@@ -27,7 +27,7 @@ from quadnorm.cyclicext import (
     prime_power_modulus,
     primes_one_mod_2q,
 )
-from quadnorm.intmath import element_order, is_prime, is_squarefree, kronecker, primes_up_to
+from quadnorm.intmath import cycle, is_prime, is_squarefree, kronecker, primes_up_to
 from quadnorm.formclass import (
     DiscriminantMismatchError,
     FormClass,
@@ -677,9 +677,9 @@ def composition_check_oracle(P, Q, W) -> CompositionCheck:
 
     def wide_order(cls: FormClass) -> int:
         """Order of the class in the ideal class group (wide)."""
-        return element_order(
+        return len(cycle(
             wide_rep(cls, J), lambda x, y: wide_rep(x * y, J), one, _MAX_CLASS_ORDER
-        )
+        ))
 
     if wide_order(P.attached_class) != e or wide_order(Q.attached_class) != e:
         raise OrderViolationError("attached classes must have order p^n")

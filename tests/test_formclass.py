@@ -328,6 +328,92 @@ class TestInvariantFactorChain:
             assert_basis_is_a_chain(*args)
 
 
+# The basis as built before one ``cycle`` per cyclic subgroup, kept as an
+# oracle: it finds every order by its own walk and every coset's least
+# element as the minimum over the whole coset, Σ ord(x) + h·m products.
+
+
+def element_order(x, mul, one, bound: int | None = None) -> int:
+    """Least k >= 1 with x**k == one, by repeated multiplication.
+
+    Raises ArithmeticError when the order would exceed ``bound``.
+    """
+    k, acc = 1, x
+    while acc != one:
+        if bound is not None and k >= bound:
+            raise ArithmeticError(f"element order exceeds {bound}")
+        acc = mul(acc, x)
+        k += 1
+    return k
+
+
+def coset_minima_basis(elements, mul, identity, key=repr):
+    n = len(elements)
+    if n == 1:
+        return []
+    orders = {x: element_order(x, mul, identity, bound=n) for x in elements}
+    basis = []
+    x = min(elements, key=lambda y: (-orders[y], key(y)))  # order = exponent
+    m = orders[x]
+    basis.append((x, m))
+    if m == n:
+        return basis
+    # quotient by <x>, recurse, and lift generators back
+    xpow = [identity]
+    for _ in range(1, m):
+        xpow.append(mul(xpow[-1], x))
+    cyc = {acc: k for k, acc in enumerate(xpow)}
+    coset_rep = {y: min((mul(y, acc) for acc in xpow), key=key) for y in elements}
+    quotient = sorted(set(coset_rep.values()), key=key)
+
+    def qmul(u, v):
+        return coset_rep[mul(u, v)]
+
+    for gen_bar, order_bar in coset_minima_basis(quotient, qmul, coset_rep[identity], key):
+        t = cyc[power(gen_bar, order_bar, mul, identity)]
+        if t % order_bar:
+            raise ArithmeticError("abelian basis lifting failed")
+        lifted = mul(gen_bar, xpow[(m - t // order_bar) % m])
+        basis.append((lifted, order_bar))
+    return basis
+
+
+class TestBasisAgainstCosetMinima:
+    """``_abelian_basis`` makes the same choices as the oracle: the same
+    generators, in the same order, with the same orders."""
+
+    def test_class_groups_to_3000(self):
+        for d in range(2, 3001):
+            if not is_squarefree(d):
+                continue
+            table = _ClassTable(make_field(d).disc)
+            for flavor in ("narrow", "wide"):
+                rep, mul = table.law(flavor)
+                elements = sorted({rep(i) for i in range(len(table.classes))})
+                args = (elements, mul, rep(table.identity), table.reprs.__getitem__)
+                assert _abelian_basis(*args) == coset_minima_basis(*args), (d, flavor)
+
+    def test_relabelled_abelian_groups_to_64(self):
+        for seed, factors in enumerate(abelian_group_types(64)):
+            args = relabelled_abelian_group(factors, seed) + (int,)
+            assert _abelian_basis(*args) == coset_minima_basis(*args), factors
+
+    @pytest.mark.parametrize("d", [100000001, 100000002, 100000010])
+    def test_products_near_1e8_stay_linear_in_h(self, d, monkeypatch):
+        # the oracle's walks make 437 409 products at d = 100000001 (h+ = 720)
+        calls = 0
+        mul = _ClassTable.mul
+
+        def counted(self, i, j):
+            nonlocal calls
+            calls += 1
+            return mul(self, i, j)
+
+        monkeypatch.setattr(_ClassTable, "mul", counted)
+        h_plus, _ = class_data(make_field(d))
+        assert calls <= 10 * h_plus, (calls, h_plus)
+
+
 class TestClassGroup:
     def test_wide_79(self, field79):
         g = class_group(field79, "wide")

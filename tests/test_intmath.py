@@ -6,7 +6,7 @@ from quadnorm.harness import abelian_group_types
 from quadnorm.intmath import (
     closure,
     crt,
-    element_order,
+    cycle,
     p_part,
     power,
     primes_up_to,
@@ -50,23 +50,23 @@ class TestPower:
             power(3, -1, mulmod(7), 1)
 
 
-class TestElementOrder:
+class TestCycle:
     def test_multiplicative_orders(self):
         # 2 is a primitive root mod 11; 3 has order 5 mod 11
-        assert element_order(2, mulmod(11), 1) == 10
-        assert element_order(3, mulmod(11), 1) == 5
-        assert element_order(1, mulmod(11), 1) == 1
+        assert cycle(2, mulmod(11), 1) == [pow(2, k, 11) for k in range(10)]
+        assert cycle(3, mulmod(11), 1) == [pow(3, k, 11) for k in range(5)]
+        assert cycle(1, mulmod(11), 1) == [1]
 
     def test_bound_is_inclusive(self):
-        assert element_order(2, mulmod(11), 1, bound=10) == 10
+        assert cycle(2, mulmod(11), 1, bound=10) == [pow(2, k, 11) for k in range(10)]
 
     def test_raises_past_bound(self):
-        with pytest.raises(ArithmeticError):
-            element_order(2, mulmod(11), 1, bound=9)
+        with pytest.raises(ArithmeticError, match="^element order exceeds 9$"):
+            cycle(2, mulmod(11), 1, bound=9)
         C36 = FiniteGroup.cyclic_product([36])
-        assert element_order(1, C36.mul, C36.identity, bound=36) == 36
-        with pytest.raises(ArithmeticError):
-            element_order(1, C36.mul, C36.identity, bound=35)
+        assert cycle(1, C36.mul, C36.identity, bound=36) == list(range(36))
+        with pytest.raises(ArithmeticError, match="^element order exceeds 35$"):
+            cycle(1, C36.mul, C36.identity, bound=35)
 
 
 class TestClosure:

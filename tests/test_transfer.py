@@ -584,6 +584,16 @@ class TestAugmentationLattices:
                     rhs = GroupRingElement.delta(G, x) + GroupRingElement.delta(G, y)
                     assert augmentation_membership(G, full, lhs - rhs, "IG2")
 
+    def test_ig2_keeps_the_context_of_h(self):
+        # I_G^2 is decided in G/G', so H's context stays in the one slot
+        G = FiniteGroup.cyclic_product([6, 6])
+        H = next(K for K in G.all_subgroups() if len(K) == 6)
+        ctx = G.context(H)
+        x = GroupRingElement.delta(G, 1) * GroupRingElement.delta(G, max(H))
+        for kind in ("IG2", "IGIH", "IG2", "IH+IGIH"):
+            assert augmentation_membership(G, H, x, kind)
+            assert G.context(H) is ctx
+
     def test_element_of_another_group_is_rejected(self):
         C4, C2xC2 = FiniteGroup.cyclic_product([4]), klein_four()
         x = GroupRingElement.delta(C2xC2, 1)
