@@ -22,6 +22,7 @@ from .intmath import (
     floor_quadsurd,
     is_prime,
     is_square,
+    kronecker,
     power,
     primes_up_to,
     sqrt_mod_prime,
@@ -215,10 +216,9 @@ def _progression_starts(D: int, p: int) -> set[int]:
     b0 = 2 - D % 2
     if p == 2:
         return {i for i in (0, 1) if (D - (b0 + 2 * i) ** 2) // 4 % 2 == 0}
-    try:
-        r = sqrt_mod_prime(D, p)
-    except ValueError:
+    if kronecker(D, p) == -1:
         return set()
+    r = sqrt_mod_prime(D, p)
     half = (p + 1) // 2  # the inverse of 2 mod p
     return {(r - b0) * half % p, (-r - b0) * half % p}
 
@@ -484,11 +484,11 @@ def prime_form_raw(F: QuadraticField, ell: int) -> BinaryQuadraticForm:
     if not is_prime(ell):
         raise NotPrimeError(f"{ell} is not prime")
     D = F.disc
-    for b in range(0, 2 * ell):
-        if (b * b - D) % (4 * ell) == 0:
-            f = BinaryQuadraticForm(ell, b, (b * b - D) // (4 * ell))
-            if f.is_primitive():
-                return f
+    b0 = 2 - D % 2
+    for b in sorted((b0 + 2 * i) % (2 * ell) for i in _progression_starts(D, ell)):
+        f = BinaryQuadraticForm(ell, b, (b * b - D) // (4 * ell))
+        if f.is_primitive():
+            return f
     raise InertPrimeError(f"{ell} is inert: no form of discriminant {D} represents it")
 
 

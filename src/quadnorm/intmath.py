@@ -12,7 +12,7 @@ every group in the package; the multiplication-table groups of
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd, isqrt
+from math import isqrt
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -93,55 +93,36 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a | n)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if a % 2 == 0 and n % 2 == 0:
-        return 0
-    v = 0
-    while n % 2 == 0:
-        v += 1
-        n //= 2
-    k = 1
-    if v % 2 == 1 and a % 8 in (3, 5):
-        k = -1
-    if n < 0:
-        n = -n
-        if a < 0:
-            k = -k
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                k = -k
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            k = -k
-        a %= n
-    return k if n == 1 else 0
+def kronecker(a: int, q: int) -> int:
+    """The symbol (a | q) at a prime q, which the caller must guarantee.
+
+    For odd q it is Euler's criterion, a^((q-1)/2) mod q read as -1, 0 or
+    1; at q = 2 it is 0 for even a, 1 for a = +-1 and -1 for a = +-3 mod 8.
+    """
+    if q == 2:
+        return 0 if a % 2 == 0 else 1 if a % 8 in (1, 7) else -1
+    t = pow(a, (q - 1) // 2, q)
+    return -1 if t == q - 1 else t
 
 
 def sqrt_mod_prime(a: int, q: int) -> int:
     """Smallest square root of a modulo an odd prime q (Tonelli-Shanks,
     Cohen GTM 138, Alg. 1.5.1).
 
-    Raises ValueError when a is a non-residue, and at q = 2, where the
-    non-residue search below would never stop.
+    Raises ValueError when a is a non-residue, and at q = 2.
     """
     if q == 2:
         raise ValueError("sqrt_mod_prime expects an odd prime")
     a %= q
     if a == 0:
         return 0
-    if pow(a, (q - 1) // 2, q) != 1:
+    if kronecker(a, q) != 1:
         raise ValueError(f"{a} is not a square modulo {q}")
     e, t = 0, q - 1  # q - 1 = 2^e * t with t odd
     while t % 2 == 0:
         e, t = e + 1, t // 2
     n = 2
-    while pow(n, (q - 1) // 2, q) == 1:
+    while kronecker(n, q) != -1:
         n += 1
     z = pow(n, t, q)  # generates the 2-Sylow subgroup of (Z/q)*
     r, b = pow(a, (t + 1) // 2, q), pow(a, t, q)
@@ -267,10 +248,6 @@ def newton_charpoly(psums, div_exact) -> list:
             acc = acc + top[i - 1] * psums[k - 1 - i]
         top.append(div_exact(-acc, k))
     return top[::-1]
-
-
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 # --- generic group routines -------------------------------------------------

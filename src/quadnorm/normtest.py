@@ -25,6 +25,7 @@ computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,7 +36,7 @@ from .cyclicext import (
     properness_report,
 )
 from .formclass import class_group, prime_form
-from .intmath import is_prime, kronecker, lcm, p_part, p_power_order, primes_up_to
+from .intmath import is_prime, kronecker, p_part, p_power_order, primes_up_to
 from .quadfield import (
     FundamentalUnit,
     NotPrimeError,
@@ -137,14 +138,10 @@ def norm_index(
     eps = fundamental_unit(F) if unit is None else unit
     if eps.value.d != F.d:
         raise ValueError(f"unit of d={eps.value.d} passed for d={F.d}")
-    if splitting_type(F, desc.q) is SplittingType.SPLIT:
-        roots = split_roots(F, desc.q)
-        verdicts = tuple(local_norm_test(F, eps.value, desc, r) for r in roots)
-    else:
-        verdicts = (local_norm_test(F, eps.value, desc, None),)
-    index = 1
-    for v in verdicts:
-        index = lcm(index, v.local_order)
+    split = splitting_type(F, desc.q) is SplittingType.SPLIT
+    roots = split_roots(F, desc.q) if split else (None,)
+    verdicts = tuple(local_norm_test(F, eps.value, desc, r) for r in roots)
+    index = math.lcm(*(v.local_order for v in verdicts))
     return NormIndexReport(
         d=F.d,
         q=desc.q,

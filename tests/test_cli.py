@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from contextlib import contextmanager
 from itertools import islice
@@ -68,7 +70,7 @@ class TestBasicCommands:
     def test_scan_with_composite_p_is_2(self, capsys):
         code, _, err = run(capsys, "scan", "--dmax", "50", "--p", "9", "--qmax", "1000")
         assert code == 2 and "9 is not an odd prime" in err
-        # refused at the first field, though no conductor below 50 is 1 mod 81
+        # refused before any field, though no conductor below 50 is 1 mod 81
         code, out, err = run(capsys, "scan", "--dmax", "10", "--p", "9", "--qmax", "50")
         assert (code, out) == (2, "") and "9 is not an odd prime" in err
 
@@ -288,6 +290,19 @@ class TestExitCodes:
             "--qmax", "50",
         )
         assert code == 1 and "agreement=False" in out
+
+    def test_verify_thm14_at_a_large_split_prime_returns(self):
+        # a split class prime near 10^12 must be cheap: the form above l
+        # takes b from two square roots mod l; the timeout fails, not hangs
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        argv = ["verify", "thm14", "--d", "10", "--l", "1000000000039", "--p", "3",
+                "--qmax", "200"]
+        out = subprocess.run(
+            [sys.executable, "-m", "quadnorm.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[0] == "d=10 l=1000000000039 class_order=1 p_part=1"
 
     def test_verify_thm14_missing_args(self, capsys):
         assert run(capsys, "verify", "thm14", "--d", "79")[0] == 2

@@ -487,6 +487,35 @@ class TestPrimeForm:
             prime_form(field79, 37)
 
 
+def scan_prime_form(F, ell):
+    """The form (ell, b, c) with minimal b in [0, 2*ell), by the scan over
+    every such b that ``prime_form_raw`` ran before it took b from
+    ``_progression_starts``; its oracle."""
+    D = F.disc
+    for b in range(0, 2 * ell):
+        if (b * b - D) % (4 * ell) == 0:
+            f = BinaryQuadraticForm(ell, b, (b * b - D) // (4 * ell))
+            if f.is_primitive():
+                return f
+    raise InertPrimeError(f"{ell} is inert: no form of discriminant {D} represents it")
+
+
+def test_prime_form_matches_scan_below_1000():
+    # squarefree d < 1000 against every prime l < 200: split, ramified
+    # (odd and at 2) and inert, where both raise
+    primes = primes_up_to(199)
+    for d in filter(is_squarefree, range(2, 1000)):
+        F = make_field(d)
+        for ell in primes:
+            try:
+                want = scan_prime_form(F, ell)
+            except InertPrimeError:
+                with pytest.raises(InertPrimeError):
+                    prime_form_raw(F, ell)
+            else:
+                assert prime_form_raw(F, ell) == want, (d, ell)
+
+
 class TestPolya:
     def test_example_316(self, field79):
         r = polya_report(field79)

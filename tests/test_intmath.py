@@ -7,6 +7,7 @@ from quadnorm.intmath import (
     closure,
     crt,
     cycle,
+    kronecker,
     p_part,
     power,
     primes_up_to,
@@ -152,6 +153,44 @@ class TestSqrtModPrime:
             else:
                 with pytest.raises(ValueError):
                     sqrt_mod_prime(a, q)
+
+
+def reciprocity_kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a | n), by the reciprocity loop that served any
+    modulus before ``kronecker`` was narrowed to primes; its oracle."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    if a % 2 == 0 and n % 2 == 0:
+        return 0
+    v = 0
+    while n % 2 == 0:
+        v += 1
+        n //= 2
+    k = 1
+    if v % 2 == 1 and a % 8 in (3, 5):
+        k = -1
+    if n < 0:
+        n = -n
+        if a < 0:
+            k = -k
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                k = -k
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            k = -k
+        a %= n
+    return k if n == 1 else 0
+
+
+def test_kronecker_matches_reciprocity_at_every_prime_below_3000():
+    # q = 2 included; a runs over negatives, multiples of q and a > q
+    for q in primes_up_to(3000):
+        for a in range(-60, 400):
+            assert kronecker(a, q) == reciprocity_kronecker(a, q), (a, q)
 
 
 def test_crt_matches_scan():

@@ -113,7 +113,7 @@ class TestNormIndex:
 
     def test_invariant_under_coprime_unit_power(self, field79, desc7):
         eps = fundamental_unit(field79).value
-        from quadnorm.intmath import lcm
+        from math import lcm
 
         for j in (1, 2, 4, 5):
             verdicts = [
