@@ -11,24 +11,25 @@ as its row 0 alone: the p^n cyclotomic rows R[m] = T[0][m], whose
 entries are the cyclotomic numbers (m, k), counted as the consecutive
 labels (label(x), label(x + 1)) in one pass, and stored as their
 nonzero entries (at most (q-1)/p^n for m != 0).
-``period_mul`` is the one product over the rows, for integer vectors here
-and for the relative arithmetic of ``compose``.  Tables are built only up
-to the conductor MAX_TABLE_CONDUCTOR and the degree MAX_TABLE_DEGREE, and
-no descriptor is made above the conductor MAX_CONDUCTOR.  ``ring_image``
-gives the periods' images in Z/M, summed in one pass over the label
-table, under a ring map zeta -> z with Phi_q(z) = 0 (mod M), for the
-relative norms of ``compose``: M = Phi_q(2^w) and z = 2^w up to
-KRONECKER_MAX_CONDUCTOR, and above it M = ell^k for the least prime
+``period_mul`` is the one product over the rows, for the relative
+arithmetic of ``compose``.  Tables are built only up to the conductor
+MAX_TABLE_CONDUCTOR and the degree MAX_TABLE_DEGREE, and no descriptor is
+made above the conductor MAX_CONDUCTOR.  ``period_images`` gives the
+periods' images in Z/M under a ring map zeta -> z with Phi_q(z) = 0
+(mod M), from one blocked pass over the label table.  ``ring_image`` takes
+them for the relative norms of ``compose``: M = Phi_q(2^w) and z = 2^w up
+to KRONECKER_MAX_CONDUCTOR, and above it M = ell^k for the least prime
 ell = 1 (mod 2q), sized by the caller's bound and not by q.  The period
-polynomial is computed exactly by group-ring arithmetic (power sums of
-periods are integers, turned into coefficients by Newton's identities).
-On construction its discriminant, the Hankel determinant det(s_(i+j)) of
-the power sums, is verified to be the field discriminant q^(p^n - 1)
-times a perfect square, the square of the index of one period's power
-basis in the ring of integers; the literal identity disc = q^(p^n - 1)
-holds only where that index is 1.  Admissibility conditions on a
-compositum with a real quadratic field (class prime inert, tower, inert
-conductor) are decided here.
+polynomial is read off the same images modulo ell^k > 2 (2f)^e, every
+period being at most f in absolute value: its coefficients from the
+product of the linear factors x - P[m], and the index I of one period's
+power basis in the ring of integers from the norms of the period
+differences, whose product squared is the discriminant q^(p^n - 1) I^2.
+Each value is lifted symmetrically and checked against its bound, and
+q^((p^n - 1)/2) must divide the norms' product; the literal identity
+disc = q^(p^n - 1) holds only where I is 1.  Admissibility
+conditions on a compositum with a real quadratic field (class prime
+inert, tower, inert conductor) are decided here.
 """
 
 from __future__ import annotations
@@ -38,15 +39,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
-from math import isqrt
+from math import comb, isqrt
 
 from .intmath import (
-    bareiss_det,
-    exact_div,
     factorize,
     is_prime,
     kronecker,
-    newton_charpoly,
     p_power_order,
     poly_discriminant,
     primes_up_to,
@@ -109,28 +107,33 @@ def check_conductor(q: int, p: int, n: int) -> int:
 
 
 # Largest conductor whose period table is built.  The label table takes a
-# byte and a modular product per residue; ``ext`` just below it took 0.5 s
-# at degree 3, 0.9 s at degree 25 and 2.5 s at degree 49 (1.7 s of it the
-# Hankel discriminant) on a 2-core host.  Descriptors without a table
-# (``cyclic_descriptor``, ``check_conductor``) stop at MAX_CONDUCTOR.
+# byte and a modular product per residue, and the period polynomial one
+# blocked walk of it; ``ext`` just below it took 0.6-1.0 s at each of the
+# degrees 3, 25, 49 and 61 on a 2-core host (medians of three; the host's
+# speed moves by up to 40%), about half of it the label table.
+# Descriptors without a table (``cyclic_descriptor``, ``check_conductor``)
+# stop at MAX_CONDUCTOR.
 MAX_TABLE_CONDUCTOR = 2_000_000
 
 # Largest degree whose period table is built; labels fit in a byte.  The
-# period polynomial takes e products of e-vectors and an e x e Hankel
-# determinant; ``ext`` at the largest admissible conductor below
-# MAX_TABLE_CONDUCTOR took 2.5 s at degree 49, 6.6 s at 61, 12.1 s at 67
-# and 17.5 s at 71 on a 2-core host, all but 0.7 s of it the period
-# polynomial.
+# period polynomial takes one walk of the label table modulo ell^k, of
+# about e log2(2f) bits, and O(e^2) products modulo it; at the largest
+# admissible conductor below MAX_TABLE_CONDUCTOR the label table and the
+# polynomial took 0.7-0.9 s at degrees 49 and 61, and 0.6 s at 67 and 71
+# with this ceiling lifted, on a 2-core host, 0.25-0.55 s of it the label
+# table.
 MAX_TABLE_DEGREE = 61
 
 # Largest conductor whose ring images (``ring_image``) are taken modulo
 # Phi_q(2^w); above it they are taken modulo ell^k.  The three norms of a
 # sparse alpha, beta and alpha*beta on a descriptor with fresh images took,
-# Phi_q(2^w) against ell^k on a 2-core host, at degrees 3 and 25: 0.35
-# against 0.78 ms and 1.8 against 4.2 ms near q = 1000; 2.0 against 2.1 ms
-# and 14.4 against 14.4 ms near q = 4000; 3.6 against 3.9 ms and 19.0
-# against 18.1 ms near q = 5000; 12.1 against 7.9 ms and 70.9 against
-# 40.3 ms near q = 10000 (medians of three runs).
+# Phi_q(2^w) against ell^k on a 2-core host, at degrees 3 and 25, with the
+# blocked ``period_images``: 0.37 against 0.54 ms and 1.6 against 2.8 ms
+# near q = 1000; 1.2 against 0.8 ms and 14.1 against 5.5 ms near q = 4000;
+# 2.4 against 1.4 ms and 20.8 against 7.8 ms near q = 5000; 6.9 against
+# 2.9 ms and 63.2 against 7.5 ms near q = 10000 (medians of three runs).
+# The crossover now lies between 1000 and 4000; the ceiling was set when
+# the walk took one product per residue.
 KRONECKER_MAX_CONDUCTOR = 4000
 
 
@@ -145,6 +148,15 @@ def check_table(q: int, degree: int) -> None:
         raise ConductorInvalidError(
             f"degree {degree} is above the period-table ceiling {MAX_TABLE_DEGREE}"
         )
+
+
+def image_block(q: int, degree: int) -> int:
+    """Residues per block of ``period_images``: isqrt(q * degree), and at
+    least 8 * degree.  A walk makes q additions, about q * degree / B
+    modular products and B stored powers, fewest near B = sqrt(q * degree);
+    the floor keeps the e block sums and products few against the B
+    additions when q is small."""
+    return max(8 * degree, isqrt(q * degree))
 
 
 class CyclicExtensionDescriptor:
@@ -231,12 +243,30 @@ class CyclicExtensionDescriptor:
     def period_images(self, z: int, modulus: int) -> tuple[int, ...]:
         """P[m] = sum of z^x over the x with label m, mod ``modulus``: the
         periods under zeta -> z, for a z with Phi_q(z) = 0 modulo
-        ``modulus``, in one pass over the label table."""
-        sums = [0] * self.degree
-        zx = 1
-        for label in islice(self.labels, 1, None):  # x = 1, ..., q - 1
-            zx = zx * z % modulus
-            sums[label] += zx
+        ``modulus``, in one pass over the label table.
+
+        The pass runs in blocks of B = ``image_block(q, degree)`` residues:
+        for x = s + j in the block from s, z^x = z^s * z^j, so each residue
+        adds the stored power z^j to its label's block sum, and each block
+        costs one modular product per period, by z^s, and one to step z^s
+        to z^(s + B).
+        """
+        e, labels = self.degree, self.labels
+        block = image_block(self.q, e)
+        zpow = [1] * block  # z^j for j < block
+        for j in range(1, block):
+            zpow[j] = zpow[j - 1] * z % modulus
+        step = zpow[-1] * z % modulus  # z^block
+        sums = [0] * e
+        zs = z  # z^s for the block from x = s, first s = 1
+        for start in range(1, len(labels), block):
+            acc = [0] * e
+            for label, zj in zip(labels[start : start + block], zpow):
+                acc[label] += zj
+            for m, a in enumerate(acc):
+                if a:
+                    sums[m] += a * zs % modulus
+            zs = zs * step % modulus
         return tuple(s % modulus for s in sums)
 
     def ring_image(self, bound: int) -> tuple[int, tuple[int, ...]]:
@@ -270,9 +300,12 @@ class CyclicExtensionDescriptor:
         """Monic integer minimal polynomial of the periods, ascending
         coefficients.
 
-        Construction is verified through the discriminant: it must equal
-        q^(degree-1) times a perfect square, the square of the index of the
-        power basis of one period inside the full ring of integers.  That
+        Read off the periods' images modulo ell^k (``_period_poly``), and
+        verified there: every coefficient and every norm of a period
+        difference must lie within its proven bound, and the norms' product
+        must be q^((degree-1)/2) times a nonzero integer, the index of the
+        power basis of one period inside the full ring of integers, so that
+        the discriminant is q^(degree-1) times that index squared.  The
         index (available as ``power_basis_index``) is 1 whenever the periods
         have length two and at the showcase conductors 7, 13 and 37, but not
         in general, even for cubics: at q = 31 it is 2, because 2 is a cube
@@ -287,35 +320,47 @@ class CyclicExtensionDescriptor:
 
     @cached_property
     def _period_poly(self) -> tuple[tuple[int, ...], int]:
-        """(coefficients, power basis index) of the period polynomial."""
-        e = self.degree
-        rows = self.rows
-        # power sums of the periods: s_k = trace(period_0^k) = -sum(coords),
-        # on pair vectors with v = 0 (so u is twice the integer coordinate)
-        eta = [(2, 0)] + [(0, 0)] * (e - 1)
-        vec = eta
-        psums = []
-        for k in range(e):
-            if k:
-                vec = period_mul(vec, eta, rows, 0)
-            psums.append(-sum(u for u, _ in vec) // 2)
-        coeffs = newton_charpoly(psums, exact_div) + [1]
-        # s_0 = e, and s_k = -sum over i < e of a_i s_(k-e+i) for k > e, as
-        # every root satisfies the monic polynomial; the discriminant is the
-        # Hankel determinant det(s_(i+j)) = det(V)^2 of the Vandermonde V
-        s = [e] + psums
-        for k in range(e + 1, 2 * e - 1):
-            s.append(-sum(a * s[k - e + i] for i, a in enumerate(coeffs[:e])))
-        disc = bareiss_det([s[i : i + e] for i in range(e)])
-        field_disc = self.q ** (e - 1)
-        ratio, rem = divmod(disc, field_disc)
-        root = isqrt(ratio) if rem == 0 and ratio > 0 else 0
-        if rem or root * root != ratio:
+        """(coefficients, power basis index) of the period polynomial.
+
+        Every |eta_m| <= f, so the coefficient of x^k is at most
+        C(e, k) f^(e-k) and each N(eta_0 - eta_k) = prod over j of
+        (eta_j - eta_(j+k)) at most (2f)^e.  Both are taken from the
+        images P of the periods modulo M = ell^k > 2 (2f)^e and lifted
+        symmetrically: the coefficients from the e linear factors x - P[m],
+        the norms from the differences of P.  For odd e the discriminant is
+        the square of prod over k <= (e-1)/2 of N(eta_0 - eta_k) (Cohen,
+        GTM 138), so that product over q^((e-1)/2) is the index.  Raises
+        ArithmeticError when a lifted value exceeds its bound or the
+        product is not a nonzero multiple of q^((e-1)/2).
+        """
+        q, e, f = self.q, self.degree, self.f
+        M, z = prime_power_modulus(q, 2 * (2 * f) ** e)
+        P = self.period_images(z, M)
+
+        def lift(x: int, bound: int, what: str) -> int:
+            x = x - M if 2 * x > M else x
+            if abs(x) > bound:
+                raise ArithmeticError(f"period polynomial {what} {x} exceeds its bound {bound}")
+            return x
+
+        coeffs = [1]
+        for r in P:  # times x - r
+            coeffs = [(a - r * b) % M for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs = [lift(c, comb(e, k) * f ** (e - k), f"coefficient of x^{k}")
+                  for k, c in enumerate(coeffs)]
+        norms = 1
+        for k in range(1, (e + 1) // 2):
+            norm = 1
+            for j in range(e):
+                norm = norm * (P[j] - P[(j + k) % e]) % M
+            norms *= abs(lift(norm, (2 * f) ** e, f"norm N(eta_0 - eta_{k})"))
+        index, rem = divmod(norms, q ** ((e - 1) // 2))
+        if rem or not index:
             raise ArithmeticError(
-                f"period polynomial discriminant {disc} is not {self.q}^{e - 1}"
-                " times a perfect square"
+                f"period difference norms {norms} are not a nonzero multiple"
+                f" of {q}^{(e - 1) // 2}"
             )
-        return tuple(coeffs), root
+        return tuple(coeffs), index
 
 
 def primes_one_mod_2q(q: int) -> Iterator[int]:
@@ -409,7 +454,7 @@ def period_polynomial(q: int, p: int, n: int) -> CyclicExtensionDescriptor:
     MAX_TABLE_DEGREE."""
     check_table(q, check_conductor(q, p, n))
     desc = CyclicExtensionDescriptor(q, p, n)
-    desc.period_poly  # force construction and the discriminant check
+    desc.period_poly  # force construction and its bound and norm checks
     return desc
 
 

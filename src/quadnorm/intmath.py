@@ -2,11 +2,12 @@
 
 Everything here is plain ``int`` arithmetic: no floats are used anywhere,
 so results are bit-exact at any size.  ``newton_charpoly`` takes the exact
-division of its ring as a callback, so the quadratic ring shares it with
-the integers.  The generic group routines at the end (powering, the cycle
-of powers that gives an element's order, p-power order, closure) serve
-every group in the package; the multiplication-table groups of
-``transfer`` keep each element's ``cycle`` and read their powers from it.
+division of its ring as a callback, so it runs over any ring that has one
+(the quadratic integers of the relative charpoly).  The generic group
+routines at the end (powering, the cycle of powers that gives an element's
+order, p-power order, closure) serve every group in the package; the
+multiplication-table groups of ``transfer`` keep each element's ``cycle``
+and read their powers from it.
 """
 
 from __future__ import annotations
@@ -220,14 +221,6 @@ def poly_discriminant(f: list[int]) -> int:
     q, r = divmod(sign * res, lead)
     if r:
         raise ArithmeticError("resultant not divisible by leading coefficient")
-    return q
-
-
-def exact_div(a: int, k: int) -> int:
-    """a / k, raising ArithmeticError unless k divides a."""
-    q, r = divmod(a, k)
-    if r:
-        raise ArithmeticError(f"{a} is not divisible by {k}")
     return q
 
 

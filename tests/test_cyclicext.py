@@ -1,7 +1,7 @@
 import functools
 import hashlib
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -12,6 +12,7 @@ from quadnorm.cyclicext import (
     WildOrRamifiedConductorError,
     check_conductor,
     cyclic_descriptor,
+    image_block,
     kronecker_modulus,
     period_mul,
     period_polynomial,
@@ -21,7 +22,7 @@ from quadnorm.cyclicext import (
     same_field_by_split_patterns,
     tower_certificate,
 )
-from quadnorm.intmath import poly_discriminant, primes_up_to
+from quadnorm.intmath import bareiss_det, newton_charpoly, poly_discriminant, primes_up_to
 from quadnorm.quadfield import NotPrimeError, make_field
 
 
@@ -57,6 +58,11 @@ class TestPeriodPolynomial:
         assert d19.degree == 9
         assert poly_discriminant(list(d19.period_poly)) == 19**8
 
+    def test_polynomial_builds_no_rows(self):
+        # the polynomial comes from the period images alone
+        desc = period_polynomial(101, 5, 2)
+        assert "rows" not in vars(desc)
+
     def test_conductor_must_match(self):
         with pytest.raises(ConductorInvalidError):
             period_polynomial(11, 3, 1)  # 11 != 1 mod 3
@@ -89,12 +95,13 @@ class TestPeriodPolynomial:
 
 
 def test_hankel_discriminant_matches_sylvester_below_1000():
-    """The construction checks disc = q^(e-1) * I^2 through the Hankel
-    determinant of the power sums and reads I off it; the Sylvester
-    determinant ``poly_discriminant`` is the oracle, on all 154 period
-    polynomials q < 1000 of degree 3, 5, 9 and 25.  Polynomials and indices
-    are pinned by the SHA-256 of their repr, computed when the check ran on
-    the Sylvester determinant."""
+    """The construction reads I off the norms of the period differences,
+    disc = (prod over k <= (e-1)/2 of N(eta_0 - eta_k))^2 = q^(e-1) * I^2;
+    the Sylvester determinant ``poly_discriminant`` is the oracle, on all
+    154 period polynomials q < 1000 of degree 3, 5, 9 and 25.  Polynomials
+    and indices are pinned by the SHA-256 of their repr, computed when the
+    check ran on the Sylvester determinant and kept through the Hankel
+    determinant of the power sums (``power_sum_period_poly`` below)."""
     polys = []
     for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
         e = p**n
@@ -108,6 +115,95 @@ def test_hankel_discriminant_matches_sylvester_below_1000():
     assert len(polys) == 154
     digest = hashlib.sha256(repr(polys).encode()).hexdigest()
     assert digest == "707c0a08440fcbbd0495d73e907a3ee58ec16705fab7be443a9971cfde21af80"
+
+
+# The period polynomial as computed before it was read off the period
+# images, kept as the oracle: power sums by the period product, Newton's
+# identities over the integers and the Hankel determinant of the power sums.
+# The body is the former descriptor property, unchanged.
+
+
+def exact_div(a: int, k: int) -> int:
+    """a / k, raising ArithmeticError unless k divides a."""
+    q, r = divmod(a, k)
+    if r:
+        raise ArithmeticError(f"{a} is not divisible by {k}")
+    return q
+
+
+def power_sum_period_poly(self) -> tuple[tuple[int, ...], int]:
+    """(coefficients, power basis index) of the period polynomial."""
+    e = self.degree
+    rows = self.rows
+    # power sums of the periods: s_k = trace(period_0^k) = -sum(coords),
+    # on pair vectors with v = 0 (so u is twice the integer coordinate)
+    eta = [(2, 0)] + [(0, 0)] * (e - 1)
+    vec = eta
+    psums = []
+    for k in range(e):
+        if k:
+            vec = period_mul(vec, eta, rows, 0)
+        psums.append(-sum(u for u, _ in vec) // 2)
+    coeffs = newton_charpoly(psums, exact_div) + [1]
+    # s_0 = e, and s_k = -sum over i < e of a_i s_(k-e+i) for k > e, as
+    # every root satisfies the monic polynomial; the discriminant is the
+    # Hankel determinant det(s_(i+j)) = det(V)^2 of the Vandermonde V
+    s = [e] + psums
+    for k in range(e + 1, 2 * e - 1):
+        s.append(-sum(a * s[k - e + i] for i, a in enumerate(coeffs[:e])))
+    disc = bareiss_det([s[i : i + e] for i in range(e)])
+    field_disc = self.q ** (e - 1)
+    ratio, rem = divmod(disc, field_disc)
+    root = isqrt(ratio) if rem == 0 and ratio > 0 else 0
+    if rem or root * root != ratio:
+        raise ArithmeticError(
+            f"period polynomial discriminant {disc} is not {self.q}^{e - 1}"
+            " times a perfect square"
+        )
+    return tuple(coeffs), root
+
+
+def _assert_matches_power_sums(q, p, n):
+    desc = cyclic_descriptor(q, p, n)
+    want = power_sum_period_poly(desc)
+    assert (desc.period_poly, desc.power_basis_index) == want, desc
+
+
+class TestPowerSumOracle:
+    def test_matches_below_2000(self):
+        count = 0
+        for p, n in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)):
+            for q in primes_up_to(1999):
+                if q % p**n == 1:
+                    _assert_matches_power_sums(q, p, n)
+                    count += 1
+        assert count == 351
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_matches_at_the_largest_conductor_below_20000(self, p):
+        e = p * p
+        q = max(q for q in primes_up_to(19_999) if q % e == 1)
+        assert q in (19_801, 19_993)
+        _assert_matches_power_sums(q, p, 2)
+
+
+def test_swapped_label_is_refused_below_1000():
+    """A label table with 2 and the first residue of another coset swapped
+    gives wrong period images; the bounds and the divisibility of the norms
+    refuse every one of the 154 polynomials of degree 3, 5, 9 and 25."""
+    count = 0
+    for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
+        for q in primes_up_to(999):
+            if q % p**n != 1:
+                continue
+            desc = CyclicExtensionDescriptor(q, p, n)
+            labels = desc.labels
+            x = next(x for x in range(1, q) if labels[x] != labels[2])
+            labels[2], labels[x] = labels[x], labels[2]
+            with pytest.raises(ArithmeticError):
+                desc.period_poly
+            count += 1
+    assert count == 154
 
 
 class TestPeriodRows:
@@ -370,6 +466,30 @@ class TestLabelTable:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert images == coset_walk_period_images(desc, z, M)
+
+    @pytest.mark.parametrize("modulus", [kronecker_modulus, prime_power_modulus])
+    @pytest.mark.parametrize(
+        "q,p,n,edge",
+        [
+            (7, 3, 1, "short"),
+            (19, 3, 2, "short"),
+            (73, 3, 1, "multiple"),
+            (41, 5, 1, "multiple"),  # exactly one block
+            (433, 3, 1, "multiple"),
+            (1297, 3, 2, "multiple"),
+            (79, 3, 1, "remainder"),
+            (997, 3, 1, "remainder"),
+            (751, 5, 2, "remainder"),
+        ],
+    )
+    def test_period_images_at_block_edges(self, q, p, n, edge, modulus):
+        desc = cyclic_descriptor(q, p, n)
+        block = image_block(q, desc.degree)
+        assert edge == (
+            "short" if q - 1 < block else "multiple" if (q - 1) % block == 0 else "remainder"
+        )
+        M, z = modulus(q, 2**64)
+        assert desc.period_images(z, M) == coset_walk_period_images(desc, z, M)
 
 
 class TestTower:

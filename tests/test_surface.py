@@ -31,13 +31,11 @@ from quadnorm.transfer import FiniteGroup
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 TRACED = "a name that perfbench/layers.py resolves"
-SIZE = "a branch chosen by input size"
 ACCEPTANCE = "a member that the acceptance tests read"
 API = "Python API that README declares"
 
 ALLOWLIST = {
     "formclass.all_reduced_forms": TRACED,
-    "cyclicext.prime_power_modulus": SIZE,  # ring images above KRONECKER_MAX_CONDUCTOR
     "formclass.FormClass.__mul__": ACCEPTANCE,  # criterion 8 squares a class
     "harness.Report.claim": ACCEPTANCE,
     "harness.SurveyInstance.vanishing_discrepancy": ACCEPTANCE,
