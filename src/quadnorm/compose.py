@@ -5,20 +5,21 @@ Elements of the compositum are vectors over the period basis with
 coefficients in the quadratic ring; this product basis is valid exactly
 when the two discriminants are coprime, which is checked on construction.
 Arithmetic runs on integer pair vectors, the pair (u, v) standing for the
-coordinate (u + v*sqrt(d))/2, through the one period product
+coordinate (u + v*sqrt(d))/2, with products through the one period product
 ``cyclicext.period_mul``; ``QuadInteger`` coordinates are converted once on
-entry and once on exit.  A relative norm is taken through one ring map onto
-(Z/M)[t]/(t^2 - d), zeta -> z with Phi_q(z) = 0 (mod M) and sqrt(d) -> t,
-under which the e Galois conjugates are e linear forms in the period
-images: e^2 multiply-adds and e products, lifted symmetrically, with M
-above twice a proven bound on the norm's coordinates.  Characteristic
-polynomials come from Newton's identities (``intmath.newton_charpoly``) on
-the relative traces of the powers of an element, taken by ``period_mul``,
-so their constant check compares two independent routes.  The bounded norm
-search reduces its candidates modulo two auxiliary primes that split
-completely, where a relative norm is a product of e linear forms, and
-takes the exact norm only of the few candidates whose residues match the
-target.  All of it is exact.
+entry and once on exit.  Relative norms and characteristic polynomials are
+read off one ring map onto (Z/M)[t]/(t^2 - d), zeta -> z with
+Phi_q(z) = 0 (mod M) and sqrt(d) -> t, under which the e Galois conjugates
+are e linear forms in the period images (``_conjugates``): the norm is
+their product and the charpoly the product of the e linear factors
+x - sigma^j(alpha), lifted symmetrically with M above twice a proven bound.
+The charpoly checks each coefficient against its bound and its
+x^(e-1) coefficient against the trace, the sum of the coordinates.  The
+bounded norm search reduces its candidates modulo two auxiliary primes
+that split completely, where a relative norm is a product of e linear
+forms, takes the exact norm only of the few candidates whose residues
+match the target, and re-verifies a hit as the product of its conjugates
+through ``period_mul``.  All of it is exact.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import gcd, isqrt, prod
+from math import comb, gcd, isqrt, prod
 from operator import add
 
 from .cyclicext import CyclicExtensionDescriptor, order_q_root, period_mul, primes_one_mod_2q
-from .formclass import FormClass, _ClassTable, _group_structure
-from .intmath import crt, kronecker, newton_charpoly, sqrt_mod_prime
+from .formclass import FormClass, _ClassTable
+from .intmath import crt, cycle, kronecker, sqrt_mod_prime
 from .quadfield import QuadInteger, QuadraticField, fundamental_unit
 
 
@@ -154,20 +155,19 @@ class RelativeExtension:
         i %= self.degree
         return RelativeElement(self, alpha.coords[-i:] + alpha.coords[:-i])
 
-    def _pair_norm(self, x) -> tuple[int, int]:
-        """Relative norm of a pair vector, as a pair, through one ring map
+    def _conjugates(self, x, pad: int = 0) -> tuple[int, int, list[int], list[int]]:
+        """(M, h, us, vs) for a pair vector x: an odd M > 2 * (h + pad)^e
+        and the images us[j] + vs[j]*t of 2 * sigma^j(x) under one ring map
         onto (Z/M)[t]/(t^2 - d): zeta -> z with Phi_q(z) = 0 (mod M) and
         sqrt(d) -> t (``CyclicExtensionDescriptor.ring_image``).  There
-        sigma^j(x) is the linear form sum over m of x_m * P[(m + j) mod e],
-        so the norm is e^2 multiply-adds and e products; its pair (u, v)
-        is lifted symmetrically from the basis {1, t}.  Every period has
-        |eta| <= f, so |u| and |v| are at most (f * L)^e with
-        L = sum of |u_m| + |v_m| * (isqrt(d) + 1), and M > 2 * (f * L)^e
-        makes the lift exact."""
-        e, d = self.degree, self.field.d
-        r = isqrt(d) + 1
-        height = sum(abs(u) + abs(v) * r for u, v in x)
-        M, P = self.desc.ring_image(2 * (self.desc.f * height) ** e)
+        sigma^j(x) is the linear form sum over m of x_m * P[(m + j) mod e]
+        in the period images P, e^2 multiply-adds for all e forms.  Every
+        period has |eta| <= f, so every conjugate of 2x is at most h = f * L
+        in absolute value, with L = sum of |u_m| + |v_m| * (isqrt(d) + 1)."""
+        e = self.degree
+        r = isqrt(self.field.d) + 1
+        h = self.desc.f * sum(abs(u) + abs(v) * r for u, v in x)
+        M, P = self.desc.ring_image(2 * (h + pad) ** e)
         P = P + P
         # forms j of the u and the v parts, added up row by row: x_m
         # contributes x_m * P[m + j] to form j
@@ -177,14 +177,22 @@ class RelativeExtension:
                 us = [s + u * p for s, p in zip(us, P[m : m + e])]
             if v:
                 vs = [s + v * p for s, p in zip(vs, P[m : m + e])]
+        return M, h, us, vs
+
+    def _pair_norm(self, x) -> tuple[int, int]:
+        """Relative norm of a pair vector, as a pair: the product of the e
+        conjugate forms of ``_conjugates``, lifted symmetrically from the
+        basis {1, t}.  Its pair (u, v) has |u| and |v| at most h^e, so
+        M > 2 * h^e makes the lift exact."""
+        d = self.field.d
+        M, _, us, vs = self._conjugates(x)
         a, b = 1, 0  # the product so far, a + b*t
         for s, t in zip(us, vs):
             a, b = (a * s + d * b * t) % M, (a * t + b * s) % M
         # x_m maps to (u_m + v_m*t)/2 and the norm to (u + v*t)/2, so
-        # a + b*t is 2^(e-1) * (u + v*t): halve e - 1 times modulo M
-        for _ in range(e - 1):
-            a = (a if a % 2 == 0 else a + M) >> 1
-            b = (b if b % 2 == 0 else b + M) >> 1
+        # a + b*t is 2^(e-1) * (u + v*t): divide by 2^(e-1) modulo M
+        inv = pow(2, 1 - self.degree, M)
+        a, b = a * inv % M, b * inv % M
         return (a - M if 2 * a > M else a, b - M if 2 * b > M else b)
 
     def relative_norm(self, alpha: RelativeElement) -> QuadInteger:
@@ -194,24 +202,35 @@ class RelativeExtension:
 
     def charpoly(self, alpha: RelativeElement) -> RelativeCharPoly:
         """Characteristic polynomial of multiplication by alpha over the
-        quadratic ring, by Newton's identities on the relative traces of
-        alpha, alpha^2, ..., alpha^e, where Tr(sum c_j period_j) = -sum c_j.
-        The powers are ``period_mul`` products and the relative norm comes
-        through the ring map of ``_pair_norm``; the constant term is checked
-        against that norm, so the check compares two independent routes."""
+        quadratic ring: the product of the e linear factors x - sigma^j(alpha)
+        over (Z/M)[t]/(t^2 - d), from the conjugate forms of
+        ``_conjugates``.  Twice the coefficient of x^k is a pair (u, v)
+        with |u| and |v| at most C(e, k) * h^(e-k), and these bounds add
+        up to (h + 1)^e, so M > 2 * (h + 1)^e makes every lift exact.
+        Raises ArithmeticError when a lifted coefficient exceeds its bound
+        or the coefficient of x^(e-1) is not -Tr(alpha), the sum of the
+        coordinates of alpha (each period has trace -1)."""
         self._same(alpha.ext)
         x = _pairs(alpha.coords)
-        traces = []
-        power = x
-        for k in range(self.degree):
-            if k:
-                power = period_mul(power, x, self._rows, self.field.d)
-            traces.append(self._quad(-sum(u for u, _ in power), -sum(v for _, v in power)))
-        coeffs = tuple(newton_charpoly(traces, QuadInteger.divide_exact)) + (self._one,)
-        norm = self._quad(*self._pair_norm(x))
-        if coeffs[0] != (norm if self.degree % 2 == 0 else -norm):
-            raise ArithmeticError("charpoly constant contradicts the norm")
-        return RelativeCharPoly(coeffs=coeffs)
+        e, d = self.degree, self.field.d
+        M, h, us, vs = self._conjugates(x, 1)
+        half = (M + 1) // 2
+        A, B = [1], [0]  # the product so far, coefficients A[k] + B[k]*t
+        for u, v in zip(us, vs):  # times x - (u + v*t)/2
+            a, b = u * half % M, v * half % M
+            A, B = ([(c - a * y - d * b * w) % M for c, y, w in zip([0] + A, A + [0], B + [0])],
+                    [(c - a * w - b * y) % M for c, y, w in zip([0] + B, A + [0], B + [0])])
+        pairs = []
+        for k in range(e):
+            bound = comb(e, k) * h ** (e - k)
+            u, v = 2 * A[k] % M, 2 * B[k] % M
+            u, v = (u - M if 2 * u > M else u), (v - M if 2 * v > M else v)
+            if abs(u) > bound or abs(v) > bound:
+                raise ArithmeticError(f"charpoly coefficient of x^{k} exceeds its bound {bound}")
+            pairs.append((u, v))
+        if pairs[-1] != (sum(u for u, _ in x), sum(v for _, v in x)):
+            raise ArithmeticError("charpoly coefficient of x^(e-1) is not -Tr(alpha)")
+        return RelativeCharPoly(coeffs=tuple(self._quad(u, v) for u, v in pairs) + (self._one,))
 
     def default_height_candidates(self, bound: int) -> list[QuadInteger]:
         d = self.field.d
@@ -221,7 +240,6 @@ class RelativeExtension:
                 out.append(QuadInteger(d, a, b, 1))
                 if d % 4 == 1 and a % 2 and b % 2:
                     out.append(QuadInteger(d, a, b, 2))
-        out.sort(key=lambda c: (c.a, c.b, c.den))
         return out
 
     def search_norm_element(self, target: QuadInteger, bound: int):
@@ -231,8 +249,8 @@ class RelativeExtension:
         A residue sieve at two split primes (``_sieve``) discards every
         candidate whose norm differs from the target modulo either prime;
         only the survivors get the exact norm, and a hit is re-verified
-        through the constant of its characteristic polynomial.  Since no
-        true hit is discarded, the first hit is the first candidate of
+        as the product of its e conjugates through ``period_mul``.  Since
+        no true hit is discarded, the first hit is the first candidate of
         exact norm.
         """
         if bound < 0:
@@ -242,11 +260,10 @@ class RelativeExtension:
         for combo in self._sieve_survivors(pairs, want):
             if self._pair_norm(combo) == want:
                 cand = self.element(self._quad(u, v) for u, v in combo)
-                # independent re-verification: charpoly constant is (-1)^deg * norm
-                chk = self.charpoly(cand)
-                expected = -target if self.degree % 2 else target
-                if chk.constant != expected:
-                    raise ArithmeticError("witness failed charpoly re-verification")
+                # re-verified by the other route: the conjugates' product
+                norm = prod(map(cand.galois, range(1, self.degree)), start=cand)
+                if norm != self.scalar(target):
+                    raise ArithmeticError("witness failed its conjugate-product re-verification")
                 return cand
         return NOT_FOUND
 
@@ -293,13 +310,9 @@ class RelativeExtension:
         if got != required:
             raise WrongNormError(f"norm {got!r} != required {required!r}")
         cp = self.charpoly(alpha)
-        constant = cp.constant  # equals eps^e since e is odd
-        if constant != eps**e:
-            raise ArithmeticError("sign normalization failed")
-        body = (self._zero,) + cp.coeffs[1:]
         return FamilyFPolynomial(
-            body=body,
-            certified_constant=constant,
+            body=(self._zero,) + cp.coeffs[1:],
+            certified_constant=cp.constant,  # -N(alpha) = eps^e, as e is odd
             attached_class=attached_class,
             descriptor=self.desc,
             witness_is_unit=abs(got.norm()) == 1,
@@ -354,24 +367,27 @@ def composition_check(
 
     P and Q carry classes of full order p^n whose product must again have
     order p^n and must be the class attached to the witness polynomial W.
-    Orders and the product are taken in the wide class group of P's
-    discriminant; a Q of another discriminant raises
+    Orders and the product are taken by the wide law of the class table of
+    P's discriminant; a Q of another discriminant raises
     ``DiscriminantMismatchError``.
     """
     if P.attached_class is None or Q.attached_class is None or W.attached_class is None:
         raise ValueError("all three polynomials need attached classes")
     e = P.descriptor.degree
     D = P.attached_class.disc
-    wide = _group_structure(_ClassTable(D), "wide")
-    if wide.order_of(P.attached_class) != e or wide.order_of(Q.attached_class) != e:
+    table = _ClassTable(D)
+    rep, mul = table.law("wide")
+    one, h = rep(table.identity), len(table.classes)
+    pq = (P.attached_class, Q.attached_class)
+    if any(len(cycle(rep(table.index_of(c)), mul, one, h)) != e for c in pq):
         raise OrderViolationError("attached classes must have order p^n")
-    product = wide.mul(P.attached_class, Q.attached_class)
-    if wide.order_of(product) != e:
+    product = mul(*(rep(table.index_of(c)) for c in pq))
+    if len(cycle(product, mul, one, h)) != e:
         raise OrderViolationError("product class does not have order p^n")
     lhs = P.certified_constant * Q.certified_constant
     rhs = W.certified_constant * W.certified_constant
     constant_ok = lhs == rhs
-    class_ok = W.attached_class.disc == D and product == wide.rep(W.attached_class)
+    class_ok = W.attached_class.disc == D and product == rep(table.index_of(W.attached_class))
     return CompositionCheck(
         constant_identity=constant_ok,
         class_correspondence=class_ok,

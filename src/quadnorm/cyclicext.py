@@ -17,9 +17,9 @@ MAX_TABLE_CONDUCTOR and the degree MAX_TABLE_DEGREE, and no descriptor is
 made above the conductor MAX_CONDUCTOR.  ``period_images`` gives the
 periods' images in Z/M under a ring map zeta -> z with Phi_q(z) = 0
 (mod M), from one blocked pass over the label table.  ``ring_image`` takes
-them for the relative norms of ``compose``: M = Phi_q(2^w) and z = 2^w up
-to KRONECKER_MAX_CONDUCTOR, and above it M = ell^k for the least prime
-ell = 1 (mod 2q), sized by the caller's bound and not by q.  The period
+them for the relative norms and charpolys of ``compose``: M = Phi_q(2^w)
+and z = 2^w up to KRONECKER_MAX_CONDUCTOR, and above it M = ell^k for the
+least prime ell = 1 (mod 2q), sized by the bound and not by q.  The period
 polynomial is read off the same images modulo ell^k > 2 (2f)^e, every
 period being at most f in absolute value: its coefficients from the
 product of the linear factors x - P[m], and the index I of one period's
@@ -127,14 +127,15 @@ MAX_TABLE_DEGREE = 61
 # Largest conductor whose ring images (``ring_image``) are taken modulo
 # Phi_q(2^w); above it they are taken modulo ell^k.  The three norms of a
 # sparse alpha, beta and alpha*beta on a descriptor with fresh images took,
-# Phi_q(2^w) against ell^k on a 2-core host, at degrees 3 and 25, with the
-# blocked ``period_images``: 0.37 against 0.54 ms and 1.6 against 2.8 ms
-# near q = 1000; 1.2 against 0.8 ms and 14.1 against 5.5 ms near q = 4000;
-# 2.4 against 1.4 ms and 20.8 against 7.8 ms near q = 5000; 6.9 against
-# 2.9 ms and 63.2 against 7.5 ms near q = 10000 (medians of three runs).
-# The crossover now lies between 1000 and 4000; the ceiling was set when
-# the walk took one product per residue.
-KRONECKER_MAX_CONDUCTOR = 4000
+# in ms, Phi_q(2^w) / ell^k on a 2-core host (medians of three runs of nine):
+#   degree 3:  0.22/0.31 at q = 997, 0.42/0.55 at 1297, 0.35/0.51 at 1531,
+#     0.59/0.64 at 1801, 0.45/0.52 at 1999, 0.86/0.88 at 2503, 0.77/0.61 at
+#     3001 and 1.12/0.75 at 4003;
+#   degree 25: 1.40/1.82 at q = 1051, 1.84/2.32 at 1301, 2.46/2.44 at 1601,
+#     2.99/2.90 at 1801, 4.14/2.66 at 2251, 5.10/2.93 at 2551, 6.47/3.37 at
+#     3001 and 10.82/3.72 at 4001.
+# The crossover lies near q = 1600 at degree 25 and near 2500 at degree 3.
+KRONECKER_MAX_CONDUCTOR = 2000
 
 
 def check_table(q: int, degree: int) -> None:

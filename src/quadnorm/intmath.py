@@ -1,13 +1,11 @@
 """Exact integer arithmetic helpers shared across the package.
 
 Everything here is plain ``int`` arithmetic: no floats are used anywhere,
-so results are bit-exact at any size.  ``newton_charpoly`` takes the exact
-division of its ring as a callback, so it runs over any ring that has one
-(the quadratic integers of the relative charpoly).  The generic group
-routines at the end (powering, the cycle of powers that gives an element's
-order, p-power order, closure) serve every group in the package; the
-multiplication-table groups of ``transfer`` keep each element's ``cycle``
-and read their powers from it.
+so results are bit-exact at any size.  The generic group routines at the
+end (powering, the cycle of powers that gives an element's order, p-power
+order, closure) serve every group in the package; the multiplication-table
+groups of ``transfer`` keep each element's ``cycle`` and read their powers
+from it.
 """
 
 from __future__ import annotations
@@ -222,25 +220,6 @@ def poly_discriminant(f: list[int]) -> int:
     if r:
         raise ArithmeticError("resultant not divisible by leading coefficient")
     return q
-
-
-def newton_charpoly(psums, div_exact) -> list:
-    """Coefficients c_0, ..., c_(n-1), ascending, of the monic polynomial
-    x^n + c_(n-1) x^(n-1) + ... + c_0 whose roots have the power sums
-    s_1, ..., s_n given in ``psums`` (Newton's identities; Cohen, GTM 138).
-
-    The identities s_k + c_(n-1) s_(k-1) + ... + c_(n-k+1) s_1
-    + k c_(n-k) = 0 are solved for c_(n-k) with ``div_exact(x, k)``, the
-    exact division by k in the ring of the power sums, which must raise
-    when k does not divide x.  The ring needs only +, * and unary -.
-    """
-    top = []  # top[i - 1] = c_(n-i)
-    for k in range(1, len(psums) + 1):
-        acc = psums[k - 1]
-        for i in range(1, k):
-            acc = acc + top[i - 1] * psums[k - 1 - i]
-        top.append(div_exact(-acc, k))
-    return top[::-1]
 
 
 # --- generic group routines -------------------------------------------------

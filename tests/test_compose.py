@@ -38,6 +38,7 @@ from quadnorm.quadfield import QuadInteger, fundamental_unit, make_field
 
 from test_cyclicext import subgroup
 from test_formclass import principal_class, sign_class, wide_rep
+from test_intmath import newton_charpoly
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +246,107 @@ class TestCharpolyOracle:
 def _as_pairs(coords):
     """(u, v) with c = (u + v*sqrt(d))/2 for each coordinate c."""
     return [(2 * c.a, 2 * c.b) if c.den == 1 else (c.a, c.b) for c in coords]
+
+
+def newton_route_charpoly(ext, alpha):
+    """Charpoly by Newton's identities on the relative traces of alpha,
+    alpha^2, ..., alpha^e, where Tr(sum c_j period_j) = -sum c_j and the
+    powers are ``period_mul`` products: the route that the conjugate images
+    replaced, kept as the oracle of ``charpoly``."""
+    rows, d = ext.desc.rows, ext.field.d
+    x = _as_pairs(alpha.coords)
+    traces, power = [], x
+    for k in range(ext.degree):
+        if k:
+            power = period_mul(power, x, rows, d)
+        traces.append(QuadInteger(d, -sum(u for u, _ in power), -sum(v for _, v in power), 2))
+    return tuple(newton_charpoly(traces, QuadInteger.divide_exact)) + (QuadInteger(d, 1, 0),)
+
+
+def test_charpoly_matches_newton_route_below_1000():
+    """charpoly against the Newton route at each of the 154 conductors
+    q < 1000 of degree 3, 5, 9 and 25, on a seeded sparse element with three
+    nonzero unit coordinates (the benchmark's shape), and on one dense
+    element of degree 25, whose charpoly the benchmark never takes."""
+    rng = random.Random(20261020)
+    units = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if (a, b) != (0, 0)]
+    count = 0
+    for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
+        e = p**n
+        for q in primes_up_to(999):
+            if q % e != 1:
+                continue
+            d = rng.choice([d for d in (10, 13, 79) if d % q])
+            ext = RelativeExtension(cyclic_descriptor(q, p, n), make_field(d))
+            coords = [QuadInteger(d, 0, 0)] * e
+            for i in rng.sample(range(e), 3):
+                coords[i] = QuadInteger(d, *rng.choice(units))
+            alpha = ext.element(coords)
+            assert ext.charpoly(alpha).coeffs == newton_route_charpoly(ext, alpha), (q, d)
+            count += 1
+    assert count == 154
+    ext = RelativeExtension(cyclic_descriptor(101, 5, 2), make_field(13))
+    alpha = ext.element([_rand_quad(rng, 13) for _ in range(25)])
+    assert ext.charpoly(alpha).coeffs == newton_route_charpoly(ext, alpha)
+
+
+class TestCharpolyChecks:
+    """Crafted period images in the descriptor's ring-image slot, under an
+    odd modulus above every bound, give charpoly(period(0)) at q = 31,
+    e = 3 (f = 10, so h = 20) wrong linear factors, which its checks must
+    refuse."""
+
+    @staticmethod
+    def _crafted(images):
+        ext = RelativeExtension(cyclic_descriptor(31, 3, 1), make_field(10))
+        ext.desc._ring_image = (10**9 + 7, images)
+        return ext
+
+    def test_trace_check(self):
+        # x(x - 1)(x - 9) = x^3 - 10x^2 + 9x: every coefficient is within
+        # its bound, but the coefficient of x^2 is -10, not -Tr(period(0)) = 1
+        ext = self._crafted((0, 1, 9))
+        with pytest.raises(ArithmeticError, match="Tr"):
+            ext.charpoly(ext.period(0))
+
+    def test_coefficient_bounds(self):
+        # (x + 1)(x - K)(x + K) = x^3 + x^2 - K^2 x - K^2 with K = 100: the
+        # trace holds, but the coefficients of 1 and x are far above their
+        # bounds 20^3 and 3 * 20^2
+        K = 100
+        ext = self._crafted((-1, K, -K))
+        with pytest.raises(ArithmeticError, match="exceeds its bound"):
+            ext.charpoly(ext.period(0))
+
+
+class TestSearchChecks:
+    def test_hit_is_reverified_by_the_conjugate_product(self, ext7_10, monkeypatch):
+        # a sieve that passes everything and an exact norm that always
+        # agrees: the first candidate is a false hit, which the
+        # conjugate product must refuse
+        target = QuadInteger(10, 7, 2)
+        (want,) = _as_pairs([target])
+        monkeypatch.setattr(
+            ext7_10, "_sieve_survivors", lambda pairs, _: itertools.product(pairs, repeat=3)
+        )
+        monkeypatch.setattr(ext7_10, "_pair_norm", lambda x: want)
+        with pytest.raises(ArithmeticError, match="re-verification"):
+            ext7_10.search_norm_element(target, 1)
+
+    def test_sieve_leaves_few_exact_norms(self, desc7, monkeypatch):
+        # 13^3 = 2197 candidates at d = 13, bound 1, none of them a hit
+        ext = RelativeExtension(desc7, make_field(13))
+        exact = []
+        pair_norm = RelativeExtension._pair_norm
+
+        def counted(self, x):
+            exact.append(x)
+            return pair_norm(self, x)
+
+        monkeypatch.setattr(RelativeExtension, "_pair_norm", counted)
+        assert len(ext.default_height_candidates(1)) == 13
+        assert ext.search_norm_element(QuadInteger(13, 10**15, 3), 1) == NOT_FOUND
+        assert len(exact) <= 5
 
 
 class TestPeriodProduct:

@@ -22,8 +22,9 @@ from quadnorm.cyclicext import (
     same_field_by_split_patterns,
     tower_certificate,
 )
-from quadnorm.intmath import bareiss_det, newton_charpoly, poly_discriminant, primes_up_to
+from quadnorm.intmath import bareiss_det, poly_discriminant, primes_up_to
 from quadnorm.quadfield import NotPrimeError, make_field
+from test_intmath import newton_charpoly
 
 
 class TestPeriodPolynomial:
@@ -47,6 +48,15 @@ class TestPeriodPolynomial:
         assert d31.period_poly == (-8, -10, 1, 1)
         assert poly_discriminant(list(d31.period_poly)) == 4 * 31**2
         assert d31.power_basis_index == 2
+
+    def test_difference_norms_must_be_a_multiple_of_q(self, monkeypatch):
+        # crafted images (0, 1, 9) at q = 31: x^3 - 10x^2 + 9x and the norm
+        # (0 - 1)(1 - 9)(9 - 0) = 72 are within their bounds, but 72 is not
+        # a multiple of 31
+        desc = cyclic_descriptor(31, 3, 1)
+        monkeypatch.setattr(desc, "period_images", lambda z, M: (0, 1, 9))
+        with pytest.raises(ArithmeticError, match="nonzero multiple of 31"):
+            desc.period_poly
 
     def test_maximal_real_layers_have_index_1(self):
         # periods of length two generate the full ring of integers

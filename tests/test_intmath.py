@@ -17,6 +17,30 @@ from quadnorm.transfer import FiniteGroup
 from test_transfer import oracle_groups, symmetric
 
 
+# Newton's identities, the relative charpoly's route before it was read off
+# the conjugate images, kept as an oracle of it and of the period polynomial.
+# The body is the former ``intmath.newton_charpoly``, unchanged.
+
+
+def newton_charpoly(psums, div_exact) -> list:
+    """Coefficients c_0, ..., c_(n-1), ascending, of the monic polynomial
+    x^n + c_(n-1) x^(n-1) + ... + c_0 whose roots have the power sums
+    s_1, ..., s_n given in ``psums`` (Newton's identities; Cohen, GTM 138).
+
+    The identities s_k + c_(n-1) s_(k-1) + ... + c_(n-k+1) s_1
+    + k c_(n-k) = 0 are solved for c_(n-k) with ``div_exact(x, k)``, the
+    exact division by k in the ring of the power sums, which must raise
+    when k does not divide x.  The ring needs only +, * and unary -.
+    """
+    top = []  # top[i - 1] = c_(n-i)
+    for k in range(1, len(psums) + 1):
+        acc = psums[k - 1]
+        for i in range(1, k):
+            acc = acc + top[i - 1] * psums[k - 1 - i]
+        top.append(div_exact(-acc, k))
+    return top[::-1]
+
+
 def mulmod(m):
     return lambda x, y: x * y % m
 

@@ -40,6 +40,7 @@ ALLOWLIST = {
     "harness.Report.claim": ACCEPTANCE,
     "harness.SurveyInstance.vanishing_discrepancy": ACCEPTANCE,
     "cyclicext.CyclicExtensionDescriptor.struct_constants": ACCEPTANCE,
+    "compose.RelativeCharPoly.constant": ACCEPTANCE,
     "formclass.polya_report": API,
     "formclass.ClassGroupStructure.identity": API,
     "formclass.ClassGroupStructure.mul": API,
@@ -48,21 +49,20 @@ ALLOWLIST = {
     "cyclicext.CyclicExtensionDescriptor.__repr__": API,
     "compose.composition_check": API,
     "compose.RelativeExtension.family_polynomial": API,
-    "compose.RelativeExtension.galois_apply": API,
     "compose.RelativeExtension.period": API,
-    "compose.RelativeExtension.scalar": API,
     "compose.RelativeElement.__add__": API,
     "compose.RelativeElement.__neg__": API,
-    "compose.RelativeElement.galois": API,
     "compose.RelativeElement.height": API,
     "compose.RelativeCharPoly.degree": API,
     "quadfield.QuadraticField.__repr__": API,
+    "quadfield.QuadInteger.__add__": API,
     "quadfield.QuadInteger.__hash__": API,
     "quadfield.QuadInteger.__pow__": API,
     "quadfield.QuadInteger.__repr__": API,
     "quadfield.QuadInteger.__setattr__": API,
     "quadfield.QuadInteger.__sub__": API,
     "quadfield.QuadInteger.conjugate": API,
+    "quadfield.QuadInteger.divide_exact": API,
     "quadfield.QuadInteger.height": API,
     "quadfield.QuadInteger.inverse": API,
     "quadfield.QuadInteger.scale": API,
