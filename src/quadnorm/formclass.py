@@ -1,19 +1,21 @@
 """Class groups of real quadratic fields via indefinite binary quadratic forms.
 
-The reduced forms of a discriminant come from a split-prime sieve over their
-middle coefficient.  Reduction cycles decide equivalence and Gauss/Dirichlet
-composition gives the one group law, run by ``_ClassTable`` on (a, b, c)
-integer triples through one rho step.  Every class group, and
-``compose.composition_check``, works on its class indices; the wide group is
-the quotient of the narrow one by the class of a form representing -1.  A
-separate ideal-cycle enumeration under the Minkowski bound provides an
-independent class-number oracle.
+Reduction cycles decide equivalence and Gauss/Dirichlet composition gives
+the one group law, run by ``_ClassTable`` on (a, b, c) integer triples
+through one rho step; the table generates the classes from the principal
+cycle, its negation and the prime forms below isqrt(D // 4).  Every class
+group, and ``compose.composition_check``, works on its class indices; the
+wide group is the quotient of the narrow one by the class of a form
+representing -1.  A separate ideal-cycle enumeration under the Minkowski
+bound provides an independent class-number oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .intmath import (
     closure,
@@ -65,23 +67,6 @@ class BinaryQuadraticForm:
     def is_primitive(self) -> bool:
         return gcd(gcd(abs(self.a), abs(self.b)), abs(self.c)) == 1
 
-    def is_reduced(self) -> bool:
-        """|sqrt(disc) - 2|a|| < b < sqrt(disc), by integer comparisons."""
-        D = self.disc
-        b = self.b
-        if b <= 0 or b * b >= D:
-            return False
-        t = 2 * abs(self.a) - b
-        if t >= 0 and t * t >= D:
-            return False
-        s = 2 * abs(self.a) + b
-        return s * s > D
-
-    def rho(self) -> "BinaryQuadraticForm":
-        """One reduction step (right neighbour)."""
-        D = self.disc
-        return BinaryQuadraticForm(*_rho(self.b, self.c, D, isqrt(D)))
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
@@ -105,10 +90,6 @@ def _validate(f: BinaryQuadraticForm) -> None:
         raise SquareDiscriminantError(f"discriminant {D} is not positive non-square")
     if not f.is_primitive():
         raise ImprimitiveError(f"{f.as_tuple()} is imprimitive")
-
-
-def _canonical_key(f: tuple[int, int, int]) -> tuple[int, int, int, int]:
-    return (abs(f[0]), *f)
 
 
 @dataclass(frozen=True)
@@ -139,25 +120,28 @@ def reduction_cycle(f: BinaryQuadraticForm) -> FormClass:
     and its orbits are the classes.
     """
     _validate(f)
-    g = f
+    D = f.disc
+    return _cycle_class(_rho_cycle(_reduce(f.as_tuple(), D, isqrt(D)), D))
+
+
+def _reduce(f: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
+    """The first reduced triple in the rho-orbit of f, of discriminant D not
+    a square: |sqrt(D) - 2|a|| < b < sqrt(D), that is 0 < b <= s and
+    s - b < 2|a| <= s + b for s = isqrt(D)."""
+    a, b, c = f
     for _ in range(_MAX_REDUCE_STEPS):
-        if g.is_reduced():
-            break
-        g = g.rho()
-    else:
-        raise ArithmeticError(f"reduction did not terminate for {f.as_tuple()}")
-    return _cycle_class(_rho_cycle(g.as_tuple(), g.disc, g.disc))
+        if 0 < b <= s and s - b < 2 * abs(a) <= s + b:
+            return a, b, c
+        a, b, c = _rho(b, c, D, s)
+    raise ArithmeticError(f"reduction did not terminate for {f}")
 
 
-def _rho_cycle(
-    g: tuple[int, int, int], D: int, count: int
-) -> list[tuple[int, int, int]]:
+def _rho_cycle(g: tuple[int, int, int], D: int) -> list[tuple[int, int, int]]:
     """The rho-orbit of the reduced triple g of discriminant D, from g.
 
-    rho permutes the reduced triples, so an orbit is at most ``count``
-    long, for any ``count`` not below their number.  D will do: each
-    b <= s = isqrt(D) of the parity of D gives at most 2b reduced triples
-    (b values of |a| and two signs), fewer than D in all.
+    rho permutes the reduced triples, so an orbit is no longer than their
+    number, which is below D: each b <= s = isqrt(D) of the parity of D
+    gives at most 2b reduced triples (b values of |a| and two signs).
     """
     s = isqrt(D)
     cycle = [g]
@@ -165,14 +149,15 @@ def _rho_cycle(
     while h != g:
         cycle.append(h)
         h = _rho(h[1], h[2], D, s)
-        if len(cycle) > count:
+        if len(cycle) > D:
             raise ArithmeticError("cycle walk did not close")
     return cycle
 
 
 def _cycle_class(cycle: list[tuple[int, int, int]]) -> FormClass:
-    canonical = BinaryQuadraticForm(*min(cycle, key=_canonical_key))
-    return FormClass(canonical=canonical, cycle_length=len(cycle))
+    # the least (|a|, (a, b, c)), which is ``_class_key`` order
+    _, least = min(zip(map(abs, map(itemgetter(0), cycle)), cycle))
+    return FormClass(canonical=BinaryQuadraticForm(*least), cycle_length=len(cycle))
 
 
 def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
@@ -223,54 +208,23 @@ def _progression_starts(D: int, p: int) -> set[int]:
     return {(r - b0) * half % p, (-r - b0) * half % p}
 
 
-def _reduced_triples(D: int) -> list[tuple[int, int, int]]:
-    """Every reduced primitive triple of discriminant D, by a sieve over b.
-
-    For b = b0 + 2i <= s = isqrt(D) and a*c = m = (D - b^2)/4, the triples
-    (a, b, -c) and (-a, b, c) are reduced exactly when (s - b)/2 < a <=
-    (s + b)/2, and a lies in that window exactly when c does.  So only the
-    divisors a <= isqrt(m) are needed, each giving also (c, b, -a) and
-    (-c, b, a) when c != a, and their primes are at most isqrt(D // 4).
-    Each such prime is stripped from m along the progressions of
-    ``_progression_starts``, and the divisors of m grow by its powers up to
-    isqrt(m).
-    """
-    if D <= 0 or is_square(D):
-        raise SquareDiscriminantError(f"{D} is not a valid indefinite discriminant")
-    if D % 4 > 1:
-        raise DiscriminantCongruenceError(f"{D} is not 0 or 1 modulo 4")
-    s = isqrt(D)
+def _prime_triple(D: int, ell: int) -> tuple[int, int, int] | None:
+    """The primitive triple (ell, b, c) of discriminant D with least b in
+    [0, 2*ell), for a prime ell; None when there is none, as when ell is
+    inert or divides the conductor of D."""
     b0 = 2 - D % 2
-    ms = [(D - b * b) // 4 for b in range(b0, s + 1, 2)]
-    caps = [isqrt(m) for m in ms]
-    divs = [[1] for _ in ms]
-    for p in primes_up_to(isqrt(D // 4)):
-        for i0 in _progression_starts(D, p):
-            for i in range(i0, len(ms), p):
-                m, cap, ds = ms[i] // p, caps[i], divs[i]
-                grown = [d * p for d in ds if d * p <= cap]
-                while m % p == 0 and grown:
-                    ds += grown
-                    m //= p
-                    grown = [d * p for d in grown if d * p <= cap]
-                ds += grown
-    out = []
-    for i, (m, ds) in enumerate(zip(ms, divs)):
-        b = b0 + 2 * i
-        lo = (s - b) // 2 + 1
-        for a in ds:
-            c = m // a
-            if a >= lo and gcd(a, b, c) == 1:
-                out += ((a, b, -c), (-a, b, c))
-                if c != a:
-                    out += ((c, b, -a), (-c, b, a))
-    return out
+    for b in sorted((b0 + 2 * i) % (2 * ell) for i in _progression_starts(D, ell)):
+        c = (b * b - D) // (4 * ell)
+        if b % ell or c % ell:
+            return ell, b, c
+    return None
 
 
 def all_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
     """Every reduced primitive form of discriminant D, which must be
-    positive, non-square and 0 or 1 mod 4."""
-    return [BinaryQuadraticForm(*f) for f in _reduced_triples(D)]
+    positive, non-square and 0 or 1 mod 4: the forms of the class table's
+    cycles."""
+    return [BinaryQuadraticForm(*f) for f in _ClassTable(D).index]
 
 
 class _ClassTable:
@@ -281,38 +235,81 @@ class _ClassTable:
     two canonical triples, takes the few rho steps to the first reduced
     triple and looks it up; products are memoised, so the table is a lazily
     filled Cayley table that lives as long as the structure that owns it.
+
+    rho commutes with (a, b, c) -> (-a, b, -c), which maps class C to
+    C*sign (``negation``), so one cycle walk numbers both.  The principal
+    cycle and its negation start a subgroup H; each prime form (ell, b, c),
+    ell <= isqrt(D // 4), not in H grows H by its cosets H*g, H*g^2, ...
+    up to the first power back in H, each new pair of classes one
+    composition and one cycle walk.  For a field discriminant that is the
+    whole group: adjacent (a, b, c), (c, b', c') of a cycle have |a*c| =
+    (D - b^2)/4 < D/4, so every cycle holds a triple with |a| <= isqrt(D //
+    4), in C or, negated, in C*sign; and the ideal of norm |a| is a product
+    of primes of norm ell <= |a| (Cohen, GTM 138, 5.2-5.4).  For a
+    non-fundamental D there is no such proof; tests check it.
     """
 
     def __init__(self, D: int):
-        forms = set(_reduced_triples(D))
-        count = len(forms)
-        cycles = []
-        while forms:
-            cycle = _rho_cycle(forms.pop(), D, count)
-            forms.difference_update(cycle)
-            cycles.append((_cycle_class(cycle), cycle))
-        cycles.sort(key=lambda named: _class_key(named[0]))
+        if D <= 0 or is_square(D):
+            raise SquareDiscriminantError(f"{D} is not a valid indefinite discriminant")
+        if D % 4 > 1:
+            raise DiscriminantCongruenceError(f"{D} is not 0 or 1 modulo 4")
+        s = isqrt(D)
+        cycles, negation, index = [], [], {}
+
+        def add(f: tuple[int, int, int]) -> int:
+            # numbers the cycle of a new reduced f, and its negation if distinct
+            cyc = _rho_cycle(f, D)
+            i = len(cycles)
+            index.update(zip(cyc, repeat(i)))
+            cycles.append(cyc)
+            if (-f[0], f[1], -f[2]) in index:  # the sign class is principal
+                negation.append(i)
+            else:
+                neg = [(-a, b, -c) for a, b, c in cyc]
+                index.update(zip(neg, repeat(i + 1)))
+                cycles.append(neg)
+                negation.extend((i + 1, i))
+            return i
+
+        t = D % 2
+        one = add(_reduce((1, t, (t - D) // 4), D, s))
+        H = [one]  # one class of each negation pair in the subgroup so far
+        for ell in primes_up_to(isqrt(D // 4)):
+            f = _prime_triple(D, ell)
+            if f is None:
+                continue
+            y, grown, coset = _reduce(f, D, s), [], H
+            while y not in index:
+                coset = [add(y)] + [
+                    add(_reduce(_compose_forms(cycles[x][0], f), D, s)) for x in coset[1:]
+                ]
+                grown += coset
+                y = _reduce(_compose_forms(cycles[coset[0]][0], f), D, s)
+            H += grown
+
+        classes = [_cycle_class(cyc) for cyc in cycles]
+        order = sorted(range(len(cycles)), key=lambda i: _class_key(classes[i]))
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+            index.update(zip(cycles[i], repeat(r)))
         self.D = D
-        self.s = isqrt(D)
-        self.classes = [cls for cls, _ in cycles]
-        self.index = {f: i for i, (_, cycle) in enumerate(cycles) for f in cycle}
+        self.s = s
+        self.classes = [classes[i] for i in order]
+        self.index = index
+        # the class of the negated cycle, class * sign
+        self.negation = [rank[negation[i]] for i in order]
         # the FormClass reprs, the order in which _abelian_basis picks
         # generators
         self.reprs = [repr(cls) for cls in self.classes]
         self._products: dict[tuple[int, int], int] = {}
-        t = D % 2
-        self.identity = self.class_of((1, t, (t - D) // 4))
-        self.sign = self.class_of((-1, t, (D - t) // 4))  # represents -1
+        self.identity = rank[one]
+        self.sign = self.negation[self.identity]  # represents -1
 
     def class_of(self, f: tuple[int, int, int]) -> int:
         """Index of the class of f, a primitive triple of discriminant D."""
-        a, b, c = f
-        for _ in range(_MAX_REDUCE_STEPS):
-            i = self.index.get((a, b, c))  # holds exactly the reduced triples
-            if i is not None:
-                return i
-            a, b, c = _rho(b, c, self.D, self.s)
-        raise ArithmeticError(f"reduction did not terminate for {f}")
+        return self.index[_reduce(f, self.D, self.s)]
 
     def index_of(self, cls: FormClass) -> int:
         if cls.disc != self.D:
@@ -332,8 +329,8 @@ class _ClassTable:
     def wide_rep(self, i: int) -> int:
         """Wide representative of class i: the lesser of i and i*sign, sign
         being the class of a form representing -1 (index order is
-        ``_class_key`` order)."""
-        return min(i, self.mul(i, self.sign))
+        ``_class_key`` order), and i*sign the class of the negated cycle."""
+        return min(i, self.negation[i])
 
     def law(self, flavor: str):
         """(representative, product) on indices in the narrow or wide group."""
@@ -343,7 +340,8 @@ class _ClassTable:
 
 
 def _class_key(c: FormClass) -> tuple[int, int, int, int]:
-    return _canonical_key(c.canonical.as_tuple())
+    f = c.canonical
+    return (abs(f.a), f.a, f.b, f.c)
 
 
 @dataclass(frozen=True)
@@ -463,9 +461,10 @@ def _group_structure(table: _ClassTable, flavor: str) -> ClassGroupStructure:
 def class_group(F: QuadraticField, flavor: str = "wide") -> ClassGroupStructure:
     """Class group of the field, narrow or wide.
 
-    The narrow group is enumerated from all reduced forms of the field
-    discriminant; the wide group is its quotient by the class of a form
-    representing -1 (trivial exactly when the fundamental unit has norm -1).
+    The narrow group is generated from the prime forms of the field
+    discriminant (``_ClassTable``); the wide group is its quotient by the
+    class of a form representing -1 (trivial exactly when the fundamental
+    unit has norm -1).
     """
     if flavor not in ("narrow", "wide"):
         raise ValueError("flavor must be 'narrow' or 'wide'")
@@ -473,7 +472,7 @@ def class_group(F: QuadraticField, flavor: str = "wide") -> ClassGroupStructure:
 
 
 def class_data(F: QuadraticField) -> tuple[int, ClassGroupStructure]:
-    """(narrow class number, wide structure) with one forms enumeration."""
+    """(narrow class number, wide structure) from one class table."""
     table = _ClassTable(F.disc)
     return len(table.classes), _group_structure(table, "wide")
 
@@ -484,12 +483,10 @@ def prime_form_raw(F: QuadraticField, ell: int) -> BinaryQuadraticForm:
     if not is_prime(ell):
         raise NotPrimeError(f"{ell} is not prime")
     D = F.disc
-    b0 = 2 - D % 2
-    for b in sorted((b0 + 2 * i) % (2 * ell) for i in _progression_starts(D, ell)):
-        f = BinaryQuadraticForm(ell, b, (b * b - D) // (4 * ell))
-        if f.is_primitive():
-            return f
-    raise InertPrimeError(f"{ell} is inert: no form of discriminant {D} represents it")
+    f = _prime_triple(D, ell)
+    if f is None:
+        raise InertPrimeError(f"{ell} is inert: no form of discriminant {D} represents it")
+    return BinaryQuadraticForm(*f)
 
 
 def prime_form(F: QuadraticField, ell: int) -> FormClass:

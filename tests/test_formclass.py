@@ -29,8 +29,10 @@ from quadnorm.formclass import (
     _abelian_basis,
     _class_key,
     _ClassTable,
+    _compose_forms,
     _group_structure,
     _progression_starts,
+    _rho_cycle,
     _structure,
 )
 from quadnorm.harness import abelian_group_types
@@ -51,6 +53,82 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
+
+
+# The split-prime sieve that enumerated every reduced triple before the class
+# table generated its classes from the prime forms, kept as the reduced-form
+# oracle.
+
+
+def _reduced_triples(D: int) -> list[tuple[int, int, int]]:
+    """Every reduced primitive triple of discriminant D, by a sieve over b.
+
+    For b = b0 + 2i <= s = isqrt(D) and a*c = m = (D - b^2)/4, the triples
+    (a, b, -c) and (-a, b, c) are reduced exactly when (s - b)/2 < a <=
+    (s + b)/2, and a lies in that window exactly when c does.  So only the
+    divisors a <= isqrt(m) are needed, each giving also (c, b, -a) and
+    (-c, b, a) when c != a, and their primes are at most isqrt(D // 4).
+    Each such prime is stripped from m along the progressions of
+    ``_progression_starts``, and the divisors of m grow by its powers up to
+    isqrt(m).
+    """
+    if D <= 0 or is_square(D):
+        raise SquareDiscriminantError(f"{D} is not a valid indefinite discriminant")
+    if D % 4 > 1:
+        raise DiscriminantCongruenceError(f"{D} is not 0 or 1 modulo 4")
+    s = isqrt(D)
+    b0 = 2 - D % 2
+    ms = [(D - b * b) // 4 for b in range(b0, s + 1, 2)]
+    caps = [isqrt(m) for m in ms]
+    divs = [[1] for _ in ms]
+    for p in primes_up_to(isqrt(D // 4)):
+        for i0 in _progression_starts(D, p):
+            for i in range(i0, len(ms), p):
+                m, cap, ds = ms[i] // p, caps[i], divs[i]
+                grown = [d * p for d in ds if d * p <= cap]
+                while m % p == 0 and grown:
+                    ds += grown
+                    m //= p
+                    grown = [d * p for d in grown if d * p <= cap]
+                ds += grown
+    out = []
+    for i, (m, ds) in enumerate(zip(ms, divs)):
+        b = b0 + 2 * i
+        lo = (s - b) // 2 + 1
+        for a in ds:
+            c = m // a
+            if a >= lo and gcd(a, b, c) == 1:
+                out += ((a, b, -c), (-a, b, c))
+                if c != a:
+                    out += ((c, b, -a), (-c, b, a))
+    return out
+
+
+def sieve_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
+    return [BinaryQuadraticForm(*f) for f in _reduced_triples(D)]
+
+
+# Reducedness and the rho step on single forms, for the tests that read
+# them; ``formclass`` runs both on triples (``_reduce`` and ``_rho``).
+
+
+def is_reduced(f: BinaryQuadraticForm) -> bool:
+    """|sqrt(disc) - 2|a|| < b < sqrt(disc), by integer comparisons."""
+    D = f.disc
+    b = f.b
+    if b <= 0 or b * b >= D:
+        return False
+    t = 2 * abs(f.a) - b
+    if t >= 0 and t * t >= D:
+        return False
+    s = 2 * abs(f.a) + b
+    return s * s > D
+
+
+def rho(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    """One reduction step (right neighbour)."""
+    D = f.disc
+    return BinaryQuadraticForm(*formclass._rho(f.b, f.c, D, isqrt(D)))
 
 
 # The form-level group law, the class table's oracle: every product walks
@@ -102,14 +180,14 @@ SAMPLE_D = [2, 3, 5, 7, 10, 13, 15, 26, 34, 79, 82, 105, 142, 226, 229, 399,
 class TestReduction:
     def test_already_reduced_is_canonical(self):
         f = BinaryQuadraticForm(1, 16, -15)
-        assert f.is_reduced()
+        assert is_reduced(f)
         cls = reduction_cycle(f)
         assert cls.canonical == f
         assert cls.cycle_length == 4
 
     def test_rho_preserves_class(self):
         for f in (BinaryQuadraticForm(3, 2, -26), BinaryQuadraticForm(1, 6, -1)):
-            assert reduction_cycle(f) == reduction_cycle(f.rho())
+            assert reduction_cycle(f) == reduction_cycle(rho(f))
 
     def test_imprimitive_rejected(self):
         with pytest.raises(ImprimitiveError):
@@ -127,7 +205,7 @@ class TestReduction:
         # all reduced forms in one rho-cycle share the canonical form
         for D in (316, 40, 145):
             for f in all_reduced_forms(D):
-                assert reduction_cycle(f) == reduction_cycle(f.rho())
+                assert reduction_cycle(f) == reduction_cycle(rho(f))
 
 
 class TestComposition:
@@ -189,7 +267,7 @@ class TestClassTable:
     def test_lookups_and_products_match_reduction_cycle(self, d):
         D = make_field(d).disc
         table = _ClassTable(D)
-        for f in all_reduced_forms(D):
+        for f in sieve_reduced_forms(D):
             assert table.classes[table.class_of(f.as_tuple())] == reduction_cycle(f)
         for i, x in enumerate(table.classes):
             for j, y in enumerate(table.classes):
@@ -200,7 +278,7 @@ class TestClassTable:
     def test_structure_matches_form_class_law(self, d, flavor):
         F = make_field(d)
         narrow = sorted(
-            {reduction_cycle(f) for f in all_reduced_forms(F.disc)}, key=_class_key
+            {reduction_cycle(f) for f in sieve_reduced_forms(F.disc)}, key=_class_key
         )
         one = principal_class(F.disc)
         if flavor == "narrow":
@@ -238,12 +316,61 @@ class TestClassTable:
     def test_cycles_partition_the_reduced_triples_near_1e8(self, d):
         # cycles longer than 10 000 forms, which a fixed step cap refused
         D = make_field(d).disc
-        triples = formclass._reduced_triples(D)
+        triples = _reduced_triples(D)
         table = _ClassTable(D)
         assert sum(c.cycle_length for c in table.classes) == len(triples)
         assert set(table.index) == set(triples)
         assert max(c.cycle_length for c in table.classes) > 10_000
         assert class_data(make_field(d)) is not None
+
+    def test_generated_classes_match_the_sieve_to_10000(self):
+        # every discriminant, fundamental or not: for a conductor > 1 no
+        # proof says that the prime forms below isqrt(D // 4) generate
+        for D in range(5, 10_001):
+            if D % 4 > 1 or is_square(D):
+                continue
+            forms, cycles = set(_reduced_triples(D)), []
+            while forms:
+                cycle = _rho_cycle(forms.pop(), D)
+                forms.difference_update(cycle)
+                cycles.append((min(cycle, key=lambda f: (abs(f[0]), *f)), cycle))
+            cycles.sort(key=lambda named: (abs(named[0][0]), *named[0]))
+            table = _ClassTable(D)
+            got = [(c.canonical.as_tuple(), c.cycle_length) for c in table.classes]
+            assert got == [(least, len(cycle)) for least, cycle in cycles], D
+            assert table.index == {f: i for i, (_, cycle) in enumerate(cycles) for f in cycle}
+            assert table.classes[table.identity] == principal_class(D), D
+            assert table.classes[table.sign] == sign_class(D), D
+
+    def test_negation_is_the_product_with_the_sign_class_to_10000(self):
+        # wide_rep reads i*sign from ``negation``
+        for d in SQUAREFREE_TO_10_000:
+            table = _ClassTable(make_field(d).disc)
+            sign = table.classes[table.sign].canonical.as_tuple()
+            for i, cls in enumerate(table.classes):
+                a, b, c = f = cls.canonical.as_tuple()
+                assert table.negation[i] == table.class_of((-a, b, -c)), (d, i)
+                assert table.negation[i] == table.class_of(_compose_forms(f, sign)), (d, i)
+
+    @pytest.mark.parametrize("d", [100000001, 100000002, 100000010])
+    def test_building_composes_at_most_h_plus_times(self, d, monkeypatch):
+        calls = 0
+        compose = formclass._compose_forms
+
+        def counted(f, g):
+            nonlocal calls
+            calls += 1
+            return compose(f, g)
+
+        monkeypatch.setattr(formclass, "_compose_forms", counted)
+        table = _ClassTable(make_field(d).disc)
+        h_plus = len(table.classes)
+        assert calls <= h_plus, (calls, h_plus)
+        calls = 0
+        reps = {table.wide_rep(i) for i in range(h_plus)}
+        assert calls == 0 and len(reps) in (h_plus, h_plus // 2)
+        _group_structure(table, "wide")
+        assert calls == len(table._products)  # each a product the law memoised
 
     def test_class_of_another_discriminant_rejected(self, field79, field10):
         group = class_group(field79, "wide")
@@ -613,7 +740,7 @@ class TestReducedFormEnumeration:
                         continue
                     for sa in (a, -a):
                         f = BinaryQuadraticForm(sa, b, (b * b - D) // (4 * sa))
-                        if f.is_reduced() and f.is_primitive():
+                        if is_reduced(f) and f.is_primitive():
                             naive.add(f)
             got = all_reduced_forms(D)
             assert len(got) == len(naive) and set(got) == naive, f"d={d}"
@@ -647,9 +774,9 @@ DISCRIMINANTS = st.builds(
 
 
 class TestReducedFormSieve:
-    """The split-prime sieve against trial division of every (D - b^2)/4
-    (``trial_division_reduced_forms``, the enumeration it replaced), and the
-    two facts it rests on."""
+    """The forms of the generated class table against trial division of
+    every (D - b^2)/4 (``trial_division_reduced_forms``), and the two facts
+    the split-prime sieve oracle (``_reduced_triples``) rests on."""
 
     @pytest.mark.parametrize(
         "window",
