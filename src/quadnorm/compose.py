@@ -4,15 +4,16 @@ a period field, and the composition-law checks on the polynomial family.
 Elements of the compositum are vectors over the period basis with
 coefficients in the quadratic ring; this product basis is valid exactly
 when the two discriminants are coprime, which is checked on construction.
-Arithmetic runs on integer pair vectors, the pair (u, v) standing for the
-coordinate (u + v*sqrt(d))/2, with products through the one period product
-``cyclicext.period_mul``; ``QuadInteger`` coordinates are converted once on
-entry and once on exit.  Relative norms and characteristic polynomials are
-read off one ring map onto (Z/M)[t]/(t^2 - d), zeta -> z with
-Phi_q(z) = 0 (mod M) and sqrt(d) -> t, under which the e Galois conjugates
-are e linear forms in the period images (``_conjugates``): the norm is
-their product and the charpoly the product of the e linear factors
-x - sigma^j(alpha), lifted symmetrically with M above twice a proven bound.
+Arithmetic runs on integer pair vectors: a ``QuadInteger`` coordinate
+stores the pair (u, v) of (u + v*sqrt(d))/2, which is read directly, and
+products go through the one period product ``cyclicext.period_mul``.
+Coordinates of another radicand are refused where they enter.  Relative
+norms and characteristic polynomials are read off one ring map onto
+(Z/M)[t]/(t^2 - d), zeta -> z with Phi_q(z) = 0 (mod M) and sqrt(d) -> t,
+under which the e Galois conjugates are e linear forms in the period
+images (``_conjugates``): the norm is their product and the charpoly the
+product of the e linear factors x - sigma^j(alpha), lifted symmetrically
+with M above twice a proven bound.
 The charpoly checks each coefficient against its bound and its
 x^(e-1) coefficient against the trace, the sum of the coordinates.  The
 bounded norm search reduces its candidates modulo two auxiliary primes
@@ -130,6 +131,8 @@ class RelativeExtension:
         coords = tuple(coords)
         if len(coords) != self.degree:
             raise ValueError(f"need {self.degree} coordinates")
+        for c in coords:
+            self._one._check(c)
         return RelativeElement(self, coords)
 
     def scalar(self, c: QuadInteger) -> RelativeElement:
@@ -141,12 +144,10 @@ class RelativeExtension:
         coords[i % self.degree] = self._one
         return self.element(coords)
 
-    def _quad(self, u: int, v: int) -> QuadInteger:
-        return QuadInteger(self.field.d, u, v, 2)
-
     def _mul(self, x: RelativeElement, y: RelativeElement) -> RelativeElement:
-        prod = period_mul(_pairs(x.coords), _pairs(y.coords), self._rows, self.field.d)
-        return RelativeElement(self, tuple(self._quad(u, v) for u, v in prod))
+        d = self.field.d
+        prod = period_mul(_pairs(x.coords), _pairs(y.coords), self._rows, d)
+        return RelativeElement(self, tuple(QuadInteger(d, u, v, 2) for u, v in prod))
 
     def galois_apply(self, i: int, alpha: RelativeElement) -> RelativeElement:
         """Generator of the relative Galois group acts by shifting the
@@ -198,7 +199,7 @@ class RelativeExtension:
     def relative_norm(self, alpha: RelativeElement) -> QuadInteger:
         """Product of all Galois conjugates; lands in the quadratic ring."""
         self._same(alpha.ext)
-        return self._quad(*self._pair_norm(_pairs(alpha.coords)))
+        return QuadInteger(self.field.d, *self._pair_norm(_pairs(alpha.coords)), 2)
 
     def charpoly(self, alpha: RelativeElement) -> RelativeCharPoly:
         """Characteristic polynomial of multiplication by alpha over the
@@ -230,7 +231,8 @@ class RelativeExtension:
             pairs.append((u, v))
         if pairs[-1] != (sum(u for u, _ in x), sum(v for _, v in x)):
             raise ArithmeticError("charpoly coefficient of x^(e-1) is not -Tr(alpha)")
-        return RelativeCharPoly(coeffs=tuple(self._quad(u, v) for u, v in pairs) + (self._one,))
+        coeffs = tuple(QuadInteger(d, u, v, 2) for u, v in pairs)
+        return RelativeCharPoly(coeffs=coeffs + (self._one,))
 
     def default_height_candidates(self, bound: int) -> list[QuadInteger]:
         d = self.field.d
@@ -255,11 +257,12 @@ class RelativeExtension:
         """
         if bound < 0:
             raise ValueError("bound must be >= 0")
+        self._one._check(target)
         pairs = _pairs(self.default_height_candidates(bound))
-        (want,) = _pairs((target,))
+        want = (target.u, target.v)
         for combo in self._sieve_survivors(pairs, want):
             if self._pair_norm(combo) == want:
-                cand = self.element(self._quad(u, v) for u, v in combo)
+                cand = self.element(QuadInteger(self.field.d, u, v, 2) for u, v in combo)
                 # re-verified by the other route: the conjugates' product
                 norm = prod(map(cand.galois, range(1, self.degree)), start=cand)
                 if norm != self.scalar(target):
@@ -349,8 +352,8 @@ class _ResidueSieve:
 
 
 def _pairs(coords) -> list[tuple[int, int]]:
-    """Quadratic integers as integer pairs (u, v) for (u + v*sqrt(d))/2."""
-    return [(c.a, c.b) if c.den == 2 else (2 * c.a, 2 * c.b) for c in coords]
+    """The stored pairs (u, v) of quadratic integers (u + v*sqrt(d))/2."""
+    return [(c.u, c.v) for c in coords]
 
 
 @dataclass(frozen=True)

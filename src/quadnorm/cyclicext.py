@@ -418,7 +418,8 @@ def period_mul(x, y, rows, d: int) -> list[tuple[int, int]]:
     of Q(sqrt(d)), through the cyclotomic rows R = ``rows`` of the table.
 
     A coordinate is an integer pair (u, v) standing for (u + v*sqrt(d))/2,
-    so an integer vector c is the pair vector (2c, 0) and any d will do.
+    the pair that ``quadfield.QuadInteger`` stores, so an integer vector c
+    is the pair vector (2c, 0) and any d will do.
     period_i * period_j is sum over (k, t) in R[j - i] of t * period_(k+i);
     the negative index j - i reads R cyclically, and k + i < 2e is folded
     mod e once at the end.  Raises ArithmeticError when a coordinate of the

@@ -105,18 +105,22 @@ def kronecker(a: int, q: int) -> int:
 
 
 def sqrt_mod_prime(a: int, q: int) -> int:
-    """Smallest square root of a modulo an odd prime q (Tonelli-Shanks,
-    Cohen GTM 138, Alg. 1.5.1).
+    """Smallest square root of a modulo an odd prime q: a^((q+1)/4) when
+    q = 3 (mod 4), else Tonelli-Shanks (Cohen GTM 138, Alg. 1.5.1).
 
-    Raises ValueError when a is a non-residue, and at q = 2.
+    Raises ValueError at q = 2 and for a non-residue a, which fails the
+    root's check or, in the loop, has a^t of order 2^e.
     """
     if q == 2:
         raise ValueError("sqrt_mod_prime expects an odd prime")
     a %= q
     if a == 0:
         return 0
-    if kronecker(a, q) != 1:
-        raise ValueError(f"{a} is not a square modulo {q}")
+    if q % 4 == 3:
+        r = pow(a, (q + 1) // 4, q)
+        if r * r % q != a:
+            raise ValueError(f"{a} is not a square modulo {q}")
+        return min(r, q - r)
     e, t = 0, q - 1  # q - 1 = 2^e * t with t odd
     while t % 2 == 0:
         e, t = e + 1, t // 2
@@ -126,10 +130,12 @@ def sqrt_mod_prime(a: int, q: int) -> int:
     z = pow(n, t, q)  # generates the 2-Sylow subgroup of (Z/q)*
     r, b = pow(a, (t + 1) // 2, q), pow(a, t, q)
     while b != 1:
-        # least m with b^(2^m) = 1; then m < e
+        # least m with b^(2^m) = 1; m < e unless a is a non-residue
         m, b2 = 0, b
         while b2 != 1:
             m, b2 = m + 1, b2 * b2 % q
+        if m == e:
+            raise ValueError(f"{a} is not a square modulo {q}")
         y = pow(z, 1 << (e - m - 1), q)
         z = y * y % q
         r, b, e = r * y % q, b * z % q, m

@@ -2,8 +2,10 @@
 
 Discriminants, prime splitting, fundamental units via the integer PQa
 continued-fraction algorithm, and reduction into residue fields at odd
-unramified primes.  No floating point is used anywhere: elements are kept
-as integer triples (a, b, den) meaning (a + b*sqrt(d)) / den.
+unramified primes.  No floating point is used anywhere: an element of the
+ring of integers is kept as the integer pair (u, v) meaning
+(u + v*sqrt(d))/2 (``QuadInteger``), with (a + b*sqrt(d)) / den, den 1 or
+2, read out in lowest terms.
 """
 
 from __future__ import annotations
@@ -70,28 +72,39 @@ def make_field(d: int) -> QuadraticField:
 
 
 class QuadInteger:
-    """An element (a + b*sqrt(d)) / den of the ring of integers of Q(sqrt(d)).
+    """An element (u + v*sqrt(d))/2 of the ring of integers of Q(sqrt(d)).
 
-    den is 1 or 2; den = 2 only occurs for d = 1 (mod 4) with a, b both odd.
-    Instances are immutable and normalized, so equality is coordinate-wise.
+    The pair (u, v) is stored, in the convention of Cohen, GTM 138, §5.2:
+    u = v (mod 2), and both are even unless d = 1 (mod 4).  ``a``, ``b``
+    and ``den`` read it in lowest terms as (a + b*sqrt(d)) / den, den = 2
+    exactly when u and v are odd.  The constructor takes those lowest-terms
+    coordinates.  Instances are immutable, so equality is pair-wise.
     """
 
-    __slots__ = ("d", "a", "b", "den")
+    __slots__ = ("d", "u", "v")
 
     def __init__(self, d: int, a: int, b: int, den: int = 1):
         if den not in (1, 2):
             raise ValueError("den must be 1 or 2")
-        if den == 2:
-            if a % 2 == 0 and b % 2 == 0:
-                a //= 2
-                b //= 2
-                den = 1
-            elif d % 4 != 1 or (a - b) % 2 != 0:
-                raise ValueError(f"({a}+{b}*sqrt({d}))/2 is not integral")
+        if den == 1:
+            a, b = 2 * a, 2 * b
+        elif not _integral(d, a, b):
+            raise ValueError(f"({a}+{b}*sqrt({d}))/2 is not integral")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "u", a)
+        object.__setattr__(self, "v", b)
+
+    @property
+    def den(self) -> int:
+        return 2 if self.u % 2 else 1
+
+    @property
+    def a(self) -> int:
+        return self.u if self.u % 2 else self.u // 2
+
+    @property
+    def b(self) -> int:
+        return self.v if self.u % 2 else self.v // 2
 
     def __setattr__(self, *args):
         raise AttributeError("QuadInteger is immutable")
@@ -103,10 +116,10 @@ class QuadInteger:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadInteger):
             return NotImplemented
-        return (self.d, self.a, self.b, self.den) == (other.d, other.a, other.b, other.den)
+        return (self.d, self.u, self.v) == (other.d, other.u, other.v)
 
     def __hash__(self) -> int:
-        return hash((self.d, self.a, self.b, self.den))
+        return hash((self.d, self.u, self.v))
 
     def __repr__(self) -> str:
         core = f"{self.a}{self.b:+d}*sqrt({self.d})"
@@ -114,60 +127,39 @@ class QuadInteger:
 
     def __add__(self, other: "QuadInteger") -> "QuadInteger":
         self._check(other)
-        if self.den == other.den:
-            return QuadInteger(self.d, self.a + other.a, self.b + other.b, self.den)
-        x, y = (self, other) if self.den == 2 else (other, self)
-        return QuadInteger(self.d, x.a + 2 * y.a, x.b + 2 * y.b, 2)
+        return QuadInteger(self.d, self.u + other.u, self.v + other.v, 2)
 
     def __sub__(self, other: "QuadInteger") -> "QuadInteger":
-        return self + (-other)
+        self._check(other)
+        return QuadInteger(self.d, self.u - other.u, self.v - other.v, 2)
 
     def __neg__(self) -> "QuadInteger":
-        return QuadInteger(self.d, -self.a, -self.b, self.den)
+        return QuadInteger(self.d, -self.u, -self.v, 2)
 
     def __mul__(self, other: "QuadInteger") -> "QuadInteger":
         self._check(other)
-        a = self.a * other.a + self.b * other.b * self.d
-        b = self.a * other.b + self.b * other.a
-        den = self.den * other.den
-        while den > 1 and a % 2 == 0 and b % 2 == 0:
-            a //= 2
-            b //= 2
-            den //= 2
-        if den == 4:
-            raise ArithmeticError("non-integral product; inputs were not integral")
-        return QuadInteger(self.d, a, b, den)
+        u = (self.u * other.u + self.d * self.v * other.v) // 2
+        v = (self.u * other.v + self.v * other.u) // 2
+        return QuadInteger(self.d, u, v, 2)
 
     def scale(self, k: int) -> "QuadInteger":
-        return QuadInteger(self.d, k * self.a, k * self.b, self.den)
+        return QuadInteger(self.d, k * self.u, k * self.v, 2)
 
     def divide_exact(self, k: int) -> "QuadInteger":
         """Exact division by a rational integer; raises if not divisible."""
-        # numerators over the common denominator 2, e.g. (2 + 2*sqrt(5)) / 4
-        # is (1 + sqrt(5)) / 2
-        u, v = (self.a, self.b) if self.den == 2 else (2 * self.a, 2 * self.b)
-        if u % k or v % k:
-            raise ArithmeticError(f"{self!r} not divisible by {k}")
-        u, v = u // k, v // k
-        if (u - v) % 2 or (u % 2 and self.d % 4 != 1):
+        u, v = self.u // k, self.v // k
+        if self.u % k or self.v % k or not _integral(self.d, u, v):
             raise ArithmeticError(f"{self!r} not divisible by {k}")
         return QuadInteger(self.d, u, v, 2)
 
     def conjugate(self) -> "QuadInteger":
-        return QuadInteger(self.d, self.a, -self.b, self.den)
+        return QuadInteger(self.d, self.u, -self.v, 2)
 
     def norm(self) -> int:
-        n = self.a * self.a - self.b * self.b * self.d
-        q, r = divmod(n, self.den * self.den)
-        if r:
-            raise ArithmeticError("norm is not a rational integer")
-        return q
+        return (self.u * self.u - self.d * self.v * self.v) // 4
 
     def trace(self) -> int:
-        q, r = divmod(2 * self.a, self.den)
-        if r:
-            raise ArithmeticError("trace is not a rational integer")
-        return q
+        return self.u
 
     def inverse(self) -> "QuadInteger":
         n = self.norm()
@@ -184,20 +176,19 @@ class QuadInteger:
 
     def sign(self) -> int:
         """Sign of the real value under sqrt(d) > 0."""
-        a, b = self.a, self.b
-        if a >= 0 and b >= 0:
-            return 1 if (a or b) else 0
-        if a <= 0 and b <= 0:
-            return -1 if (a or b) else 0
-        lhs = a * a
-        rhs = b * b * self.d
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        su, sv = (self.u > 0) - (self.u < 0), (self.v > 0) - (self.v < 0)
+        if su * sv >= 0:
+            return su or sv
+        # opposite signs: the larger of |u| and |v|*sqrt(d) decides
+        return su if self.u * self.u > self.d * self.v * self.v else sv
 
     def is_greater_than_one(self) -> bool:
-        shifted = QuadInteger(self.d, self.a - self.den, self.b, 1)
-        return shifted.sign() > 0
+        return QuadInteger(self.d, self.u - 2, self.v, 2).sign() > 0
+
+
+def _integral(d: int, u: int, v: int) -> bool:
+    """Is (u + v*sqrt(d))/2 in the ring of integers of Q(sqrt(d))?"""
+    return (u - v) % 2 == 0 and (u % 2 == 0 or d % 4 == 1)
 
 
 @dataclass(frozen=True)
@@ -245,7 +236,7 @@ def fundamental_unit(F: QuadraticField) -> FundamentalUnit:
         Q = (D - P * P) // Q
         if P == P0 and Q == 2:
             break
-    # sqrt(D) = 2*sqrt(d) when D = 4d
+    # the pair of eps, with sqrt(D) = 2*sqrt(d) when D = 4d
     eps = QuadInteger(F.d, 2 * A - P0 * B, B if F.half_basis else 2 * B, 2)
     n = eps.norm()
     if abs(n) != 1:
@@ -307,18 +298,16 @@ def reduce_mod_prime(
         raise RamifiedPrimeError(f"{q} ramifies (divides {F.disc})")
     if x.d != F.d:
         raise ValueError("element does not belong to the field")
-    inv_den = pow(x.den, -1, q)
+    half = (q + 1) // 2  # the inverse of 2 mod q
     if kronecker(F.disc, q) == -1:
-        c0 = x.a * inv_den % q
-        c1 = x.b * inv_den % q
-        return ResidueFieldElement(q, c0, c1, F.d % q, None)
+        return ResidueFieldElement(q, x.u * half % q, x.v * half % q, F.d % q, None)
     if which_root is None:
         root = sqrt_mod_prime(F.d, q)  # the smaller root
     else:
         root = which_root % q
         if root * root % q != F.d % q:
             raise ValueError(f"{which_root} is not a square root of {F.d} mod {q}")
-    c0 = (x.a + x.b * root) * inv_den % q
+    c0 = (x.u + x.v * root) * half % q
     return ResidueFieldElement(q, c0, 0, F.d % q, root)
 
 

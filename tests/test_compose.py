@@ -349,6 +349,24 @@ class TestSearchChecks:
         assert len(exact) <= 5
 
 
+class TestForeignRadicands:
+    """Coordinates and targets built in another quadratic field are refused
+    where they enter: the coordinates (1 + sqrt(5), 0, 2) of Q(sqrt 5) must
+    not get a relative norm over Q(sqrt 10)."""
+
+    @pytest.mark.parametrize("den", [1, 2])
+    def test_element_scalar_and_target(self, ext7_10, den):
+        c = QuadInteger(5, 1, 1, den)
+        for refused in (
+            lambda: ext7_10.element([c, QuadInteger(5, 0, 0), QuadInteger(5, 2, 0)]),
+            lambda: ext7_10.element([QuadInteger(10, 1, 0), QuadInteger(10, 0, 0), c]),
+            lambda: ext7_10.scalar(c),
+            lambda: ext7_10.search_norm_element(c, 1),
+        ):
+            with pytest.raises(ValueError, match="^mixed radicands$"):
+                refused()
+
+
 class TestPeriodProduct:
     """The pair-vector kernel against the QuadInteger schoolbook sum
     sum_ij x_i * y_j * T[i][j]."""

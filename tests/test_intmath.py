@@ -179,6 +179,20 @@ class TestSqrtModPrime:
                     sqrt_mod_prime(a, q)
 
 
+def test_every_non_residue_is_refused_below_200():
+    """Euler's criterion is not evaluated before the root is: a non-residue
+    fails the root's check at q = 3 (mod 4) and is caught inside the
+    Tonelli-Shanks loop otherwise, q = 1 (mod 8) included."""
+    primes = primes_up_to(199)[1:]
+    assert {17, 41, 73, 89, 97, 113, 137, 193} <= set(primes)
+    for q in primes:
+        squares = {r * r % q for r in range(q)}
+        for a in set(range(q)) - squares:
+            for x in (a, a + 3 * q, a - q):
+                with pytest.raises(ValueError, match=f"^{a} is not a square modulo {q}$"):
+                    sqrt_mod_prime(x, q)
+
+
 def reciprocity_kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a | n), by the reciprocity loop that served any
     modulus before ``kronecker`` was narrowed to primes; its oracle."""

@@ -1,3 +1,4 @@
+import operator
 import random
 import signal
 from math import gcd, isqrt
@@ -12,6 +13,7 @@ from quadnorm.intmath import (
     is_squarefree,
     kronecker,
     p_power_order,
+    power,
     primes_up_to,
     sqrt_mod_prime,
 )
@@ -167,6 +169,244 @@ class TestQuadInteger:
             x = QuadInteger(d, a, b)
         assert x.scale(k).divide_exact(k) == x
         assert x.scale(-k).divide_exact(k) == -x
+
+
+# The reduced-form QuadInteger that kept (a, b, den) before the pair (u, v)
+# of (u + v*sqrt(d))/2 became the stored format: the oracle of the pair
+# arithmetic.  The body is the former ``quadfield`` class, renamed.
+
+
+class TripleQuadInteger:
+    """An element (a + b*sqrt(d)) / den of the ring of integers of Q(sqrt(d)).
+
+    den is 1 or 2; den = 2 only occurs for d = 1 (mod 4) with a, b both odd.
+    Instances are immutable and normalized, so equality is coordinate-wise.
+    """
+
+    __slots__ = ("d", "a", "b", "den")
+
+    def __init__(self, d: int, a: int, b: int, den: int = 1):
+        if den not in (1, 2):
+            raise ValueError("den must be 1 or 2")
+        if den == 2:
+            if a % 2 == 0 and b % 2 == 0:
+                a //= 2
+                b //= 2
+                den = 1
+            elif d % 4 != 1 or (a - b) % 2 != 0:
+                raise ValueError(f"({a}+{b}*sqrt({d}))/2 is not integral")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, *args):
+        raise AttributeError("TripleQuadInteger is immutable")
+
+    def _check(self, other: "TripleQuadInteger") -> None:
+        if self.d != other.d:
+            raise ValueError("mixed radicands")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TripleQuadInteger):
+            return NotImplemented
+        return (self.d, self.a, self.b, self.den) == (other.d, other.a, other.b, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.a, self.b, self.den))
+
+    def __repr__(self) -> str:
+        core = f"{self.a}{self.b:+d}*sqrt({self.d})"
+        return f"({core})/2" if self.den == 2 else f"({core})"
+
+    def __add__(self, other: "TripleQuadInteger") -> "TripleQuadInteger":
+        self._check(other)
+        if self.den == other.den:
+            return TripleQuadInteger(self.d, self.a + other.a, self.b + other.b, self.den)
+        x, y = (self, other) if self.den == 2 else (other, self)
+        return TripleQuadInteger(self.d, x.a + 2 * y.a, x.b + 2 * y.b, 2)
+
+    def __sub__(self, other: "TripleQuadInteger") -> "TripleQuadInteger":
+        return self + (-other)
+
+    def __neg__(self) -> "TripleQuadInteger":
+        return TripleQuadInteger(self.d, -self.a, -self.b, self.den)
+
+    def __mul__(self, other: "TripleQuadInteger") -> "TripleQuadInteger":
+        self._check(other)
+        a = self.a * other.a + self.b * other.b * self.d
+        b = self.a * other.b + self.b * other.a
+        den = self.den * other.den
+        while den > 1 and a % 2 == 0 and b % 2 == 0:
+            a //= 2
+            b //= 2
+            den //= 2
+        if den == 4:
+            raise ArithmeticError("non-integral product; inputs were not integral")
+        return TripleQuadInteger(self.d, a, b, den)
+
+    def scale(self, k: int) -> "TripleQuadInteger":
+        return TripleQuadInteger(self.d, k * self.a, k * self.b, self.den)
+
+    def divide_exact(self, k: int) -> "TripleQuadInteger":
+        """Exact division by a rational integer; raises if not divisible."""
+        # numerators over the common denominator 2, e.g. (2 + 2*sqrt(5)) / 4
+        # is (1 + sqrt(5)) / 2
+        u, v = (self.a, self.b) if self.den == 2 else (2 * self.a, 2 * self.b)
+        if u % k or v % k:
+            raise ArithmeticError(f"{self!r} not divisible by {k}")
+        u, v = u // k, v // k
+        if (u - v) % 2 or (u % 2 and self.d % 4 != 1):
+            raise ArithmeticError(f"{self!r} not divisible by {k}")
+        return TripleQuadInteger(self.d, u, v, 2)
+
+    def conjugate(self) -> "TripleQuadInteger":
+        return TripleQuadInteger(self.d, self.a, -self.b, self.den)
+
+    def norm(self) -> int:
+        n = self.a * self.a - self.b * self.b * self.d
+        q, r = divmod(n, self.den * self.den)
+        if r:
+            raise ArithmeticError("norm is not a rational integer")
+        return q
+
+    def trace(self) -> int:
+        q, r = divmod(2 * self.a, self.den)
+        if r:
+            raise ArithmeticError("trace is not a rational integer")
+        return q
+
+    def inverse(self) -> "TripleQuadInteger":
+        n = self.norm()
+        if abs(n) != 1:
+            raise ArithmeticError("only units are invertible in the ring")
+        return self.conjugate().scale(n)
+
+    def __pow__(self, k: int) -> "TripleQuadInteger":
+        base = self if k >= 0 else self.inverse()
+        return power(base, abs(k), operator.mul, TripleQuadInteger(self.d, 1, 0))
+
+    def height(self) -> int:
+        return max(abs(self.a), abs(self.b))
+
+    def sign(self) -> int:
+        """Sign of the real value under sqrt(d) > 0."""
+        a, b = self.a, self.b
+        if a >= 0 and b >= 0:
+            return 1 if (a or b) else 0
+        if a <= 0 and b <= 0:
+            return -1 if (a or b) else 0
+        lhs = a * a
+        rhs = b * b * self.d
+        if a > 0:  # b < 0
+            return 1 if lhs > rhs else -1
+        return 1 if rhs > lhs else -1
+
+    def is_greater_than_one(self) -> bool:
+        shifted = TripleQuadInteger(self.d, self.a - self.den, self.b, 1)
+        return shifted.sign() > 0
+
+
+ORACLE_DS = (2, 3, 5, 10, 13, 21, 79, 94)  # both classes of d mod 4
+GRID = [
+    (d, a, b, den)
+    for d in ORACLE_DS
+    for a in range(-6, 7)
+    for b in range(-6, 7)
+    for den in (1, 2)
+]
+
+
+def outcome(f, *args):
+    """What a call gives, comparable across the two classes: an element as
+    its lowest terms and repr, or the type and message of the exception."""
+    try:
+        got = f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, (QuadInteger, TripleQuadInteger)):
+        return got.d, got.a, got.b, got.den, repr(got)
+    return got
+
+
+def valid_pairs(d=None):
+    """(pair-format, oracle) for every grid entry the oracle accepts."""
+    out = []
+    for args in GRID:
+        if d is None or args[0] == d:
+            try:
+                old = TripleQuadInteger(*args)
+            except ValueError:
+                continue
+            out.append((QuadInteger(*args), old))
+    return out
+
+
+class TestPairFormatAgainstTripleOracle:
+    def test_constructor_refusals_and_readouts(self):
+        refused = 0
+        for args in GRID + [(5, 1, 1, 0), (5, 1, 1, 3), (13, 2, 2, -2), (10, 0, 0, 4)]:
+            got = outcome(QuadInteger, *args)
+            assert got == outcome(TripleQuadInteger, *args), args
+            refused += got[0] is ValueError
+        assert refused > 100
+
+    def test_stored_pair(self):
+        assert QuadInteger.__slots__ == ("d", "u", "v")
+        for x, old in valid_pairs():
+            assert (x.u, x.v) == (old.a * 2 // old.den, old.b * 2 // old.den)
+
+    def test_equality_and_hash(self):
+        pairs = valid_pairs()
+        classes: dict = {}
+        for x, old in pairs:
+            classes.setdefault(old, set()).add(x)
+        # equal elements compare equal and hash alike, unequal ones differ
+        assert all(len(same) == 1 for same in classes.values())
+        assert len({x for x, _ in pairs}) == len(classes)
+        rng = random.Random(28)
+        for _ in range(3000):
+            (x, xo), (y, yo) = rng.choice(pairs), rng.choice(pairs)
+            assert (x == y) == (xo == yo)
+            if x == y:
+                assert hash(x) == hash(y)
+        assert QuadInteger(5, 2, 4, 2) == QuadInteger(5, 1, 2) != QuadInteger(13, 1, 2)
+        assert QuadInteger(5, 1, 2) != (5, 1, 2, 1)
+
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    def test_ring_operations(self, d):
+        pairs = valid_pairs(d)
+        # the other operand is sometimes from the field before d in the list
+        others = pairs + valid_pairs(ORACLE_DS[ORACLE_DS.index(d) - 1])[:20]
+        rng = random.Random(d)
+        for _ in range(1500):
+            (x, xo), (y, yo) = rng.choice(pairs), rng.choice(others)
+            for op in ("__add__", "__sub__", "__mul__"):
+                assert outcome(getattr(x, op), y) == outcome(getattr(xo, op), yo), (op, xo, yo)
+        for x, xo in pairs:
+            for op in ("__neg__", "conjugate", "norm", "trace", "inverse",
+                       "height", "sign", "is_greater_than_one"):
+                assert outcome(getattr(x, op)) == outcome(getattr(xo, op)), (op, xo)
+            for k in range(-4, 5):
+                assert outcome(x.scale, k) == outcome(xo.scale, k), (xo, k)
+                if k:
+                    assert outcome(x.divide_exact, k) == outcome(xo.divide_exact, k), (xo, k)
+                    y, yo = x.scale(3), xo.scale(3)
+                    assert outcome(y.divide_exact, k) == outcome(yo.divide_exact, k), (yo, k)
+            for k in (-1, 0, 1, 2, 3):
+                assert outcome(x.__pow__, k) == outcome(xo.__pow__, k), (xo, k)
+
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    def test_unit_powers(self, d):
+        eps = fundamental_unit(make_field(d)).value
+        units = [eps, -eps, eps.conjugate(), QuadInteger(d, -1, 0)]
+        for x in units:
+            xo = TripleQuadInteger(d, x.a, x.b, x.den)
+            for k in range(-4, 5):
+                assert outcome(x.__pow__, k) == outcome(xo.__pow__, k), (xo, k)
+                assert outcome((x**k).inverse) == outcome((xo**k).inverse), (xo, k)
+            assert outcome(x.is_greater_than_one) == outcome(xo.is_greater_than_one)
+            assert outcome(x.sign) == outcome(xo.sign)
 
 
 # The Pell brute force, the independent oracle of the continued-fraction
