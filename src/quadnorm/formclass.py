@@ -29,7 +29,7 @@ from .intmath import (
     primes_up_to,
     sqrt_mod_prime,
 )
-from .quadfield import NotPrimeError, QuadraticField
+from .quadfield import NotPrimeError, QuadraticField, _rho
 
 _MAX_REDUCE_STEPS = 10_000
 
@@ -69,19 +69,6 @@ class BinaryQuadraticForm:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
-
-
-def _rho(b: int, c: int, D: int, s: int) -> tuple[int, int, int]:
-    """The rho step on triples: the right neighbour of any (a, b, c) of
-    discriminant D, with s = isqrt(D)."""
-    ac = abs(c)
-    if ac * ac > D:
-        r = (-b) % (2 * ac)
-        if r > ac:
-            r -= 2 * ac
-    else:
-        r = s - (s + b) % (2 * ac)
-    return c, r, (r * r - D) // (4 * c)
 
 
 def _validate(f: BinaryQuadraticForm) -> None:

@@ -106,8 +106,6 @@ def local_norm_test(
     q, e = desc.q, desc.degree
     split = splitting_type(F, q) is SplittingType.SPLIT
     f = 1 if split else 2
-    if not split and root is not None:
-        raise ValueError("inert conductor has a single prime; root must be None")
     image = reduce_mod_prime(F, u, q, root)
     exponent = (q**f - 1) // e
     power = image**exponent

@@ -1,11 +1,11 @@
 """Exact arithmetic of real quadratic fields.
 
-Discriminants, prime splitting, fundamental units via the integer PQa
-continued-fraction algorithm, and reduction into residue fields at odd
-unramified primes.  No floating point is used anywhere: an element of the
-ring of integers is kept as the integer pair (u, v) meaning
-(u + v*sqrt(d))/2 (``QuadInteger``), with (a + b*sqrt(d)) / den, den 1 or
-2, read out in lowest terms.
+Discriminants, prime splitting, the rho step on form triples (the one
+continued-fraction step, which ``formclass`` also walks), fundamental units
+from one period of it, and reduction into residue fields at odd unramified
+primes.  No floating point is used: an element of the ring of integers is
+kept as the integer pair (u, v) meaning (u + v*sqrt(d))/2 (``QuadInteger``),
+with (a + b*sqrt(d)) / den, den 1 or 2, read out in lowest terms.
 """
 
 from __future__ import annotations
@@ -175,7 +175,9 @@ class QuadInteger:
         return max(abs(self.a), abs(self.b))
 
     def sign(self) -> int:
-        """Sign of the real value under sqrt(d) > 0."""
+        """Sign of the real value under sqrt(d) > 0, for d > 1 not a square."""
+        if self.d < 2 or isqrt(self.d) ** 2 == self.d:
+            raise ValueError(f"sqrt({self.d}) is not irrational")
         su, sv = (self.u > 0) - (self.u < 0), (self.v > 0) - (self.v < 0)
         if su * sv >= 0:
             return su or sv
@@ -208,39 +210,52 @@ def splitting_type(F: QuadraticField, ell: int) -> SplittingType:
     return SplittingType.RAMIFIED
 
 
+def _rho(b: int, c: int, D: int, s: int) -> tuple[int, int, int]:
+    """The rho step on triples: the right neighbour of any (a, b, c) of
+    discriminant D, with s = isqrt(D)."""
+    ac = abs(c)
+    if ac * ac > D:
+        r = (-b) % (2 * ac)
+        if r > ac:
+            r -= 2 * ac
+    else:
+        r = s - (s + b) % (2 * ac)
+    return c, r, (r * r - D) // (4 * c)
+
+
 def fundamental_unit(F: QuadraticField) -> FundamentalUnit:
-    """Smallest unit > 1, by the purely periodic PQa expansion.
+    """Smallest unit > 1, by one period of the rho walk of theta.
 
     With D the field discriminant and P0 the largest integer below sqrt(D)
     of the parity of D, theta = (P0 + sqrt(D))/2 is reduced (theta > 1 and
     -1 < theta' < 0) and Z[theta] is the ring of integers, so units outside
-    Z[sqrt(d)] are found.  The expansion of a reduced quadratic irrational
-    is purely periodic with every Q positive (Jacobson-Williams, *Solving
-    the Pell Equation*, ch. 5), so each partial quotient is
-    (P + isqrt(D)) // Q, and the state (P, Q) first returns to (P0, 2)
-    after one period of length l.  Then
+    Z[sqrt(d)] are found.  theta is (b + sqrt(D))/(2|c|) at the triple
+    ((P0^2 - D)/4, P0, 1), and a rho step (., b, c) -> (c, r, .) is a step
+    of its purely periodic continued fraction, of partial quotient
+    (b + r)/(2|c|) (Buchmann-Vollmer, *Binary Quadratic Forms*, ch. 6).  One
+    period, of length l, ends at the first b = P0, |c| = 1: the start triple
+    (a, b, c) for even l, its negation (-a, b, -c) for odd l.  Then
     eps = A_(l-1) - B_(l-1)*theta' = (2*A_(l-1) - P0*B_(l-1) + B_(l-1)*sqrt(D))/2,
     of norm (-1)^l.
     """
     D = F.disc
     s = isqrt(D)
     P0 = s - (s - D) % 2
-    P, Q = P0, 2
+    b, c = P0, 1
     A, A1 = 1, 0  # A_(i-1), A_(i-2)
     B, B1 = 0, 1
     while True:
-        a = (P + s) // Q
-        A, A1 = a * A + A1, A
-        B, B1 = a * B + B1, B
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        if P == P0 and Q == 2:
+        a, r, c = _rho(b, c, D, s)
+        x, b = (b + r) // (2 * abs(a)), r  # a is the old c, x the quotient
+        A, A1 = x * A + A1, A
+        B, B1 = x * B + B1, B
+        if b == P0 and abs(c) == 1:
             break
     # the pair of eps, with sqrt(D) = 2*sqrt(d) when D = 4d
     eps = QuadInteger(F.d, 2 * A - P0 * B, B if F.half_basis else 2 * B, 2)
     n = eps.norm()
     if abs(n) != 1:
-        raise ArithmeticError(f"PQa produced a non-unit for d={F.d}")
+        raise ArithmeticError(f"rho walk produced a non-unit for d={F.d}")
     if not eps.is_greater_than_one():
         raise ArithmeticError(f"unit normalization failed for d={F.d}")
     return FundamentalUnit(value=eps, unit_norm=n)
@@ -288,7 +303,7 @@ def reduce_mod_prime(
 
     q must be an odd prime unramified in the field.  For split q,
     ``which_root`` picks the square root of d mod q that defines the prime
-    (default: the smaller root).
+    (default: the smaller root); inert q refuses one, as d has no root there.
     """
     if not is_prime(q):
         raise NotPrimeError(f"{q} is not prime")
@@ -299,14 +314,14 @@ def reduce_mod_prime(
     if x.d != F.d:
         raise ValueError("element does not belong to the field")
     half = (q + 1) // 2  # the inverse of 2 mod q
-    if kronecker(F.disc, q) == -1:
-        return ResidueFieldElement(q, x.u * half % q, x.v * half % q, F.d % q, None)
-    if which_root is None:
-        root = sqrt_mod_prime(F.d, q)  # the smaller root
-    else:
+    if which_root is not None:
         root = which_root % q
         if root * root % q != F.d % q:
             raise ValueError(f"{which_root} is not a square root of {F.d} mod {q}")
+    elif kronecker(F.disc, q) == -1:
+        return ResidueFieldElement(q, x.u * half % q, x.v * half % q, F.d % q, None)
+    else:
+        root = sqrt_mod_prime(F.d, q)  # the smaller root
     c0 = (x.u + x.v * root) * half % q
     return ResidueFieldElement(q, c0, 0, F.d % q, root)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadnorm import quadfield
 from quadnorm.intmath import (
     factorize,
     floor_quadsurd,
@@ -130,6 +131,16 @@ class TestQuadInteger:
     def test_norm_and_trace(self):
         x = QuadInteger(79, 80, 9)
         assert x.norm() == 1 and x.trace() == 160
+
+    def test_sign_refuses_a_rational_sqrt(self):
+        # 2 - sqrt(4) and 3 - sqrt(9) are 0; sqrt(d) is irrational only for a
+        # non-square d > 1
+        for d, a, b in ((4, 2, -1), (9, 3, -1), (1, 1, -1), (0, 1, 1), (-3, 1, 1)):
+            x = QuadInteger(d, a, b)
+            with pytest.raises(ValueError):
+                x.sign()
+            with pytest.raises(ValueError):
+                x.is_greater_than_one()
 
     def test_unit_inverse(self):
         u = QuadInteger(10, 3, 1)
@@ -484,6 +495,20 @@ class TestFundamentalUnit:
             assert u.value.is_greater_than_one()
         assert len(str(fundamental_unit(make_field(1951)).value.a)) > 30
 
+    @pytest.mark.parametrize("d,period,norm", [(13, 1, -1), (79, 4, 1), (94, 16, 1)])
+    def test_steps_are_rho_steps(self, monkeypatch, d, period, norm):
+        # one _rho call per partial quotient: the walk stops after one
+        # period, at the negated start triple when N(eps) = -1
+        rho, calls = quadfield._rho, []
+
+        def counted(*args):
+            calls.append(args)
+            return rho(*args)
+
+        monkeypatch.setattr(quadfield, "_rho", counted)
+        assert fundamental_unit(make_field(d)).unit_norm == norm
+        assert len(calls) == period
+
     def test_matches_pell_brute_force_below_500(self):
         cap = 20_000
         for d in range(2, 501):
@@ -574,11 +599,75 @@ class TestPeriodDetectionOracle:
         assert fundamental_unit(F) == period_detection_unit(F)
 
 
+# The PQa loop on states (P, Q), the former ``quadfield.fundamental_unit``
+# with its body unchanged: the same continued fraction as the rho walk of
+# theta's triple, kept as an oracle of it.
+
+
+def pqa_unit(F: QuadraticField) -> FundamentalUnit:
+    """Smallest unit > 1, by the purely periodic PQa expansion.
+
+    With D the field discriminant and P0 the largest integer below sqrt(D)
+    of the parity of D, theta = (P0 + sqrt(D))/2 is reduced (theta > 1 and
+    -1 < theta' < 0) and Z[theta] is the ring of integers, so units outside
+    Z[sqrt(d)] are found.  The expansion of a reduced quadratic irrational
+    is purely periodic with every Q positive (Jacobson-Williams, *Solving
+    the Pell Equation*, ch. 5), so each partial quotient is
+    (P + isqrt(D)) // Q, and the state (P, Q) first returns to (P0, 2)
+    after one period of length l.  Then
+    eps = A_(l-1) - B_(l-1)*theta' = (2*A_(l-1) - P0*B_(l-1) + B_(l-1)*sqrt(D))/2,
+    of norm (-1)^l.
+    """
+    D = F.disc
+    s = isqrt(D)
+    P0 = s - (s - D) % 2
+    P, Q = P0, 2
+    A, A1 = 1, 0  # A_(i-1), A_(i-2)
+    B, B1 = 0, 1
+    while True:
+        a = (P + s) // Q
+        A, A1 = a * A + A1, A
+        B, B1 = a * B + B1, B
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if P == P0 and Q == 2:
+            break
+    # the pair of eps, with sqrt(D) = 2*sqrt(d) when D = 4d
+    eps = QuadInteger(F.d, 2 * A - P0 * B, B if F.half_basis else 2 * B, 2)
+    n = eps.norm()
+    if abs(n) != 1:
+        raise ArithmeticError(f"PQa produced a non-unit for d={F.d}")
+    if not eps.is_greater_than_one():
+        raise ArithmeticError(f"unit normalization failed for d={F.d}")
+    return FundamentalUnit(value=eps, unit_norm=n)
+
+
+class TestPQaOracle:
+    def test_agrees_below_20000(self):
+        for d in range(2, 20_000):
+            if is_squarefree(d):
+                F = make_field(d)
+                assert fundamental_unit(F) == pqa_unit(F), f"d={d}"
+
+    @pytest.mark.parametrize("d", [100000001, 100000002, 100000010, 999999937, 1000000007])
+    def test_agrees_on_large_fields(self, d):
+        F = make_field(d)
+        assert fundamental_unit(F) == pqa_unit(F)
+
+
 class TestReduceModPrime:
     def test_inert_example(self, field79):
         eps = fundamental_unit(field79).value
         img = reduce_mod_prime(field79, eps, 37)
         assert (img.c0, img.c1, img.dmod) == (6, 9, 5)
+
+    def test_root_refused_at_inert_prime(self, field79):
+        # 37 is inert in Q(sqrt(79)): one prime lies above it, and 79 has no
+        # square root mod 37 to choose
+        assert splitting_type(field79, 37) is SplittingType.INERT
+        for root in (5, 0, 36):
+            with pytest.raises(ValueError):
+                reduce_mod_prime(field79, QuadInteger(79, 3, 1), 37, root)
 
     def test_identity(self, field79):
         one = QuadInteger(79, 1, 0)
