@@ -234,6 +234,11 @@ class _ClassTable:
     4), in C or, negated, in C*sign; and the ideal of norm |a| is a product
     of primes of norm ell <= |a| (Cohen, GTM 138, 5.2-5.4).  For a
     non-fundamental D there is no such proof; tests check it.
+
+    A prime ell builds no triple when it is inert, or when some triple in
+    H's cycles has |a| = ell: H is closed under negation and inversion, and
+    every (ell, b, c) is the prime triple or its inverse (ell, -b, c) after
+    b -> b + 2*ell*k, so the loop would not grow H.
     """
 
     def __init__(self, D: int):
@@ -242,7 +247,7 @@ class _ClassTable:
         if D % 4 > 1:
             raise DiscriminantCongruenceError(f"{D} is not 0 or 1 modulo 4")
         s = isqrt(D)
-        cycles, negation, index = [], [], {}
+        cycles, negation, index, norms = [], [], {}, set()
 
         def add(f: tuple[int, int, int]) -> int:
             # numbers the cycle of a new reduced f, and its negation if distinct
@@ -250,6 +255,7 @@ class _ClassTable:
             i = len(cycles)
             index.update(zip(cyc, repeat(i)))
             cycles.append(cyc)
+            norms.update(map(abs, map(itemgetter(0), cyc)))  # the negated cycle's too
             if (-f[0], f[1], -f[2]) in index:  # the sign class is principal
                 negation.append(i)
             else:
@@ -263,6 +269,8 @@ class _ClassTable:
         one = add(_reduce((1, t, (t - D) // 4), D, s))
         H = [one]  # one class of each negation pair in the subgroup so far
         for ell in primes_up_to(isqrt(D // 4)):
+            if ell in norms or kronecker(D, ell) == -1:
+                continue
             f = _prime_triple(D, ell)
             if f is None:
                 continue
@@ -287,9 +295,10 @@ class _ClassTable:
         self.index = index
         # the class of the negated cycle, class * sign
         self.negation = [rank[negation[i]] for i in order]
-        # the FormClass reprs, the order in which _abelian_basis picks
-        # generators
-        self.reprs = [repr(cls) for cls in self.classes]
+        # keys in repr(FormClass) order, in which _abelian_basis picks
+        # generators: the repr's text up to the form's ")", as two classes
+        # never share a form
+        self.keys = ["%d, b=%d, c=%d)" % c.canonical.as_tuple() for c in self.classes]
         self._products: dict[tuple[int, int], int] = {}
         self.identity = rank[one]
         self.sign = self.negation[self.identity]  # represents -1
@@ -432,7 +441,7 @@ def _group_structure(table: _ClassTable, flavor: str) -> ClassGroupStructure:
     rep, mul = table.law(flavor)
     elements = sorted({rep(i) for i in range(len(table.classes))})
     one = rep(table.identity)
-    divs, gens = _structure(elements, mul, one, table.reprs.__getitem__)
+    divs, gens = _structure(elements, mul, one, table.keys.__getitem__)
     classes = table.classes
     return ClassGroupStructure(
         flavor,

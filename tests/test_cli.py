@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -23,6 +24,20 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+CLASSGROUP_SHA256 = {
+    "79": "0c70139962bc60da9b271945b91985ace9fe8af5e77b829811ba340bbd6b2dde",
+    "79 --narrow": "e8dbe2d6bf96927800bc426466e5f7024e7d50416b7568d6d594d29ffeb39c38",
+    "4002": "6bed3ef46e91dc14c15937e46c5eede704b90fd2545c9ace0fa1cb9753571487",
+    "4002 --narrow": "0b04017adf594b6eb01e870888d66d64cc9104b884cb8072bc7a3703a6734999",
+    "9994": "67a6b6bd74896318fd7ba33de404985ec78cdbed7e46a0473066881874afe4a4",
+    "9994 --narrow": "aab776f25bb3db03b9f096283fcf5f793ebab4d81edcfd455072df718b7caa23",
+    "100000001": "40ba64bbb29e5a881bcbcb2999efa9c351f00ba2e8c0f58c271d81c546c05130",
+    "100000001 --narrow": "69434e5e107030714051967f93a6531056ded19948a7812c89e5e9176b032bf9",
+    "100000002": "9df4733a3fc250c81af3f63345283d7bec51c73fc60d66c8f70990572dba6d3f",
+    "100000002 --narrow": "ee3f6fa18db193ec93935ba0c223f6196e68790860090ce7f0aea09b868b97a2",
+}
+
+
 class TestBasicCommands:
     def test_field(self, capsys):
         code, out, _ = run(capsys, "field", "--d", "79")
@@ -37,6 +52,13 @@ class TestBasicCommands:
         assert code == 0 and "h=3" in out
         code, out, _ = run(capsys, "classgroup", "--d", "79", "--narrow")
         assert code == 0 and "h=6" in out
+
+    @pytest.mark.parametrize("args", CLASSGROUP_SHA256)
+    def test_classgroup_output_is_pinned(self, capsys, args):
+        # the order, divisors and generators, to fields near 10^8
+        code, out, err = run(capsys, "classgroup", "--d", *args.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == CLASSGROUP_SHA256[args]
 
     def test_ext(self, capsys):
         code, out, _ = run(capsys, "ext", "--q", "7", "--p", "3")

@@ -372,6 +372,32 @@ class TestClassTable:
         _group_structure(table, "wide")
         assert calls == len(table._products)  # each a product the law memoised
 
+    def test_prime_triples_only_for_primes_outside_the_subgroup_to_10000(
+        self, monkeypatch
+    ):
+        # a prime that is inert, or that some triple of the subgroup has as
+        # |a|, builds no prime triple: 6 156 triples, not one per prime
+        calls = 0
+        prime_triple = formclass._prime_triple
+
+        def counted(D, ell):
+            nonlocal calls
+            calls += 1
+            return prime_triple(D, ell)
+
+        monkeypatch.setattr(formclass, "_prime_triple", counted)
+        for d in SQUAREFREE_TO_10_000:
+            _ClassTable(make_field(d).disc)
+        assert calls <= 6156, calls
+
+    def test_keys_sort_as_the_reprs(self):
+        # _abelian_basis picks generators in repr(FormClass) order
+        for d in SQUAREFREE_TO_10_000 + [100000001, 100000002]:
+            table = _ClassTable(make_field(d).disc)
+            classes = range(len(table.classes))
+            by_repr = sorted(classes, key=lambda i: repr(table.classes[i]))
+            assert sorted(classes, key=table.keys.__getitem__) == by_repr, d
+
     def test_class_of_another_discriminant_rejected(self, field79, field10):
         group = class_group(field79, "wide")
         other = prime_form(field10, 3)
@@ -444,7 +470,7 @@ class TestInvariantFactorChain:
             for flavor in ("narrow", "wide"):
                 rep, mul = table.law(flavor)
                 elements = sorted({rep(i) for i in range(len(table.classes))})
-                args = (elements, mul, rep(table.identity), table.reprs.__getitem__)
+                args = (elements, mul, rep(table.identity), table.keys.__getitem__)
                 assert _structure(*args) == primary_merge_structure(*args), (d, flavor)
                 assert_basis_is_a_chain(*args)
 
@@ -517,7 +543,7 @@ class TestBasisAgainstCosetMinima:
             for flavor in ("narrow", "wide"):
                 rep, mul = table.law(flavor)
                 elements = sorted({rep(i) for i in range(len(table.classes))})
-                args = (elements, mul, rep(table.identity), table.reprs.__getitem__)
+                args = (elements, mul, rep(table.identity), table.keys.__getitem__)
                 assert _abelian_basis(*args) == coset_minima_basis(*args), (d, flavor)
 
     def test_relabelled_abelian_groups_to_64(self):
