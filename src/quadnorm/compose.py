@@ -28,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import comb, gcd, isqrt, prod
+from math import comb, isqrt, prod
 from operator import add
 
 from .cyclicext import CyclicExtensionDescriptor, order_q_root, period_mul, primes_one_mod_2q
 from .formclass import FormClass, _ClassTable
 from .intmath import crt, cycle, kronecker, sqrt_mod_prime
-from .quadfield import QuadInteger, QuadraticField, fundamental_unit
+from .quadfield import QuadInteger, QuadraticField, RamifiedPrimeError, fundamental_unit
 
 
 class WrongNormError(ValueError):
@@ -43,10 +43,6 @@ class WrongNormError(ValueError):
 
 class OrderViolationError(ValueError):
     """A class in the composition check does not have the required order."""
-
-
-class IncompatibleBasisError(ValueError):
-    """disc of the period field and of the quadratic field share a factor."""
 
 
 NOT_FOUND = "NOT_FOUND"
@@ -111,11 +107,9 @@ class RelativeExtension:
     period field of the descriptor."""
 
     def __init__(self, desc: CyclicExtensionDescriptor, F: QuadraticField):
-        disc_cyclic = desc.q  # conductor; its powers carry the whole disc
-        if gcd(disc_cyclic, F.disc) != 1:
-            raise IncompatibleBasisError(
-                f"conductor {desc.q} shares a factor with disc {F.disc}"
-            )
+        # the period field's disc is a power of the prime conductor q
+        if F.disc % desc.q == 0:
+            raise RamifiedPrimeError(f"conductor {desc.q} ramifies in disc {F.disc}")
         self.desc = desc
         self.field = F
         self.degree = desc.degree

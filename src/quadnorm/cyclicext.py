@@ -49,16 +49,18 @@ from .intmath import (
     poly_discriminant,
     primes_up_to,
 )
-from .quadfield import NotPrimeError, QuadraticField, SplittingType, splitting_type
+from .quadfield import (
+    NotPrimeError,
+    QuadraticField,
+    RamifiedPrimeError,
+    SplittingType,
+    splitting_type,
+)
 
 
 class ConductorInvalidError(ValueError):
-    """q is not 1 modulo p^n, or a period table of conductor q and degree
-    p^n is above its ceiling."""
-
-
-class WildOrRamifiedConductorError(ValueError):
-    """Conductor ramifies in the quadratic field."""
+    """n < 1, q is not 1 modulo p^n, or a period table of conductor q and
+    degree p^n is above its ceiling."""
 
 
 class ClassPrimeNotSplitError(ValueError):
@@ -84,6 +86,14 @@ def _primitive_root(q: int) -> int:
 MAX_CONDUCTOR = 10**14
 
 
+def check_degree(p: int, n: int) -> None:
+    """Refuse a degree p^n unless p is an odd prime and n >= 1."""
+    if not is_prime(p) or p == 2:
+        raise NotPrimeError(f"{p} is not an odd prime")
+    if n < 1:
+        raise ConductorInvalidError("exponent must be >= 1")
+
+
 @lru_cache(maxsize=1024)
 def check_conductor(q: int, p: int, n: int) -> int:
     """Return the degree p^n after checking that q is a prime conductor
@@ -96,10 +106,7 @@ def check_conductor(q: int, p: int, n: int) -> int:
         )
     if not is_prime(q):
         raise NotPrimeError(f"conductor {q} is not prime")
-    if not is_prime(p) or p == 2:
-        raise NotPrimeError(f"{p} is not an odd prime")
-    if n < 1:
-        raise ConductorInvalidError("exponent must be >= 1")
+    check_degree(p, n)
     # n >= the bit length of the odd q gives p^n > 2^n >= q: refused unpowered
     if n >= q.bit_length() or (q - 1) % (degree := p**n):
         raise ConductorInvalidError(f"{q} is not 1 mod {p}^{n}")
@@ -501,9 +508,7 @@ def relative_discriminant(
     (q)^(degree - 1) as a formal prime-power list, with its absolute norm."""
     q = desc.q
     if F.disc % q == 0:
-        raise WildOrRamifiedConductorError(
-            f"conductor {q} ramifies in disc {F.disc}"
-        )
+        raise RamifiedPrimeError(f"conductor {q} ramifies in disc {F.disc}")
     expo = desc.degree - 1
     if splitting_type(F, q) is SplittingType.INERT:
         primes = ((f"({q})", 2),)

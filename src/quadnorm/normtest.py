@@ -15,12 +15,12 @@ reports (deciding the unit-norm index exactly would need the unit group of
 the sextic compositum).
 
 At an inert conductor the index is always 1 (``inert_conductor_index``
-proves it), and the divisibility-witness search only visits inert
-conductors, so ``detect_p_divisibility`` decides them by that lemma and
-cannot return a witness; only the first conductor of each search builds
+proves it).  ``detect_p_divisibility`` keeps the inert conductors among
+the admissible ones, so it cannot return a witness; only the first builds
 a descriptor and a unit, to check the lemma against the residue test.
 ``norm_index`` and ``verify_class_order`` keep the full residue
-computation.
+computation, and a conductor dividing the field discriminant has one
+refusal, ``quadfield.RamifiedPrimeError``.
 """
 
 from __future__ import annotations
@@ -32,16 +32,17 @@ from functools import lru_cache
 from .cyclicext import (
     CyclicExtensionDescriptor,
     check_conductor,
+    check_degree,
     cyclic_descriptor,
     properness_report,
 )
 from .formclass import class_group, prime_form
-from .intmath import is_prime, kronecker, p_part, p_power_order, primes_up_to
+from .intmath import kronecker, p_part, p_power_order, primes_up_to
 from .quadfield import (
     FundamentalUnit,
-    NotPrimeError,
     QuadInteger,
     QuadraticField,
+    RamifiedPrimeError,
     ResidueFieldElement,
     SplittingType,
     fundamental_unit,
@@ -49,10 +50,6 @@ from .quadfield import (
     split_roots,
     splitting_type,
 )
-
-
-class RamifiedInNError(ValueError):
-    """Conductor ramifies in the quadratic field."""
 
 
 class NoAdmissibleConductorError(ValueError):
@@ -83,12 +80,6 @@ class NormIndexReport:
     c_estimate: str  # [Z^x : Norm(units)] for the full tower: "1" or "1 or 2"
 
 
-def _precheck(F: QuadraticField, desc: CyclicExtensionDescriptor) -> None:
-    # the descriptor's q is an odd prime with q = 1 mod p^n, so q != p
-    if F.disc % desc.q == 0:
-        raise RamifiedInNError(f"conductor {desc.q} ramifies in disc {F.disc}")
-
-
 def local_norm_test(
     F: QuadraticField,
     u: QuadInteger,
@@ -98,19 +89,19 @@ def local_norm_test(
     """Is the unit u a norm everywhere locally at the chosen prime above q?
 
     ``root`` selects the prime when q splits (a square root of d mod q);
-    for inert q there is a single prime and root must be None.
+    for inert q there is a single prime and root must be None.  The
+    residue map refuses a ramified q, and its image carries a root exactly
+    when q splits, which gives the residue degree f.
     """
-    _precheck(F, desc)
     if abs(u.norm()) != 1:
         raise ValueError("local norm test expects a unit")
     q, e = desc.q, desc.degree
-    split = splitting_type(F, q) is SplittingType.SPLIT
-    f = 1 if split else 2
     image = reduce_mod_prime(F, u, q, root)
+    f = 1 if image.root is not None else 2
     exponent = (q**f - 1) // e
     power = image**exponent
     order = p_power_order(power, desc.p, desc.n, lambda x: x**desc.p, image**0)
-    label = f"{q}" if not split else f"{q}@root={image.root}"
+    label = f"{q}" if f == 2 else f"{q}@root={image.root}"
     return LocalNormVerdict(
         prime_label=label,
         residue_degree=f,
@@ -132,7 +123,8 @@ def norm_index(
 
     ``unit`` passes in the field's fundamental unit when the caller has
     already computed it."""
-    _precheck(F, desc)
+    if F.disc % desc.q == 0:  # refused before the unit is computed
+        raise RamifiedPrimeError(f"conductor {desc.q} ramifies in disc {F.disc}")
     eps = fundamental_unit(F) if unit is None else unit
     if eps.value.d != F.d:
         raise ValueError(f"unit of d={eps.value.d} passed for d={F.d}")
@@ -182,7 +174,10 @@ MAX_QMAX = 10_000_000
 
 
 def check_qmax(qmax: int) -> None:
-    """Refuse a conductor search above MAX_QMAX before anything is sieved."""
+    """Refuse a conductor search below 0 or above MAX_QMAX before anything
+    is sieved."""
+    if qmax < 0:
+        raise ValueError(f"qmax {qmax} is negative")
     if qmax > MAX_QMAX:
         raise ValueError(f"qmax {qmax} is above the conductor-search ceiling {MAX_QMAX}")
 
@@ -196,14 +191,14 @@ def _sieved_primes(qmax: int) -> tuple[int, ...]:
 
 def admissible_conductors(F: QuadraticField, p: int, n: int, qmax: int) -> list[int]:
     """Primes q <= qmax with q = 1 mod p^n, tame and unramified for the
-    field, for an odd prime p."""
+    field, for an odd prime p and n >= 1.  As p^n >= 3, q = 1 mod p^n
+    already makes q odd and q != p."""
     check_qmax(qmax)  # before anything is sieved
-    if p == 2 or not is_prime(p):
-        raise NotPrimeError(f"{p} is not an odd prime")
+    check_degree(p, n)
     if n >= qmax.bit_length():  # 2^n > qmax, so no q <= qmax is 1 mod p^n
         return []
     e = p**n
-    return [q for q in _sieved_primes(qmax) if q % e == 1 and F.disc % q and q != p and q % 2]
+    return [q for q in _sieved_primes(qmax) if q % e == 1 and F.disc % q]
 
 
 def verify_class_order(
@@ -280,30 +275,27 @@ def detect_p_divisibility(F: QuadraticField, p: int, qmax: int) -> DetectionResu
     """Scan the conductors passing the tower and inert-conductor conditions
     for a witness that p divides the class number: one with index > 1.
 
-    Every conductor scanned is inert, where ``inert_conductor_index``
-    decides the index as 1; its premises are checked per conductor, and
-    ``admissible_conductors`` refuses a p that is not an odd prime before
-    any conductor is listed, so a bad p fails even when none would be
-    scanned.  The first conductor also
-    goes through the full residue test (``norm_index``) as a run-time check
-    of the lemma, and a disagreement raises ``ArithmeticError``.  The
-    search therefore cannot return a witness: ``witness_q`` and
-    ``witness_index`` are always None, and ``conductors_checked`` lists
-    the conductors it decided."""
-    checked = []
+    The conductors are the inert ones among ``admissible_conductors(F, p,
+    2, qmax)``, which refuses a p that is not an odd prime before any is
+    listed, so a bad p fails even when none would be scanned.  Each is a
+    prime q = 1 mod p^2 that is inert in the field, where
+    ``inert_conductor_index`` decides the index as 1.  The first conductor
+    goes through the lemma, with its premises checked, and through the
+    full residue test (``norm_index``) as a run-time check of it; a
+    disagreement raises ``ArithmeticError``.  The search therefore cannot
+    return a witness: ``witness_q`` and ``witness_index`` are always None,
+    and ``conductors_checked`` lists the conductors it decided."""
     # q = 1 (mod p^2) is the tower condition for the degree-p layer
-    for q in admissible_conductors(F, p, 2, qmax):
-        if kronecker(F.disc, q) != -1:  # inert condition; q is a sieved prime
-            continue
+    checked = [q for q in admissible_conductors(F, p, 2, qmax) if kronecker(F.disc, q) == -1]
+    if checked:
+        q = checked[0]
         index = inert_conductor_index(F, q, p)
-        if not checked:
-            full = norm_index(F, cyclic_descriptor(q, p, 1)).index
-            if full != index:
-                raise ArithmeticError(
-                    f"residue test gives index {full} at the inert conductor "
-                    f"{q} for d={F.d}, against the lemma's {index}"
-                )
-        checked.append(q)
+        full = norm_index(F, cyclic_descriptor(q, p, 1)).index
+        if full != index:
+            raise ArithmeticError(
+                f"residue test gives index {full} at the inert conductor "
+                f"{q} for d={F.d}, against the lemma's {index}"
+            )
     return DetectionResult(
         d=F.d,
         p=p,

@@ -37,7 +37,8 @@ class NotPrimeError(ValueError):
 
 
 class RamifiedPrimeError(ValueError):
-    """Residue reduction requested at a prime dividing the discriminant."""
+    """A prime or conductor the computation needs unramified divides the
+    field discriminant."""
 
 
 class EvenPrimeError(ValueError):

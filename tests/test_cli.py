@@ -38,6 +38,36 @@ CLASSGROUP_SHA256 = {
 }
 
 
+# SHA-256 of f"{exit code}\n{stdout}\n{stderr}": normindex at split, inert and
+# ramified q, detect, and verify thm14
+CONDUCTOR_SHA256 = {
+    "normindex --d 79 --q 7 --p 3": (
+        "13d63f4ea80d5d8201ef95e057195e42cd391a1f2ae293662e0834e6ea1a1036"
+    ),
+    "normindex --d 79 --q 37 --p 3": (
+        "2e799cb650defb3707bee792132139dda144bc96aacaedf2eba4b622c482c1b4"
+    ),
+    "normindex --d 10 --q 7 --p 3": (
+        "4bde9df16a5fa48ea5bc2a2b37dee15e471ab14e1d9e4aa637c9b199ae81d0f4"
+    ),
+    "normindex --d 37 --q 37 --p 3": (
+        "e8bc72ac5da6a18eadd23d3ab3f18af661b713cacd19e0bdd743e14b9437264f"
+    ),
+    "detect --d 79 --p 3 --qmax 2000": (
+        "b10eed5f718723cc3ec13ffca292786ed3af961b034e6c72ce6d20b86829de57"
+    ),
+    "detect --d 10 --p 5 --qmax 5000": (
+        "942456d3138b3626a9e7cbdfdb6e25b26f3247ae821b7da0d41a20a82fcdefa6"
+    ),
+    "verify thm14 --d 10 --l 3 --p 3 --qmax 200": (
+        "4a819cf3c8c904a8ad9ed1f648b777e4080144f15dafc5c6424fd1666be90e9e"
+    ),
+    "verify thm14 --d 79 --l 3 --p 3 --qmax 1000": (
+        "74a81b02004d8d812328532f93b78e65991215157c115a9eae01d864c33c8a63"
+    ),
+}
+
+
 class TestBasicCommands:
     def test_field(self, capsys):
         code, out, _ = run(capsys, "field", "--d", "79")
@@ -59,6 +89,12 @@ class TestBasicCommands:
         code, out, err = run(capsys, "classgroup", "--d", *args.split())
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == CLASSGROUP_SHA256[args]
+
+    @pytest.mark.parametrize("argv", CONDUCTOR_SHA256)
+    def test_conductor_layer_output_is_pinned(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        digest = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+        assert digest == CONDUCTOR_SHA256[argv]
 
     def test_ext(self, capsys):
         code, out, _ = run(capsys, "ext", "--q", "7", "--p", "3")
@@ -340,6 +376,26 @@ class TestExitCodes:
             capsys, "verify", "thm14", "--d", "10", "--l", "3", "--p", p, "--qmax", "50"
         )
         assert (code, out, err) == (2, "", f"error: {p} is not an odd prime\n")
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_verify_thm14_refuses_an_exponent_below_1(self, capsys, n):
+        # n = 0 reported no proper conductor, n < 0 took p to a negative power
+        code, out, err = run(
+            capsys, "verify", "thm14", "--d", "10", "--l", "3", "--p", "3", "--n", n,
+            "--qmax", "200",
+        )
+        assert (code, out, err) == (2, "", "error: exponent must be >= 1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("detect", "--d", "79", "--p", "3"),
+            ("verify", "thm14", "--d", "10", "--l", "3", "--p", "3"),
+        ],
+    )
+    def test_negative_qmax_is_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--qmax", "-5")
+        assert (code, out, err) == (2, "", "error: qmax -5 is negative\n")
 
 
 class PrimitiveRootSought(Exception):

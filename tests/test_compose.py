@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from quadnorm.compose import (
     NOT_FOUND,
     CompositionCheck,
-    IncompatibleBasisError,
     OrderViolationError,
     RelativeExtension,
     WrongNormError,
@@ -34,7 +33,7 @@ from quadnorm.formclass import (
     class_group,
     prime_form,
 )
-from quadnorm.quadfield import QuadInteger, fundamental_unit, make_field
+from quadnorm.quadfield import QuadInteger, RamifiedPrimeError, fundamental_unit, make_field
 
 from test_cyclicext import subgroup
 from test_formclass import principal_class, sign_class, wide_rep
@@ -867,7 +866,7 @@ class TestCompositionCheckOracle:
 
 class TestBasisCompatibility:
     def test_shared_discriminant_factor_rejected(self):
-        with pytest.raises(IncompatibleBasisError):
+        with pytest.raises(RamifiedPrimeError):
             RelativeExtension(period_polynomial(13, 3, 1), make_field(13))
 
 

@@ -9,7 +9,6 @@ from quadnorm.cyclicext import (
     ClassPrimeNotSplitError,
     ConductorInvalidError,
     CyclicExtensionDescriptor,
-    WildOrRamifiedConductorError,
     check_conductor,
     cyclic_descriptor,
     image_block,
@@ -23,7 +22,7 @@ from quadnorm.cyclicext import (
     tower_certificate,
 )
 from quadnorm.intmath import bareiss_det, poly_discriminant, primes_up_to
-from quadnorm.quadfield import NotPrimeError, make_field
+from quadnorm.quadfield import NotPrimeError, RamifiedPrimeError, make_field
 from test_intmath import newton_charpoly
 
 
@@ -532,7 +531,7 @@ class TestRelativeDiscriminant:
 
     def test_ramified_conductor_rejected(self):
         F = make_field(21)  # disc 84, divisible by 7
-        with pytest.raises(WildOrRamifiedConductorError):
+        with pytest.raises(RamifiedPrimeError):
             relative_discriminant(cyclic_descriptor(7, 3, 1), F)
 
 

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnorm import cyclicext, intmath, normtest
-from quadnorm.cyclicext import cyclic_descriptor
+from quadnorm import cyclicext, intmath, normtest, quadfield
+from quadnorm.compose import RelativeExtension
+from quadnorm.cyclicext import ConductorInvalidError, cyclic_descriptor, relative_discriminant
 from quadnorm.formclass import class_group
 from quadnorm.harness import RunConfig, detection_sweep, scan
 from quadnorm.normtest import (
     NoAdmissibleConductorError,
-    RamifiedInNError,
     admissible_conductors,
     detect_p_divisibility,
     inert_conductor_index,
@@ -20,6 +20,7 @@ from quadnorm.intmath import is_prime, is_squarefree
 from quadnorm.quadfield import (
     NotPrimeError,
     QuadInteger,
+    RamifiedPrimeError,
     SplittingType,
     fundamental_unit,
     make_field,
@@ -59,7 +60,7 @@ class TestLocalNormTest:
     def test_rejects_conductor_ramified_in_field(self):
         F = make_field(37)
         eps = fundamental_unit(F).value
-        with pytest.raises(RamifiedInNError):
+        with pytest.raises(RamifiedPrimeError):
             local_norm_test(F, eps, cyclic_descriptor(37, 3, 1))
 
     def test_rejects_non_unit(self, field79, desc37):
@@ -324,3 +325,77 @@ def test_lemma_refuses_a_conductor_above_the_ceiling(field79, monkeypatch):
     for call in (lambda: inert_conductor_index(field79, q, 3), lambda: cyclic_descriptor(q, 3, 1)):
         with pytest.raises(cyclicext.ConductorInvalidError, match="above the conductor ceiling"):
             call()
+
+
+class TestConductorConditions:
+    """Each condition on a conductor is decided in one place."""
+
+    def test_every_ramified_refusal_is_one_error(self):
+        F = make_field(37)  # 37 divides the disc
+        desc = cyclic_descriptor(37, 3, 1)
+        eps = fundamental_unit(F).value
+        for call in (
+            lambda: reduce_mod_prime(F, eps, 37),
+            lambda: local_norm_test(F, eps, desc),
+            lambda: norm_index(F, desc),
+            lambda: relative_discriminant(desc, F),
+            lambda: RelativeExtension(desc, F),
+        ):
+            with pytest.raises(RamifiedPrimeError):
+                call()
+
+    def test_norm_index_refuses_before_the_unit(self, monkeypatch):
+        def no_unit(F):
+            raise AssertionError("unit computed at a ramified conductor")
+
+        monkeypatch.setattr(normtest, "fundamental_unit", no_unit)
+        with pytest.raises(RamifiedPrimeError, match="^conductor 37 ramifies in disc 37$"):
+            norm_index(make_field(37), cyclic_descriptor(37, 3, 1))
+
+    def test_local_test_reads_the_splitting_off_the_residue_map(
+        self, field79, desc7, desc37, monkeypatch
+    ):
+        def no_splitting_type(F, q):
+            raise AssertionError("splitting type decided again")
+
+        eps = fundamental_unit(field79).value
+        calls = [(desc7, 3), (desc7, 4), (desc37, None)]
+        want = [local_norm_test(field79, eps, desc, r) for desc, r in calls]
+        monkeypatch.setattr(normtest, "splitting_type", no_splitting_type)
+        monkeypatch.setattr(quadfield, "splitting_type", no_splitting_type)
+        got = [local_norm_test(field79, eps, desc, r) for desc, r in calls]
+        assert got == want
+        assert [(v.prime_label, v.residue_degree) for v in got] == [
+            ("7@root=3", 1), ("7@root=4", 1), ("37", 2)
+        ]
+
+    def test_detect_runs_the_lemma_once_per_search(self, monkeypatch):
+        lemma = normtest.inert_conductor_index
+        lemma_qs = []
+
+        def counted(F, q, p, n=1):
+            lemma_qs.append(q)
+            return lemma(F, q, p, n)
+
+        monkeypatch.setattr(normtest, "inert_conductor_index", counted)
+        for d in filter(is_squarefree, range(2, 301)):
+            F = make_field(d)
+            for p in (3, 5):
+                for qmax in (50, 2000):
+                    lemma_qs.clear()
+                    inert = tuple(
+                        q for q in admissible_conductors(F, p, 2, qmax)
+                        if splitting_type(F, q) is SplittingType.INERT
+                    )
+                    assert detect_p_divisibility(F, p, qmax).conductors_checked == inert
+                    assert lemma_qs == list(inert[:1]), f"d={d} p={p} qmax={qmax}"
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_exponent_below_1_is_refused(self, field79, n):
+        with pytest.raises(ConductorInvalidError, match="^exponent must be >= 1$"):
+            admissible_conductors(field79, 3, n, 200)
+
+    def test_negative_qmax_is_refused(self, field79):
+        with pytest.raises(ValueError, match="^qmax -1 is negative$"):
+            admissible_conductors(field79, 3, 1, -1)
+        assert admissible_conductors(field79, 3, 1, 0) == []

@@ -7,9 +7,12 @@ in this process under ``sys.setprofile``, which sees every Python call.  A
 module-level or class-level function of the package that none of them
 calls fails it, unless ALLOWLIST names the function with the reason it
 stays.  An entry for a name that no longer exists, or that now runs, fails
-it too, so the list only ever holds what the product does not reach.
+it too, so the list only ever holds what the product does not reach.  A
+module other than ``__init__`` that imports a name it never uses fails the
+import check.
 """
 
+import ast
 import contextlib
 import functools
 import importlib
@@ -200,3 +203,34 @@ def test_readme_lists_the_declared_api():
         else:
             declared.add(owner)
     assert declared == {n for n, reason in ALLOWLIST.items() if reason == API}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads (``__future__`` aside)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in read)
+
+
+def test_unused_imports_are_caught():
+    source = "import os, sys\nfrom math import gcd as g, isqrt\nprint(sys.argv, isqrt(4))\n"
+    assert unused_imports(source) == ["g", "os"]
+
+
+def test_every_module_uses_what_it_imports():
+    package = Path(quadnorm.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
