@@ -183,14 +183,16 @@ def _progression_starts(D: int, p: int) -> set[int]:
     (D - b^2)/4 mod p has period p in i, so these start the progressions
     of step p on which p divides it.  An odd p divides it exactly when
     b = +-sqrt(D) (mod p): two starts when (D/p) = 1, one when p | D and
-    none when (D/p) = -1.
+    none when (D/p) = -1, which the root's own check finds, so the callers
+    that have already decided (D/p) do not pay for it twice.
     """
     b0 = 2 - D % 2
     if p == 2:
         return {i for i in (0, 1) if (D - (b0 + 2 * i) ** 2) // 4 % 2 == 0}
-    if kronecker(D, p) == -1:
+    try:
+        r = sqrt_mod_prime(D, p)
+    except ValueError:  # (D/p) = -1
         return set()
-    r = sqrt_mod_prime(D, p)
     half = (p + 1) // 2  # the inverse of 2 mod p
     return {(r - b0) * half % p, (-r - b0) * half % p}
 

@@ -47,7 +47,6 @@ from .quadfield import (
     SplittingType,
     fundamental_unit,
     reduce_mod_prime,
-    split_roots,
     splitting_type,
 )
 
@@ -128,9 +127,11 @@ def norm_index(
     eps = fundamental_unit(F) if unit is None else unit
     if eps.value.d != F.d:
         raise ValueError(f"unit of d={eps.value.d} passed for d={F.d}")
-    split = splitting_type(F, desc.q) is SplittingType.SPLIT
-    roots = split_roots(F, desc.q) if split else (None,)
-    verdicts = tuple(local_norm_test(F, eps.value, desc, r) for r in roots)
+    # one residue map decides the splitting; it takes the smaller root when q splits
+    first = local_norm_test(F, eps.value, desc)
+    root = first.power_value.root
+    others = () if root is None else (local_norm_test(F, eps.value, desc, desc.q - root),)
+    verdicts = (first,) + others
     index = math.lcm(*(v.local_order for v in verdicts))
     return NormIndexReport(
         d=F.d,

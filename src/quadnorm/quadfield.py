@@ -322,14 +322,18 @@ def reduce_mod_prime(
     elif kronecker(F.disc, q) == -1:
         return ResidueFieldElement(q, x.u * half % q, x.v * half % q, F.d % q, None)
     else:
-        root = sqrt_mod_prime(F.d, q)  # the smaller root
+        root = split_roots(F, q)[0]
     c0 = (x.u + x.v * root) * half % q
     return ResidueFieldElement(q, c0, 0, F.d % q, root)
 
 
 def split_roots(F: QuadraticField, q: int) -> tuple[int, int]:
-    """The two square roots of d modulo a split odd prime q, ascending."""
-    if splitting_type(F, q) is not SplittingType.SPLIT:
+    """The two square roots of d modulo a split odd prime q, ascending.  The
+    root's own check refuses an inert q, so a caller that has read the
+    symbol already does not pay for it again."""
+    if not is_prime(q):
+        raise NotPrimeError(f"{q} is not prime")
+    if F.disc % q == 0:
         raise ValueError(f"{q} does not split")
-    r0 = sqrt_mod_prime(F.d, q)  # the smaller root, and q does not divide d
+    r0 = sqrt_mod_prime(F.d, q)  # refuses q = 2 and a d that is no square mod q
     return r0, q - r0

@@ -9,11 +9,13 @@ joins each subgroup with one element per left coset, walking each join
 is closed from the commutators of H with H itself.  Powers are read from
 the ``intmath.cycle`` e, a, a^2, ... of each element, walked once.
 
-The transfer map is computed from its coset-product definition (Isaacs,
-*Finite Group Theory*, ch. 5), the restricted transfer on the quotient is
-tabulated together with the divisibility hypothesis it is supposed to
-satisfy, and membership in the augmentation ideals I_G*I_H and
-I_H + I_G*I_H is decided exactly through the isomorphism
+The transfer map is a homomorphism that does not depend on the
+transversal (Isaacs, *Finite Group Theory*, ch. 5), so its coset-product
+definition runs on the generators of G alone, and one walk of G over the
+generators extends it, checking every edge of the walk; the restricted
+transfer on the quotient is tabulated together with the divisibility
+hypothesis it is supposed to satisfy, and membership in the augmentation
+ideals I_G*I_H and I_H + I_G*I_H is decided exactly through the isomorphism
 ZG*I_H / I_G*I_H = I_H/I_H^2 = H/H', which holds because ZG is free as a
 right ZH-module (Brown, *Cohomology of Groups*, GTM 87, ch. II-III); its
 case H = G, I_G/I_G^2 = G/G', decides membership in I_G^2.  The
@@ -21,15 +23,18 @@ module is a falsification instrument: vanishing verdicts are reported,
 never assumed.
 
 What the transfer needs about H (the checked H, least coset elements as
-representatives, the coset map, the greatest element of xH and the least
-element of xH' for every x, and whether H is normal) is a
-``TransferContext``, computed once.  The context also keeps the transfer
-image of every g computed so far, so each (G, H) pays for its coset
-products once per element.  ``G.context(H)`` keeps one in a one-slot
-cache, replaced when H changes, and recognises its own H by identity:
-callers take the subgroups one at a time, so one slot saves all the
-repeated work and holds the memory of a single context.  Membership
-reads the same context: O(n) table lookups, no integer lattice.
+representatives, the coset map, the factor r(x)^-1 x of every x, with r(x)
+the greatest element of xH, the least element of xH' for every x, and
+whether H is normal) is a ``TransferContext``, computed once.  The context
+also keeps the transfer image of every g once the first is asked for, so
+each (G, H) pays for its coset products once per generator.
+``G.context(H)`` keeps one in a one-slot cache, replaced when H changes,
+and recognises its own H by identity: callers take the subgroups one at a
+time, so one slot saves all the repeated work and holds the memory of a
+single context.  Membership reads the same context: O(n) table lookups,
+no integer lattice.  ``diagram_check`` takes each representative's image
+in H/H' as one product of [G:H] factors times a base that all
+representatives share.
 """
 
 from __future__ import annotations
@@ -160,7 +165,7 @@ class FiniteGroup:
                 Hset,
                 reps,
                 tuple(least),
-                tuple(map(greatest.__getitem__, least)),
+                tuple(table[inverse[greatest[r]]][x] for x, r in enumerate(least)),
                 tuple(mod_derived),
                 normal,
             )
@@ -237,30 +242,49 @@ class FiniteGroup:
 @dataclass(frozen=True)
 class TransferContext:
     """What the transfer needs about one subgroup H of G, and the transfer
-    images computed so far."""
+    images of all of G once the first one is asked for."""
 
     Hset: frozenset[int]
     reps: tuple[int, ...]  # one representative per left coset of H
     coset_of: tuple[int, ...]  # coset_of[x]: the representative of xH
-    greatest: tuple[int, ...]  # greatest[x]: the greatest element of xH
+    factors: tuple[int, ...]  # factors[x]: r(x)^-1 x, r(x) the greatest element of xH
     mod_derived: tuple[int, ...]  # mod_derived[x]: the least element of xH'
     normal: bool  # whether H is normal in G
-    images: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+    images: list[int] = field(default_factory=list, compare=False, repr=False)
 
 
 def transfer(G: FiniteGroup, H, g: int) -> int:
-    """Transfer of g into H modulo the derived subgroup of H, by the coset
-    product formula over the least coset elements; returned as the least
-    element of its H'-coset.  The value does not depend on the
-    transversal.  Each value is computed once per context and read from
-    its ``images`` after that.
+    """Transfer of g into H modulo the derived subgroup of H, returned as
+    the least element of its H'-coset.  The first call on a context takes
+    the coset products of the generators of G alone and extends them by one
+    walk from the identity, image(xs) = image(x)*image(s), checking every
+    edge into an element already reached; later calls read ``images``.
     """
     if not 0 <= g < G.n:
         raise ValueError(f"element {g} outside 0..{G.n - 1}")
     ctx = G.context(H)
-    image = ctx.images.get(g)
-    if image is not None:
-        return image
+    if not ctx.images:
+        table, mod_derived = G.table, ctx.mod_derived
+        gens = [(s, _coset_product(G, ctx, s)) for s in G._gens]
+        images = [None] * G.n
+        images[G.identity] = mod_derived[G.identity]
+        walk = [G.identity]
+        for x in walk:  # the walk grows as it goes
+            row, image_row = table[x], table[images[x]]
+            for s, image_s in gens:
+                y, image = row[s], mod_derived[image_row[image_s]]
+                if images[y] is None:
+                    images[y] = image
+                    walk.append(y)
+                elif images[y] != image:
+                    raise ArithmeticError("transfer is not a homomorphism on the walk")
+        ctx.images.extend(images)
+    return ctx.images[g]
+
+
+def _coset_product(G: FiniteGroup, ctx: TransferContext, g: int) -> int:
+    """The transfer of g from its coset-product definition (Isaacs,
+    *Finite Group Theory*, ch. 5), over the least coset elements."""
     table, inverse, coset_of, Hset = G.table, G.inverse, ctx.coset_of, ctx.Hset
     row, prod = table[g], G.identity
     for r in ctx.reps:
@@ -269,8 +293,7 @@ def transfer(G: FiniteGroup, H, g: int) -> int:
         if factor not in Hset:
             raise ArithmeticError("coset product factor left the subgroup")
         prod = table[prod][factor]
-    image = ctx.images[g] = ctx.mod_derived[prod]
-    return image
+    return ctx.mod_derived[prod]
 
 
 def _generating_set(G: FiniteGroup) -> tuple[int, ...]:
@@ -395,50 +418,36 @@ class GroupRingElement:
 LATTICE_KINDS = ("IG2", "IGIH", "IH+IGIH")
 
 
-def _abelian_image(G: FiniteGroup, ctx: TransferContext, terms) -> int | None:
-    """The image of v = sum of c*x over the (x, c) ``terms`` in
-    ZG*I_K / I_G*I_K = K/K' for the subgroup K of ctx, as the least element
-    of its K'-coset; None when v is not in ZG*I_K.
-
-    v lies in ZG*I_K = I_K + I_G*I_K, the kernel of ZG -> Z[G/K], exactly
-    when its coefficients sum to 0 on every left coset xK, and then maps to
-    the product of the (r(x)^-1 x)^v_x.  r(x) is the greatest element of
-    xK, not the least one that ``transfer`` uses, so that ``diagram_check``
-    compares the transfer with its product over another transversal.
-    """
-    table, inverse, coset_of, greatest = G.table, G.inverse, ctx.coset_of, ctx.greatest
-    sums = {}
-    prod = G.identity
-    for x, c in terms:
-        if c:
-            rep = coset_of[x]
-            sums[rep] = sums.get(rep, 0) + c
-            prod = table[prod][G.power(table[inverse[greatest[x]]][x], c)]
-    if any(sums.values()):
-        return None
-    return ctx.mod_derived[prod]
-
-
 def augmentation_membership(
     G: FiniteGroup, H, x: GroupRingElement, lattice_kind: str
 ) -> bool:
-    """Exact membership of x in I_G^2, I_G*I_H or I_H + I_G*I_H."""
+    """Exact membership of x in I_G^2, I_G*I_H or I_H + I_G*I_H.
+
+    x = sum of c*g lies in I_H + I_G*I_H = ZG*I_H, the kernel of ZG ->
+    Z[G/H], exactly when its coefficients sum to 0 on every left coset gH,
+    and then maps to the product of the context's factors (r(g)^-1 g)^c in
+    ZG*I_H / I_G*I_H = H/H'; it lies in I_G*I_H when that image is trivial.
+    """
     if x.G is not G:
         raise ValueError("x is not in the group ring of G")
     ctx = G.context(H)
     if lattice_kind not in LATTICE_KINDS:
         raise ValueError(f"unknown lattice kind {lattice_kind!r}; use one of {LATTICE_KINDS}")
+    table, prod = G.table, G.identity
     if lattice_kind == "IG2":
         # I_G/I_G^2 = G/G' maps the sum of c*x in I_G to the product of x^c
-        table, prod = G.table, G.identity
         for g, c in enumerate(x.coeffs):
             if c:
                 prod = table[prod][G.power(g, c)]
         return x.augmentation() == 0 and prod in G.derived_subgroup()
-    image = _abelian_image(G, ctx, enumerate(x.coeffs))
-    if lattice_kind == "IH+IGIH":
-        return image is not None
-    return image == ctx.mod_derived[G.identity]
+    sums = [0] * G.n  # by coset representative
+    for g, c in enumerate(x.coeffs):
+        if c:
+            sums[ctx.coset_of[g]] += c
+            prod = table[prod][G.power(ctx.factors[g], c)]
+    if any(sums):
+        return False
+    return lattice_kind == "IH+IGIH" or ctx.mod_derived[prod] == ctx.mod_derived[G.identity]
 
 
 @dataclass(frozen=True)
@@ -451,27 +460,30 @@ class DiagramReport:
 
 def diagram_check(G: FiniteGroup, H) -> DiagramReport:
     """For every coset representative g: the norm-multiplied coboundary of g
-    agrees with the coboundary of its transfer, modulo I_G*I_H.
+    agrees with the coboundary of its transfer t, modulo I_G*I_H.
 
-    The congruence is checked on representatives, so the report is
-    meaningful even on instances where the vanishing hypothesis fails.
+    v = (g - 1)*sum(reps) - (t - 1) lies in I_H + I_G*I_H when the g*r meet
+    every coset once and t lies in H; its image in H/H' is then the product
+    of the factors of the g*r, a base from -sum(reps) + 1 shared by all g,
+    and t's factor inverted.  The factors use the greatest element of each
+    coset, so the check compares the transfer with its product over a
+    second transversal.  The congruence is checked on representatives, so
+    the report is meaningful even where the vanishing hypothesis fails.
     """
     ctx = _quotient_context(G, H)
-    Hset, reps, table = ctx.Hset, ctx.reps, G.table
-    trivial = ctx.mod_derived[G.identity]
+    Hset, reps, table, factors = ctx.Hset, ctx.reps, G.table, ctx.factors
+    coset_of, mod_derived = ctx.coset_of, ctx.mod_derived
+    base = factors[G.identity]
+    for r in reps:
+        base = table[base][G.inverse[factors[r]]]
     violations = []
     for g in reps:
-        # (g - 1)*sum(reps) - (t - 1), straight from the table, as the at
-        # most 2[G:H] + 2 nonzero terms
-        v = dict.fromkeys(reps, -1)
-        row = table[g]
+        row, prod = table[g], base
         for r in reps:
-            y = row[r]
-            v[y] = v.get(y, 0) + 1
+            prod = table[prod][factors[row[r]]]
         t = transfer(G, Hset, g)
-        v[t] = v.get(t, 0) - 1
-        v[G.identity] = v.get(G.identity, 0) + 1
-        if _abelian_image(G, ctx, v.items()) != trivial:
+        meets_every_coset = len({coset_of[row[r]] for r in reps}) == len(reps)
+        if not (meets_every_coset and t in Hset and mod_derived[prod] == mod_derived[factors[t]]):
             violations.append(g)
     return DiagramReport(
         group_name=G.name,

@@ -542,7 +542,40 @@ class TestLargeUnits:
         assert out.startswith("p=3: 0/1 = 0.000000")
 
 
+# SHA-256 of f"{exit code}\n{stdout}\n{stderr}" of ``transfer`` on the
+# group's table and the subgroup of the given labels: S4 over its Klein four
+# subgroup (normal, but not containing A4), S3 over A3, and C2 x C4 over
+# <(0, 2)>, where the diagram runs
+TRANSFER_SHA256 = {
+    "S4/V4": (
+        lambda: symmetric(4),
+        ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+        "380bfc1cb8b9d4c1d9b4789a94364cf70364edf474fd310bc335a023e8157d78",
+    ),
+    "S3/A3": (
+        lambda: symmetric(3),
+        ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+        "25b2444116e260c531b9bc1b6d67564e4abbd02f506bf2ac4828d0b51589e1d8",
+    ),
+    "C2xC4/C2": (
+        lambda: FiniteGroup.cyclic_product([2, 4]),
+        ((0, 0), (0, 2)),
+        "30e3a48cea4648b868c7098adda4112e0565c29a81b38bfa7f89334630609482",
+    ),
+}
+
+
 class TestTransferCommand:
+    @pytest.mark.parametrize("case", list(TRANSFER_SHA256))
+    def test_output_is_pinned(self, capsys, tmp_path, case):
+        build, labels, want = TRANSFER_SHA256[case]
+        G = build()
+        table = tmp_path / "g.table"
+        table.write_text("\n".join(" ".join(str(x) for x in row) for row in G.table) + "\n")
+        H = ",".join(str(G.element_labels.index(lab)) for lab in labels)
+        code, out, err = run(capsys, "transfer", "--table-file", str(table), "--subgroup", H)
+        assert hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest() == want
+
     def test_c4_discrepancy_exit_code(self, capsys, tmp_path):
         C4 = FiniteGroup.cyclic_product([4])
         table = tmp_path / "c4.table"

@@ -390,6 +390,20 @@ class TestClassTable:
             _ClassTable(make_field(d).disc)
         assert calls <= 6156, calls
 
+    def test_each_symbol_once_per_prime_to_10000(self, monkeypatch):
+        # the loop reads (D/ell) and skips an inert ell; the prime triple then
+        # reads a residue off its root and evaluates the symbol no more
+        calls = []
+
+        def counted(a, m):
+            calls.append((a, m))
+            return kronecker(a, m)
+
+        monkeypatch.setattr(formclass, "kronecker", counted)
+        for d in SQUAREFREE_TO_10_000:
+            _ClassTable(make_field(d).disc)
+        assert len(calls) == len(set(calls)) > 0
+
     def test_keys_sort_as_the_reprs(self):
         # _abelian_basis picks generators in repr(FormClass) order
         for d in SQUAREFREE_TO_10_000 + [100000001, 100000002]:

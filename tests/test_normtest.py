@@ -369,6 +369,26 @@ class TestConductorConditions:
             ("7@root=3", 1), ("7@root=4", 1), ("37", 2)
         ]
 
+    @pytest.mark.parametrize("q", [7, 37])
+    def test_norm_index_evaluates_the_symbol_once(self, field79, q, monkeypatch):
+        # 7 splits and 37 is inert in Q(sqrt 79): either way one residue map
+        # reads the splitting, and the other prime above 7 takes the other root
+        desc = cyclic_descriptor(q, 3, 1)
+        eps = fundamental_unit(field79)
+        want = norm_index(field79, desc, unit=eps)
+        symbol = intmath.kronecker
+        calls = []
+
+        def counted(a, m):
+            calls.append((a, m))
+            return symbol(a, m)
+
+        for module in (intmath, quadfield, normtest):
+            monkeypatch.setattr(module, "kronecker", counted)
+        assert norm_index(field79, desc, unit=eps) == want
+        assert calls == [(field79.disc, q)]
+        assert len(want.verdicts) == (2 if q == 7 else 1)
+
     def test_detect_runs_the_lemma_once_per_search(self, monkeypatch):
         lemma = normtest.inert_conductor_index
         lemma_qs = []

@@ -681,3 +681,115 @@ class TestDiagram:
         for orders, H in (([4], [0, 2]), ([6], [0, 2, 4])):
             report = diagram_check(FiniteGroup.cyclic_product(orders), H)
             assert not report.commutes and report.violations == (1,)
+
+
+def _module():
+    # quadnorm re-exports the function transfer, which shadows the submodule
+    # as an attribute of the package, so fetch the module
+    return importlib.import_module("quadnorm.transfer")
+
+
+def _quotient_subgroups(G):
+    """The subgroups that diagram_check accepts: normal, containing G'."""
+    return [
+        H for H in G.all_subgroups()
+        if G.context(H).normal and G.derived_subgroup() <= H
+    ]
+
+
+def diagram_vector(G, reps, g, t):
+    """(g - 1)*sum(reps) - (t - 1), coefficient by coefficient."""
+    v = [0] * G.n
+    for r in reps:
+        v[G.mul(g, r)] += 1
+        v[r] -= 1
+    v[t] -= 1
+    v[G.identity] += 1
+    return v
+
+
+class TestImagesFromGenerators:
+    def test_coset_products_once_per_generator(self, monkeypatch):
+        module = _module()
+        coset_product = module._coset_product
+        calls = []
+
+        def counted(G, ctx, g):
+            calls.append(g)
+            return coset_product(G, ctx, g)
+
+        monkeypatch.setattr(module, "_coset_product", counted)
+        for G in oracle_groups() + [relabelled([6, 6], 14)]:
+            quotients = _quotient_subgroups(G)
+            for H in G.all_subgroups():
+                calls.clear()
+                for _ in range(2):
+                    assert [transfer(G, H, g) for g in range(G.n)] == [
+                        coset_product_transfer(G, H, g) for g in range(G.n)
+                    ]
+                if H in quotients:
+                    restricted_transfer(G, H)
+                    diagram_check(G, H)
+                assert len(calls) <= len(G._gens) and set(calls) <= set(G._gens)
+
+    @pytest.mark.parametrize("G, which, wrong", [
+        # S3 onto S3/A3 is the sign: the first transposition sent to the
+        # identity breaks (t1*t2)^3 = 1
+        (symmetric(3), 0, 0),
+        # C2 x C3 onto itself: the generator of order 2, (1, 0), sent to
+        # (0, 1) of order 3
+        (FiniteGroup.cyclic_product([2, 3]), 1, 1),
+    ])
+    def test_a_corrupted_generator_image_fails_the_walk(self, monkeypatch, G, which, wrong):
+        module = _module()
+        coset_product = module._coset_product
+        H = range(G.n)
+        want = [coset_product_transfer(G, H, g) for g in range(G.n)]
+        patched = G._gens[which]
+        assert want[patched] != wrong
+
+        def corrupted(G, ctx, g):
+            return wrong if g == patched else coset_product(G, ctx, g)
+
+        monkeypatch.setattr(module, "_coset_product", corrupted)
+        with pytest.raises(ArithmeticError, match="^transfer is not a homomorphism on the walk$"):
+            transfer(G, H, G.identity)
+        monkeypatch.undo()
+        # the failed walk left no images behind
+        assert [transfer(G, H, g) for g in range(G.n)] == want
+
+
+class TestDiagramProducts:
+    def test_transfer_outside_h_is_a_violation(self, monkeypatch):
+        module = _module()
+        for orders, H in (([4], [0, 2]), ([6], [0, 2, 4]), ([2, 4], [0, 2])):
+            G = FiniteGroup.cyclic_product(orders)
+            outside = min(set(range(G.n)) - set(H))
+            monkeypatch.setattr(module, "transfer", lambda G, H, g: outside)
+            report = diagram_check(G, H)
+            assert not report.commutes and report.violations == G.context(H).reps
+
+    def test_violations_match_the_lattice_oracle(self, monkeypatch):
+        # the true transfer, and one multiplied by a seeded element: in H',
+        # in H but not in H', or outside H
+        module = _module()
+        rng = random.Random(17)
+        outcomes = {True: 0, False: 0}
+        for G in oracle_groups():
+            for H in _quotient_subgroups(G):
+                lattice = _lattice(G, H, "IGIH")
+                reps = G.context(H).reps
+                true = {g: transfer(G, H, g) for g in reps}
+                perturbed = {g: G.mul(t, rng.randrange(G.n)) for g, t in true.items()}
+                for images in (true, perturbed):
+                    monkeypatch.setattr(module, "transfer", lambda G, H, g: images[g])
+                    want = tuple(
+                        g for g in reps
+                        if not lattice.contains(diagram_vector(G, reps, g, images[g]))
+                    )
+                    assert diagram_check(G, H).violations == want, (G.name, sorted(H))
+                    for g in reps:
+                        outcomes[g in want] += 1
+                monkeypatch.undo()
+                assert not diagram_check(G, H).violations
+        assert outcomes[True] and outcomes[False], outcomes
