@@ -177,32 +177,22 @@ def _compose_forms(
     return s * t, w * u - (k * t + ell * s), k * ell - w * m
 
 
-def _progression_starts(D: int, p: int) -> set[int]:
-    """The i in [0, p) with p | (D - b^2)/4 at b = b0 + 2i, b0 = 2 - D % 2.
-
-    (D - b^2)/4 mod p has period p in i, so these start the progressions
-    of step p on which p divides it.  An odd p divides it exactly when
-    b = +-sqrt(D) (mod p): two starts when (D/p) = 1, one when p | D and
-    none when (D/p) = -1, which the root's own check finds, so the callers
-    that have already decided (D/p) do not pay for it twice.
-    """
-    b0 = 2 - D % 2
-    if p == 2:
-        return {i for i in (0, 1) if (D - (b0 + 2 * i) ** 2) // 4 % 2 == 0}
-    try:
-        r = sqrt_mod_prime(D, p)
-    except ValueError:  # (D/p) = -1
-        return set()
-    half = (p + 1) // 2  # the inverse of 2 mod p
-    return {(r - b0) * half % p, (-r - b0) * half % p}
-
-
 def _prime_triple(D: int, ell: int) -> tuple[int, int, int] | None:
     """The primitive triple (ell, b, c) of discriminant D with least b in
-    [0, 2*ell), for a prime ell; None when there is none, as when ell is
-    inert or divides the conductor of D."""
-    b0 = 2 - D % 2
-    for b in sorted((b0 + 2 * i) % (2 * ell) for i in _progression_starts(D, ell)):
+    [0, 2*ell), for a prime ell; None when ell is inert or divides the
+    conductor of D.  As D = 0, 1 (mod 4), 4*ell | b^2 - D exactly when b =
+    D (mod 2) and b^2 = D (mod ell): for odd ell, b is a root +-sqrt(D)
+    moved by ell to the parity of D (none when the root's own check finds
+    (D/ell) = -1), and for ell = 2, b^2 = D (mod 8)."""
+    if ell == 2:
+        bs = [b for b in range(4) if (b * b - D) % 8 == 0]
+    else:
+        try:
+            r = sqrt_mod_prime(D, ell)
+        except ValueError:  # (D/ell) = -1
+            return None
+        bs = sorted({s + ell * ((s - D) % 2) for s in (r, (ell - r) % ell)})
+    for b in bs:
         c = (b * b - D) // (4 * ell)
         if b % ell or c % ell:
             return ell, b, c

@@ -18,12 +18,13 @@ from typing import Iterable, Iterator
 
 from . import normtest
 from .cyclicext import (
+    check_degree,
     period_polynomial,
     properness_report,
     same_field_by_split_patterns,
 )
 from .formclass import class_data, class_group, minkowski_class_number, prime_form
-from .intmath import factorize, is_prime, is_squarefree, poly_discriminant
+from .intmath import factorize, is_squarefree, poly_discriminant
 from .quadfield import fundamental_unit, make_field
 from .transfer import FiniteGroup, diagram_check, restricted_transfer, transfer
 
@@ -255,15 +256,18 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.dmax < 2:
             raise InvalidConfigError("dmax must be >= 2")
-        if self.qmax < 0 or self.workers < 1:
-            raise InvalidConfigError("bounds must be non-negative, workers >= 1")
-        if self.qmax > normtest.MAX_QMAX:
-            raise InvalidConfigError(f"qmax must be <= {normtest.MAX_QMAX}")
+        if self.workers < 1:
+            raise InvalidConfigError("workers must be >= 1")
         if self.workers > MAX_WORKERS:
             raise InvalidConfigError(f"workers must be <= {MAX_WORKERS}")
-        for p in self.p_list:
-            if p == 2 or not is_prime(p):
-                raise InvalidConfigError(f"{p} is not an odd prime")
+        try:
+            normtest.check_qmax(self.qmax)
+            for p in self.p_list:
+                check_degree(p, 1)
+        except ValueError as exc:
+            raise InvalidConfigError(str(exc)) from None
+        if len(set(self.p_list)) < len(self.p_list):
+            raise InvalidConfigError(f"p is repeated in {','.join(map(str, self.p_list))}")
         return self
 
 

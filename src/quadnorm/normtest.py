@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclicext import (
+    ClassPrimeNotSplitError,
     CyclicExtensionDescriptor,
     check_conductor,
     check_degree,
@@ -208,7 +209,7 @@ def verify_class_order(
     """Compare the order of the class above ell with the norm index at
     every proper conductor up to qmax."""
     if splitting_type(F, ell) is not SplittingType.SPLIT:
-        raise ValueError(f"class prime {ell} must split in d={F.d}")
+        raise ClassPrimeNotSplitError(f"class prime {ell} must split in d={F.d}")
     conductors = admissible_conductors(F, p, n, qmax)  # refuses a bad p first
     group = class_group(F, "wide")
     order = group.order_of(prime_form(F, ell))

@@ -322,7 +322,7 @@ def reduce_mod_prime(
     elif kronecker(F.disc, q) == -1:
         return ResidueFieldElement(q, x.u * half % q, x.v * half % q, F.d % q, None)
     else:
-        root = split_roots(F, q)[0]
+        root = sqrt_mod_prime(F.d, q)
     c0 = (x.u + x.v * root) * half % q
     return ResidueFieldElement(q, c0, 0, F.d % q, root)
 
@@ -334,6 +334,6 @@ def split_roots(F: QuadraticField, q: int) -> tuple[int, int]:
     if not is_prime(q):
         raise NotPrimeError(f"{q} is not prime")
     if F.disc % q == 0:
-        raise ValueError(f"{q} does not split")
+        raise RamifiedPrimeError(f"{q} ramifies (divides {F.disc})")
     r0 = sqrt_mod_prime(F.d, q)  # refuses q = 2 and a d that is no square mod q
     return r0, q - r0

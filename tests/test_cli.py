@@ -151,6 +151,18 @@ class TestBasicCommands:
             argv = ("scan", "--dmax", "6", "--qmax", "0", "--p", p, "--workers", "2")
         assert run(capsys, *argv) == (2, "", f"error: {p} is not an odd prime\n")
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_scan_refuses_a_repeated_p(self, capsys, monkeypatch, tmp_path, from_file):
+        # a repeated p wrote each per_p entry, and each CSV column group, twice
+        monkeypatch.delenv("QUADNORM_CONFIG", raising=False)
+        if from_file:
+            cfg = tmp_path / "scan.conf"
+            cfg.write_text("dmax=6\nqmax=0\np=3,3\n")
+            argv = ("--config", str(cfg), "scan")
+        else:
+            argv = ("scan", "--dmax", "6", "--p", "3", "--p", "3", "--qmax", "0")
+        assert run(capsys, *argv) == (2, "", "error: p is repeated in 3,3\n")
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
@@ -396,6 +408,12 @@ class TestExitCodes:
     def test_negative_qmax_is_2(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--qmax", "-5")
         assert (code, out, err) == (2, "", "error: qmax -5 is negative\n")
+
+    def test_scan_states_a_negative_qmax_as_detect_does(self, capsys, monkeypatch):
+        monkeypatch.delenv("QUADNORM_CONFIG", raising=False)
+        scan = run(capsys, "scan", "--dmax", "10", "--qmax", "-1")
+        detect = run(capsys, "detect", "--d", "79", "--p", "3", "--qmax", "-1")
+        assert scan == detect == (2, "", "error: qmax -1 is negative\n")
 
 
 class PrimitiveRootSought(Exception):

@@ -31,7 +31,6 @@ from quadnorm.formclass import (
     _ClassTable,
     _compose_forms,
     _group_structure,
-    _progression_starts,
     _rho_cycle,
     _structure,
 )
@@ -43,6 +42,7 @@ from quadnorm.intmath import (
     kronecker,
     power,
     primes_up_to,
+    sqrt_mod_prime,
 )
 from quadnorm.quadfield import fundamental_unit, make_field
 from quadnorm.transfer import FiniteGroup
@@ -58,6 +58,25 @@ def divisors(n: int) -> list[int]:
 # The split-prime sieve that enumerated every reduced triple before the class
 # table generated its classes from the prime forms, kept as the reduced-form
 # oracle.
+
+
+def _progression_starts(D: int, p: int) -> set[int]:
+    """The i in [0, p) with p | (D - b^2)/4 at b = b0 + 2i, b0 = 2 - D % 2.
+
+    (D - b^2)/4 mod p has period p in i, so these start the progressions
+    of step p on which p divides it.  An odd p divides it exactly when
+    b = +-sqrt(D) (mod p): two starts when (D/p) = 1, one when p | D and
+    none when (D/p) = -1, which the root's own check finds.
+    """
+    b0 = 2 - D % 2
+    if p == 2:
+        return {i for i in (0, 1) if (D - (b0 + 2 * i) ** 2) // 4 % 2 == 0}
+    try:
+        r = sqrt_mod_prime(D, p)
+    except ValueError:  # (D/p) = -1
+        return set()
+    half = (p + 1) // 2  # the inverse of 2 mod p
+    return {(r - b0) * half % p, (-r - b0) * half % p}
 
 
 def _reduced_triples(D: int) -> list[tuple[int, int, int]]:
@@ -656,8 +675,8 @@ class TestPrimeForm:
 
 def scan_prime_form(F, ell):
     """The form (ell, b, c) with minimal b in [0, 2*ell), by the scan over
-    every such b that ``prime_form_raw`` ran before it took b from
-    ``_progression_starts``; its oracle."""
+    every such b that ``prime_form_raw`` ran before it read b off the
+    roots +-sqrt(D) mod ell; its oracle."""
     D = F.disc
     for b in range(0, 2 * ell):
         if (b * b - D) % (4 * ell) == 0:
@@ -681,6 +700,25 @@ def test_prime_form_matches_scan_below_1000():
                     prime_form_raw(F, ell)
             else:
                 assert prime_form_raw(F, ell) == want, (d, ell)
+
+
+def scan_prime_triple(D, ell):
+    """``scan_prime_form`` on a bare discriminant, None when l is inert."""
+    for b in range(2 * ell):
+        c, rest = divmod(b * b - D, 4 * ell)
+        if rest == 0 and gcd(ell, b, c) == 1:
+            return ell, b, c
+    return None
+
+
+def test_prime_triple_matches_scan_to_10000():
+    # every D <= 10^4 that is 0 or 1 mod 4 and not a square, fundamental or
+    # not, against every prime l <= 97: split, inert, l = 2 and l | D
+    primes = primes_up_to(97)
+    for D in range(2, 10_001):
+        if D % 4 < 2 and not is_square(D):
+            for ell in primes:
+                assert formclass._prime_triple(D, ell) == scan_prime_triple(D, ell), (D, ell)
 
 
 class TestPolya:

@@ -188,9 +188,9 @@ class TestConfig:
     def test_qmax_ceiling(self, monkeypatch):
         monkeypatch.delenv("QUADNORM_CONFIG", raising=False)
         assert RunConfig(qmax=MAX_QMAX).validate().qmax == MAX_QMAX
-        with pytest.raises(InvalidConfigError, match=f"qmax must be <= {MAX_QMAX}"):
+        with pytest.raises(InvalidConfigError, match=f"conductor-search ceiling {MAX_QMAX}$"):
             RunConfig(qmax=MAX_QMAX + 1).validate()
-        with pytest.raises(InvalidConfigError, match=f"qmax must be <= {MAX_QMAX}"):
+        with pytest.raises(InvalidConfigError, match=f"conductor-search ceiling {MAX_QMAX}$"):
             config_from_sources(None, {"qmax": 10**9})
 
     def test_removed_key_rejected(self, tmp_path):

@@ -4,7 +4,12 @@ from hypothesis import strategies as st
 
 from quadnorm import cyclicext, intmath, normtest, quadfield
 from quadnorm.compose import RelativeExtension
-from quadnorm.cyclicext import ConductorInvalidError, cyclic_descriptor, relative_discriminant
+from quadnorm.cyclicext import (
+    ClassPrimeNotSplitError,
+    ConductorInvalidError,
+    cyclic_descriptor,
+    relative_discriminant,
+)
 from quadnorm.formclass import class_group
 from quadnorm.harness import RunConfig, detection_sweep, scan
 from quadnorm.normtest import (
@@ -141,6 +146,22 @@ class TestNormIndex:
         rep = norm_index(field79, cyclic_descriptor(19, 3, 2))
         assert rep.index == 1
 
+    @pytest.mark.parametrize("q, tests", [(7, 2), (37, 1)])
+    def test_tests_q_once_per_residue_map(self, monkeypatch, field79, q, tests):
+        # 7 splits in Q(sqrt 79): two residue maps, each testing q once,
+        # the default root taken with no further test; 37 is inert: one map
+        desc, eps = cyclic_descriptor(q, 3, 1), fundamental_unit(field79)
+        calls = []
+        real = quadfield.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(quadfield, "is_prime", counting)
+        norm_index(field79, desc, unit=eps)
+        assert calls == [q] * tests
+
     def test_large_prime_degree_needs_no_factoring(self, monkeypatch):
         # the local orders divide p^n and are found by p-th powers, so no
         # step factors p^n (here p near 5 * 10^13, q = 2p + 1)
@@ -177,6 +198,12 @@ class TestVerifyClassOrder:
     def test_requires_split_class_prime(self, field79):
         with pytest.raises(ValueError):
             verify_class_order(field79, 37, 3, 1, 50)
+
+    def test_refuses_a_ramified_class_prime_as_properness_does(self, field79, desc7):
+        with pytest.raises(ClassPrimeNotSplitError, match="^class prime 2 must split in d=79$"):
+            verify_class_order(field79, 2, 3, 1, 100)
+        with pytest.raises(ClassPrimeNotSplitError):
+            cyclicext.properness_report(field79, desc7, 2)
 
     def test_computes_the_unit_once(self, monkeypatch):
         calls = []

@@ -683,6 +683,13 @@ class TestReduceModPrime:
         with pytest.raises(RamifiedPrimeError):
             reduce_mod_prime(field79, QuadInteger(79, 1, 0), 79)
 
+    def test_split_roots_refuse_a_ramified_prime_as_the_map_does(self, field79):
+        message = r"^79 ramifies \(divides 316\)$"
+        with pytest.raises(RamifiedPrimeError, match=message):
+            split_roots(field79, 79)
+        with pytest.raises(RamifiedPrimeError, match=message):
+            reduce_mod_prime(field79, QuadInteger(79, 1, 0), 79)
+
     def test_even_rejected(self, field79):
         with pytest.raises(EvenPrimeError):
             reduce_mod_prime(field79, QuadInteger(79, 1, 0), 2)

@@ -44,6 +44,7 @@ ALLOWLIST = {
     "harness.SurveyInstance.vanishing_discrepancy": ACCEPTANCE,
     "cyclicext.CyclicExtensionDescriptor.struct_constants": ACCEPTANCE,
     "compose.RelativeCharPoly.constant": ACCEPTANCE,
+    "quadfield.split_roots": ACCEPTANCE,
     "formclass.polya_report": API,
     "formclass.ClassGroupStructure.identity": API,
     "formclass.ClassGroupStructure.mul": API,
