@@ -17,6 +17,7 @@ from .cyclicext import cyclic_descriptor, period_polynomial, tower_certificate
 from .formclass import class_group
 from .harness import (
     CONFIG_ENV_VAR,
+    SETTINGS,
     Report,
     ScanRecord,
     config_from_sources,
@@ -64,12 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="scan squarefree radicands")
     p_scan.add_argument("--dmax", type=int)
-    p_scan.add_argument("--p", type=int, action="append", dest="p_list")
+    p_scan.add_argument("--p", type=int, action="append")
     p_scan.add_argument("--qmax", type=int)
     p_scan.add_argument("--out", type=str)
     p_scan.add_argument("--csv", type=str, help="also write a flattened CSV")
     p_scan.add_argument("--workers", type=int)
-    p_scan.add_argument("--oracle-check", action="store_true",
+    p_scan.add_argument("--oracle-check", action="store_true", default=None,
                         help="attach the ideal-cycle class number to each record")
 
     p_stats = sub.add_parser("stats", help="divisibility frequencies of a scan")
@@ -153,24 +154,13 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _cmd_scan(args, config_path) -> int:
-    # validated here, before any file is opened
-    cfg = config_from_sources(
-        config_path,
-        {
-            "dmax": args.dmax,
-            "qmax": args.qmax,
-            "p": tuple(args.p_list) if args.p_list else None,
-            "out": args.out,
-            "workers": args.workers,
-            "oracle_check": True if args.oracle_check else None,
-        },
-    )
+def _cmd_scan(args) -> int:
+    # validated here, before any file is opened; a flag left out is None
+    cfg = config_from_sources(args.config, {key: getattr(args, key) for key in SETTINGS})
     mismatches = []
     with ExitStack() as stack:
-        out = sys.stdout
-        if cfg.out_path:
-            out = stack.enter_context(open(cfg.out_path, "w", encoding="utf-8"))
+        out = (stack.enter_context(open(cfg.out_path, "w", encoding="utf-8"))
+               if cfg.out_path else sys.stdout)
         writer = None
         if args.csv:
             # line-buffered, so each row reaches the file with its record
@@ -261,6 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         "ext": _cmd_ext,
         "normindex": _cmd_normindex,
         "detect": _cmd_detect,
+        "scan": _cmd_scan,
         "stats": _cmd_stats,
         "transfer": _cmd_transfer,
         "verify": _cmd_verify,
@@ -271,8 +262,6 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if args.command == "scan":
-            return _cmd_scan(args, args.config)
         return handlers[args.command](args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

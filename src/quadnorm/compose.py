@@ -178,9 +178,9 @@ class RelativeExtension:
         """Relative norm of a pair vector, as a pair: the product of the e
         conjugate forms of ``_conjugates``, lifted symmetrically from the
         basis {1, t}.  Its pair (u, v) has |u| and |v| at most h^e, so
-        M > 2 * h^e makes the lift exact."""
+        M > 2 * h^e makes the lift exact; a lift above it raises ArithmeticError."""
         d = self.field.d
-        M, _, us, vs = self._conjugates(x)
+        M, h, us, vs = self._conjugates(x)
         a, b = 1, 0  # the product so far, a + b*t
         for s, t in zip(us, vs):
             a, b = (a * s + d * b * t) % M, (a * t + b * s) % M
@@ -188,7 +188,10 @@ class RelativeExtension:
         # a + b*t is 2^(e-1) * (u + v*t): divide by 2^(e-1) modulo M
         inv = pow(2, 1 - self.degree, M)
         a, b = a * inv % M, b * inv % M
-        return (a - M if 2 * a > M else a, b - M if 2 * b > M else b)
+        u, v = (a - M if 2 * a > M else a), (b - M if 2 * b > M else b)
+        if max(abs(u), abs(v)) > h**self.degree:
+            raise ArithmeticError(f"relative norm pair (u, v) exceeds its bound {h**self.degree}")
+        return u, v
 
     def relative_norm(self, alpha: RelativeElement) -> QuadInteger:
         """Product of all Galois conjugates; lands in the quadratic ring."""

@@ -25,7 +25,7 @@ from .cyclicext import (
 )
 from .formclass import class_data, class_group, minkowski_class_number, prime_form
 from .intmath import factorize, is_squarefree, poly_discriminant
-from .quadfield import fundamental_unit, make_field
+from .quadfield import MAX_RADICAND, fundamental_unit, make_field
 from .transfer import FiniteGroup, diagram_check, restricted_transfer, transfer
 
 
@@ -256,6 +256,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.dmax < 2:
             raise InvalidConfigError("dmax must be >= 2")
+        if self.dmax > MAX_RADICAND:
+            raise InvalidConfigError(f"dmax is above the radicand ceiling {MAX_RADICAND}")
         if self.workers < 1:
             raise InvalidConfigError("workers must be >= 1")
         if self.workers > MAX_WORKERS:
@@ -272,9 +274,18 @@ class RunConfig:
 
 
 CONFIG_ENV_VAR = "QUADNORM_CONFIG"
-CONFIG_KEYS = ("dmax", "qmax", "p", "workers", "out", "oracle_check")
 # any other value is refused, so that a typo cannot turn a check off
 BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# each scan setting once: config key and ``scan`` flag dest -> (RunConfig
+# field, parser of the config-file text)
+SETTINGS = {
+    "dmax": ("dmax", int),
+    "qmax": ("qmax", int),
+    "p": ("p_list", lambda s: [int(x) for x in s.split(",")]),
+    "workers": ("workers", int),
+    "out": ("out_path", str),
+    "oracle_check": ("oracle_check", lambda s: BOOLEANS[s.lower()]),
+}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -295,33 +306,24 @@ def load_config_file(path: str) -> dict[str, str]:
 def config_from_sources(path: str | None, overrides: dict) -> RunConfig:
     """File values (path argument, else the environment variable) overlaid
     by explicit command-line overrides."""
-    data: dict[str, str] = {}
     cfg_path = path or os.environ.get(CONFIG_ENV_VAR)
-    if cfg_path:
-        data = load_config_file(cfg_path)
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    data = load_config_file(cfg_path) if cfg_path else {}
+    unknown = sorted(set(data) - set(SETTINGS))
     if unknown:
         raise InvalidConfigError(
-            f"unknown config key(s) {', '.join(unknown)}; known: {', '.join(CONFIG_KEYS)}"
+            f"unknown config key(s) {', '.join(unknown)}; known: {', '.join(SETTINGS)}"
         )
     cfg = RunConfig()
-    def pick(key, cast, current):
-        if key in overrides and overrides[key] is not None:
-            return overrides[key]
-        if key in data:
+    for key, (name, parse) in SETTINGS.items():
+        value = overrides.get(key)
+        if value is None and key in data:
             try:
-                return cast(data[key])
+                value = parse(data[key])
             except (ValueError, KeyError) as exc:
                 raise InvalidConfigError(f"bad value for {key}: {data[key]!r}") from exc
-        return current
-
-    cfg.dmax = pick("dmax", int, cfg.dmax)
-    cfg.qmax = pick("qmax", int, cfg.qmax)
-    plist = pick("p", lambda s: tuple(int(x) for x in s.split(",")), cfg.p_list)
-    cfg.p_list = tuple(plist)
-    cfg.workers = pick("workers", int, cfg.workers)
-    cfg.out_path = pick("out", str, cfg.out_path)
-    cfg.oracle_check = pick("oracle_check", lambda s: BOOLEANS[s.lower()], cfg.oracle_check)
+        if value is not None:
+            setattr(cfg, name, value)
+    cfg.p_list = tuple(cfg.p_list)
     return cfg.validate()
 
 
@@ -520,9 +522,7 @@ def detection_sweep(dmax: int, p_list: tuple[int, ...], qmax: int) -> DetectionS
     witnesses = []
     unsound = []
     missed = []
-    for d in range(2, dmax + 1):
-        if not is_squarefree(d):
-            continue
+    for d in filter(is_squarefree, range(2, dmax + 1)):
         F = make_field(d)
         h = minkowski_class_number(F)
         for p in p_list:

@@ -5,11 +5,12 @@ import re
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import islice
 
 import pytest
 
-from quadnorm import cli, cyclicext, formclass, harness, intmath, normtest
+from quadnorm import cli, cyclicext, formclass, harness, intmath, normtest, quadfield
 from quadnorm.cli import main
 from quadnorm.harness import scan_one
 from quadnorm.intmath import is_prime
@@ -236,6 +237,53 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("field",),
+            ("unit",),
+            ("classgroup",),
+            ("normindex", "--q", "7", "--p", "3"),
+            ("detect", "--p", "3", "--qmax", "50"),
+            ("verify", "thm14", "--l", "3", "--p", "3", "--qmax", "50"),
+        ],
+    )
+    def test_radicand_above_ceiling_is_2(self, capsys, monkeypatch, argv):
+        # trial division costs O(sqrt(d)): it must not start above the ceiling
+        def no_factoring(d):
+            raise AssertionError("squarefreeness tested above the radicand ceiling")
+
+        monkeypatch.setattr(quadfield, "is_squarefree", no_factoring)
+        d = quadfield.MAX_RADICAND + 1
+        code, out, err = run(capsys, *argv, "--d", str(d))
+        assert (code, out) == (2, "")
+        assert err == f"error: radicand {d} is above the radicand ceiling 100000000000000\n"
+
+    def test_radicand_ceiling_is_inclusive(self, capsys):
+        # 10^14 = 2^14 * 5^14 reaches the squarefree test, which refuses it
+        code, out, err = run(capsys, "field", "--d", str(quadfield.MAX_RADICAND))
+        assert (code, out) == (2, "") and "not squarefree" in err
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_scan_dmax_above_radicand_ceiling_is_2(
+        self, capsys, monkeypatch, tmp_path, from_file
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("scan started")
+
+        monkeypatch.delenv("QUADNORM_CONFIG", raising=False)
+        monkeypatch.setattr(harness, "scan_one", unreachable)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", unreachable)
+        dmax = quadfield.MAX_RADICAND + 1
+        if from_file:
+            cfg = tmp_path / "scan.conf"
+            cfg.write_text(f"dmax={dmax}\n")
+            argv = ("--config", str(cfg), "scan")
+        else:
+            argv = ("scan", "--dmax", str(dmax))
+        expected = "error: dmax is above the radicand ceiling 100000000000000\n"
+        assert run(capsys, *argv) == (2, "", expected)
 
     def test_ext_above_table_ceiling_is_2(self, capsys, monkeypatch):
         def no_table(self):
@@ -485,6 +533,54 @@ class TestScanStreaming:
         code, _, err = run(capsys, "scan", "--dmax", "30", "--out", str(out_path))
         assert code == 2 and "fourth record" in err
         assert [json.loads(line)["d"] for line in out_path.read_text().splitlines()] == [2, 3, 5]
+
+
+class TestScanSettings:
+    """Each key of ``harness.SETTINGS`` is a config key and the dest of its
+    ``scan`` flag; a flag left out is None, so the file value stands."""
+
+    # key: (file text, its value, flags, their value, a file text the flags beat)
+    CASES = {
+        "dmax": ("7", 7, ["--dmax", "9"], 9, "7"),
+        "qmax": ("50", 50, ["--qmax", "60"], 60, "50"),
+        "p": ("5,3", (5, 3), ["--p", "5", "--p", "7"], (5, 7), "5,3"),
+        "workers": ("2", 2, ["--workers", "3"], 3, "2"),
+        "out": ("a.jsonl", "a.jsonl", ["--out", "b.jsonl"], "b.jsonl", "a.jsonl"),
+        "oracle_check": ("yes", True, ["--oracle-check"], True, "no"),
+    }
+
+    @staticmethod
+    def _config(monkeypatch, argv):
+        """The RunConfig that ``scan`` runs for argv; no field is computed."""
+        seen = []
+        monkeypatch.setattr(cli, "scan", lambda cfg: seen.append(cfg) or [])
+        assert main(list(argv)) == 0
+        (cfg,) = seen
+        return cfg
+
+    def test_dests_are_the_settings(self):
+        args = vars(cli.build_parser().parse_args(["scan"]))
+        assert set(args) - {"command", "config", "csv"} == set(harness.SETTINGS)
+        assert {key: args[key] for key in harness.SETTINGS} == dict.fromkeys(harness.SETTINGS)
+
+    @pytest.mark.parametrize("key", list(CASES))
+    def test_each_key_from_file_environment_and_flag(self, monkeypatch, tmp_path, key):
+        text, value, flags, flag_value, beaten = self.CASES[key]
+        name = harness.SETTINGS[key][0]
+        monkeypatch.chdir(tmp_path)  # where the out files land
+        monkeypatch.delenv("QUADNORM_CONFIG", raising=False)
+        cfg = tmp_path / "scan.conf"
+        cfg.write_text(f"{key}={text}\n")
+        expected = replace(harness.RunConfig(), **{name: value})
+        assert expected != harness.RunConfig()
+        assert self._config(monkeypatch, ["--config", str(cfg), "scan"]) == expected
+        monkeypatch.setenv("QUADNORM_CONFIG", str(cfg))
+        assert self._config(monkeypatch, ["scan"]) == expected
+        monkeypatch.delenv("QUADNORM_CONFIG")
+        expected = replace(harness.RunConfig(), **{name: flag_value})
+        assert self._config(monkeypatch, ["scan", *flags]) == expected
+        cfg.write_text(f"{key}={beaten}\n")
+        assert self._config(monkeypatch, ["--config", str(cfg), "scan", *flags]) == expected
 
 
 class TestScanStats:

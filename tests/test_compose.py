@@ -317,6 +317,16 @@ class TestCharpolyChecks:
         with pytest.raises(ArithmeticError, match="exceeds its bound"):
             ext.charpoly(ext.period(0))
 
+    def test_relative_norm_bound(self):
+        # the images of test_coefficient_bounds give N(period(0)) = (-1) *
+        # K * (-K) = 10^4, above its bound h^3 = 8000; the period
+        # polynomial x^3 + x^2 - 10x - 8 gives the true norm 8
+        ext = RelativeExtension(cyclic_descriptor(31, 3, 1), make_field(10))
+        assert ext.relative_norm(ext.period(0)) == QuadInteger(10, 8, 0)
+        ext = self._crafted((-1, 100, -100))
+        with pytest.raises(ArithmeticError, match="relative norm pair .* exceeds its bound 8000"):
+            ext.relative_norm(ext.period(0))
+
 
 class TestSearchChecks:
     def test_hit_is_reverified_by_the_conjugate_product(self, ext7_10, monkeypatch):

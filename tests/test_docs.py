@@ -22,6 +22,7 @@ STATED = [
     "KRONECKER_MAX_CONDUCTOR",
     "MAX_QMAX",
     "MAX_WORKERS",
+    "MAX_RADICAND",
 ]
 
 

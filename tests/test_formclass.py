@@ -34,6 +34,8 @@ from quadnorm.formclass import (
     _rho_cycle,
     _structure,
 )
+from quadnorm.compose import OrderViolationError, RelativeExtension, composition_check
+from quadnorm.cyclicext import period_polynomial
 from quadnorm.harness import abelian_group_types
 from quadnorm.intmath import (
     factorize,
@@ -920,3 +922,75 @@ class TestMinkowskiOracle:
                 continue
             F = make_field(d)
             assert class_group(F, "wide").h == minkowski_class_number(F), f"d={d}"
+
+
+# The ideal-product law, an oracle of the table's wide law that shares none
+# of its code.  A form (a, b, c) gives the ideal [|a|, (-b + sqrt(D))/2]; the
+# product of two ideals is the lattice spanned by the four products of their
+# basis elements.  Its Hermite normal form over {1, w}, w = (D % 2 +
+# sqrt(D))/2, divided by its content, is a primitive ideal [A, (B + sqrt(D))/2]
+# (Cohen, GTM 138, 5.2), and the Minkowski oracle's ideal cycle of (B, 2A)
+# names its wide class.  The law reads extended gcds on lattice vectors, not
+# the linear congruences of ``_compose_forms``.
+
+
+def form_ideal(f: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """Basis of the ideal of f as pairs (x, y) of (x + y*sqrt(D))/2."""
+    return [(2 * abs(f[0]), 0), (-f[1], 1)]
+
+
+def ideal_product(D: int, f: tuple[int, int, int], g: tuple[int, int, int]):
+    """The four products of the bases of the ideals of f and g, as pairs."""
+    return [((x1 * x2 + D * y1 * y2) // 2, (x1 * y2 + x2 * y1) // 2)
+            for x1, y1 in form_ideal(f) for x2, y2 in form_ideal(g)]
+
+
+def ideal_name(D: int, gens: list[tuple[int, int]]) -> tuple[int, int]:
+    """The ideal cycle naming the wide class of the ideal that the pairs
+    gens span, from its Hermite normal form Z*a + Z*(b + c*w)."""
+    top, a = (0, 0), 0
+    for v in (((x - y * (D % 2)) // 2, y) for x, y in gens):  # over {1, w}
+        while v[1]:  # Euclid on the w-coordinate keeps the span
+            q = top[1] // v[1]
+            top, v = v, (top[0] - q * v[0], top[1] - q * v[1])
+        a = gcd(a, v[0])
+    b, c = top if top[1] > 0 else (-top[0], -top[1])
+    assert a % c == 0 and b % c == 0, (a, b, c)  # c, the content, divides an ideal's HNF
+    A = a // c
+    return formclass._ideal_cycle_canonical(D, 2 * (b // c % A) + D % 2, 2 * A)
+
+
+class TestIdealLaw:
+    def test_table_wide_law_matches_ideal_products_to_10000(self):
+        pairs = 0
+        for d in SQUAREFREE_TO_10_000:
+            D = make_field(d).disc
+            table = _ClassTable(D)
+            rep, mul = table.law("wide")
+            wide = sorted({rep(i) for i in range(len(table.classes))})
+            forms = {i: table.classes[i].canonical.as_tuple() for i in wide}
+            names = {i: ideal_name(D, form_ideal(forms[i])) for i in wide}
+            assert len(set(names.values())) == len(wide), d  # the name tells classes apart
+            for i in wide:
+                for j in wide:
+                    got = ideal_name(D, ideal_product(D, forms[i], forms[j]))
+                    assert got == names[mul(i, j)], (d, i, j)
+            pairs += len(wide) ** 2
+        assert pairs == 110_900
+
+    def test_composition_check_instance_by_ideal_products(self):
+        # criterion 8 at d = 79: P and Q carry the class c above 3, W
+        # carries c^2, and a Q carrying c^2 makes a principal product
+        F = make_field(79)
+        D = F.disc
+        ext = RelativeExtension(period_polynomial(37, 3, 1), F)
+        alpha = ext.scalar(-fundamental_unit(F).value)
+        c = prime_form(F, 3)
+        P, W = (ext.family_polynomial(alpha, attached_class=x) for x in (c, c * c))
+        f, w = (x.attached_class.canonical.as_tuple() for x in (P, W))
+        one = ideal_name(D, form_ideal((1, D % 2, (D % 2 - D) // 4)))
+        assert composition_check(P, P, W).class_correspondence
+        assert ideal_name(D, ideal_product(D, f, f)) == ideal_name(D, form_ideal(w)) != one
+        with pytest.raises(OrderViolationError):
+            composition_check(P, W, W)
+        assert ideal_name(D, ideal_product(D, f, w)) == one

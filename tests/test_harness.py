@@ -10,6 +10,7 @@ import pytest
 import quadnorm
 from quadnorm import cli, harness
 from quadnorm.normtest import MAX_QMAX
+from quadnorm.quadfield import MAX_RADICAND
 from quadnorm.harness import (
     MAX_WORKERS,
     EmptyInputError,
@@ -192,6 +193,23 @@ class TestConfig:
             RunConfig(qmax=MAX_QMAX + 1).validate()
         with pytest.raises(InvalidConfigError, match=f"conductor-search ceiling {MAX_QMAX}$"):
             config_from_sources(None, {"qmax": 10**9})
+
+    def test_dmax_radicand_ceiling(self, monkeypatch):
+        monkeypatch.delenv("QUADNORM_CONFIG", raising=False)
+        assert RunConfig(dmax=MAX_RADICAND).validate().dmax == MAX_RADICAND
+        for make in (lambda: RunConfig(dmax=MAX_RADICAND + 1).validate(),
+                     lambda: config_from_sources(None, {"dmax": 10**18})):
+            with pytest.raises(InvalidConfigError, match=f"radicand ceiling {MAX_RADICAND}$"):
+                make()
+
+    def test_unknown_key_message_lists_the_keys_in_order(self, tmp_path):
+        stale = tmp_path / "stale.conf"
+        stale.write_text("zeta=1\ndmax=50\nalpha=2\n")
+        with pytest.raises(InvalidConfigError) as info:
+            config_from_sources(str(stale), {})
+        assert str(info.value) == (
+            "unknown config key(s) alpha, zeta; known: dmax, qmax, p, workers, out, oracle_check"
+        )
 
     def test_removed_key_rejected(self, tmp_path):
         stale = tmp_path / "stale.conf"
