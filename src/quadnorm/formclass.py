@@ -3,18 +3,22 @@
 Reduction cycles decide equivalence and Gauss/Dirichlet composition gives
 the one group law, run by ``_ClassTable`` on (a, b, c) integer triples
 through one rho step; the table generates the classes from the principal
-cycle, its negation and the prime forms below isqrt(D // 4).  Every class
-group, and ``compose.composition_check``, works on its class indices; the
-wide group is the quotient of the narrow one by the class of a form
-representing -1.  A separate ideal-cycle enumeration under the Minkowski
-bound provides an independent class-number oracle.
+cycle, its negation and the prime forms below isqrt(D // 4).  That
+generation is a presentation of the group: each prime that grows it
+leaves one power relation, and h and the elementary divisors are the
+invariant factors of the relation lattice.  The classes' names, the
+elements and the generators (by ``_abelian_basis``) are built only when
+read.  Every class group, and ``compose.composition_check``, works on the
+table's class indices; the wide group is the quotient of the narrow one by
+the class of a form representing -1.  A separate ideal-cycle enumeration
+under the Minkowski bound provides an independent class-number oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import itemgetter
 
 from .intmath import (
@@ -22,6 +26,7 @@ from .intmath import (
     cycle,
     factorize,
     floor_quadsurd,
+    invariant_factors,
     is_prime,
     is_square,
     kronecker,
@@ -206,31 +211,47 @@ def all_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
     return [BinaryQuadraticForm(*f) for f in _ClassTable(D).index]
 
 
+# the _ClassTable attributes that name the classes, built on first read
+_NAMES = frozenset({"classes", "rank", "negation", "keys", "identity", "sign"})
+
+
 class _ClassTable:
     """The narrow class group of one discriminant on class indices.
 
-    Classes are numbered in ``_class_key`` order, and every reduced triple
-    (a, b, c) maps to the index of its rho cycle.  A product composes the
-    two canonical triples, takes the few rho steps to the first reduced
-    triple and looks it up; products are memoised, so the table is a lazily
-    filled Cayley table that lives as long as the structure that owns it.
-
     rho commutes with (a, b, c) -> (-a, b, -c), which maps class C to
-    C*sign (``negation``), so one cycle walk numbers both.  The principal
-    cycle and its negation start a subgroup H; each prime form (ell, b, c),
-    ell <= isqrt(D // 4), not in H grows H by its cosets H*g, H*g^2, ...
-    up to the first power back in H, each new pair of classes one
-    composition and one cycle walk.  For a field discriminant that is the
-    whole group: adjacent (a, b, c), (c, b', c') of a cycle have |a*c| =
-    (D - b^2)/4 < D/4, so every cycle holds a triple with |a| <= isqrt(D //
-    4), in C or, negated, in C*sign; and the ideal of norm |a| is a product
-    of primes of norm ell <= |a| (Cohen, GTM 138, 5.2-5.4).  For a
-    non-fundamental D there is no such proof; tests check it.
+    C*sign, so one cycle walk numbers both.  The principal cycle and its
+    negation start a subgroup H; each prime form (ell, b, c), ell <=
+    isqrt(D // 4), not in H grows H by its cosets H*g, H*g^2, ... up to the
+    first power back in H, each new pair of classes one composition and one
+    cycle walk.  For a field discriminant that is the whole group: adjacent
+    (a, b, c), (c, b', c') of a cycle have |a*c| = (D - b^2)/4 < D/4, so
+    every cycle holds a triple with |a| <= isqrt(D // 4), in C or, negated,
+    in C*sign; and the ideal of norm |a| is a product of primes of norm ell
+    <= |a| (Cohen, GTM 138, 5.2-5.4).  For a non-fundamental D there is no
+    such proof; tests check it.
 
     A prime ell builds no triple when it is inert, or when some triple in
     H's cycles has |a| = ell: H is closed under negation and inversion, and
     every (ell, b, c) is the prime triple or its inverse (ell, -b, c) after
     b -> b + 2*ell*k, so the loop would not grow H.
+
+    ``index`` maps every reduced triple to the generation number of its
+    cycle, written once.  The numbers are a presentation of the group
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, ch.
+    8): the i-th coset of a new generator g_k lists H[j]*g_k^i in H's
+    order, so for generators g_1, ..., g_k of relative orders r_1, ...,
+    r_k, the class numbered m*p + e_0, m = ``sign_order``, is sign^e_0 *
+    g_1^e_1 * ... * g_k^e_k for the mixed-radix digits p = e_1 + r_1*(e_2
+    + r_2*(...)).  Each generator leaves one power relation, g_k^r_k = the
+    class at which its loop stops, read from ``index``; ``relations`` lists
+    them as a lattice whose Smith form is the group's structure.
+
+    The names are built on first read: ``classes`` in ``_class_key`` order,
+    ``rank`` from generation numbers to that order, and ``negation``,
+    ``keys``, ``identity`` and ``sign`` on ranks.  A product composes the
+    two canonical triples, takes the few rho steps to the first reduced
+    triple and looks it up; products are memoised, so the table is a lazily
+    filled Cayley table that lives as long as the structure that owns it.
     """
 
     def __init__(self, D: int):
@@ -239,7 +260,7 @@ class _ClassTable:
         if D % 4 > 1:
             raise DiscriminantCongruenceError(f"{D} is not 0 or 1 modulo 4")
         s = isqrt(D)
-        cycles, negation, index, norms = [], [], {}, set()
+        cycles, index, norms = [], {}, set()
 
         def add(f: tuple[int, int, int]) -> int:
             # numbers the cycle of a new reduced f, and its negation if distinct
@@ -248,18 +269,15 @@ class _ClassTable:
             index.update(zip(cyc, repeat(i)))
             cycles.append(cyc)
             norms.update(map(abs, map(itemgetter(0), cyc)))  # the negated cycle's too
-            if (-f[0], f[1], -f[2]) in index:  # the sign class is principal
-                negation.append(i)
-            else:
+            if (-f[0], f[1], -f[2]) not in index:  # the sign class is not principal
                 neg = [(-a, b, -c) for a, b, c in cyc]
                 index.update(zip(neg, repeat(i + 1)))
                 cycles.append(neg)
-                negation.extend((i + 1, i))
             return i
 
         t = D % 2
-        one = add(_reduce((1, t, (t - D) // 4), D, s))
-        H = [one]  # one class of each negation pair in the subgroup so far
+        H = [add(_reduce((1, t, (t - D) // 4), D, s))]  # one class of each negation pair
+        powers = []  # (r_k, generation number of g_k^r_k) per generator g_k
         for ell in primes_up_to(isqrt(D // 4)):
             if ell in norms or kronecker(D, ell) == -1:
                 continue
@@ -273,31 +291,58 @@ class _ClassTable:
                 ]
                 grown += coset
                 y = _reduce(_compose_forms(cycles[coset[0]][0], f), D, s)
-            H += grown
+            if grown:
+                powers.append((len(grown) // len(H) + 1, index[y]))
+                H += grown
+        self.D = D
+        self.s = s
+        self.cycles = cycles
+        self.index = index
+        self.sign_order = len(cycles) // len(H)  # 1 when the sign class is principal
+        self._powers = powers
+        self._products: dict[tuple[int, int], int] = {}
 
-        classes = [_cycle_class(cyc) for cyc in cycles]
-        order = sorted(range(len(cycles)), key=lambda i: _class_key(classes[i]))
+    def relations(self, flavor: str) -> list[list[int]]:
+        """The relation lattice, lower-triangular: the narrow group's on
+        (sign, g_1, ..., g_k), rows m*e_sign and r_k*e_k - vec(g_k^r_k) for
+        m = ``sign_order``, or the wide group's, the same rows without the
+        sign row and column."""
+        m, k = self.sign_order, len(self._powers)
+        rows = [[m] + [0] * k]
+        for t, (r, g) in enumerate(self._powers):
+            row, p = [-(g % m)] + [0] * k, g // m
+            for u in range(t):
+                p, e = divmod(p, self._powers[u][0])
+                row[u + 1] = -e
+            row[t + 1] = r
+            rows.append(row)
+        return rows if flavor == "narrow" else [row[1:] for row in rows[1:]]
+
+    def __getattr__(self, name: str):
+        # the names, built on the first read of any of them
+        if name not in _NAMES:
+            raise AttributeError(name)
+        classes = [_cycle_class(cyc) for cyc in self.cycles]
+        order = sorted(range(len(classes)), key=lambda i: _class_key(classes[i]))
         rank = [0] * len(order)
         for r, i in enumerate(order):
             rank[i] = r
-            index.update(zip(cycles[i], repeat(r)))
-        self.D = D
-        self.s = s
+        flip = self.sign_order - 1  # i ^ flip numbers the negated cycle of i
         self.classes = [classes[i] for i in order]
-        self.index = index
+        self.rank = rank
         # the class of the negated cycle, class * sign
-        self.negation = [rank[negation[i]] for i in order]
+        self.negation = [rank[i ^ flip] for i in order]
         # keys in repr(FormClass) order, in which _abelian_basis picks
         # generators: the repr's text up to the form's ")", as two classes
         # never share a form
         self.keys = ["%d, b=%d, c=%d)" % c.canonical.as_tuple() for c in self.classes]
-        self._products: dict[tuple[int, int], int] = {}
-        self.identity = rank[one]
-        self.sign = self.negation[self.identity]  # represents -1
+        self.identity = rank[0]
+        self.sign = rank[flip]  # represents -1
+        return getattr(self, name)
 
     def class_of(self, f: tuple[int, int, int]) -> int:
         """Index of the class of f, a primitive triple of discriminant D."""
-        return self.index[_reduce(f, self.D, self.s)]
+        return self.rank[self.index[_reduce(f, self.D, self.s)]]
 
     def index_of(self, cls: FormClass) -> int:
         if cls.disc != self.D:
@@ -334,13 +379,45 @@ def _class_key(c: FormClass) -> tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class ClassGroupStructure:
+    """The narrow or the wide class group of one class table.
+
+    ``h`` and ``elementary_divisors`` are read off the table's relations.
+    ``elements``, ``generators`` and ``_sign_class`` are built on first
+    read, the generators by ``_abelian_basis``, whose orders must equal the
+    divisors.
+    """
+
     flavor: str  # "narrow" | "wide"
     h: int
     elementary_divisors: tuple[int, ...]
-    generators: tuple[FormClass, ...]
-    elements: tuple[FormClass, ...]
-    _sign_class: FormClass | None = None
+    generators: tuple[FormClass, ...] = field(init=False)
+    elements: tuple[FormClass, ...] = field(init=False)
+    _sign_class: FormClass | None = field(init=False)
     _table: _ClassTable = field(kw_only=True, compare=False, repr=False)
+
+    def __getattr__(self, name: str):
+        # a field left out of __init__, built on its first read
+        if name not in ("generators", "elements", "_sign_class"):
+            raise AttributeError(name)
+        table = self._table
+        if name == "_sign_class":
+            value = None if self.flavor == "narrow" else table.classes[table.sign]
+        else:
+            rep, mul = table.law(self.flavor)
+            indices = sorted({rep(i) for i in range(len(table.cycles))})
+            if name == "elements":
+                value = tuple(table.classes[i] for i in indices)
+            else:
+                one = rep(table.identity)
+                divs, gens = _structure(indices, mul, one, table.keys.__getitem__)
+                if divs != self.elementary_divisors:
+                    raise ArithmeticError(
+                        f"basis orders {divs} differ from the relation divisors "
+                        f"{self.elementary_divisors} at discriminant {table.D}"
+                    )
+                value = tuple(table.classes[i] for i in gens)
+        object.__setattr__(self, name, value)
+        return value
 
     def _index(self, cls: FormClass) -> int:
         rep, _ = self._table.law(self.flavor)
@@ -429,21 +506,15 @@ def _structure(elements, mul, identity, key=repr) -> tuple[tuple[int, ...], tupl
 
 def _group_structure(table: _ClassTable, flavor: str) -> ClassGroupStructure:
     """The narrow group, or the wide group as the quotient of the narrow one
-    by the sign class, with the group law run on class indices."""
-    rep, mul = table.law(flavor)
-    elements = sorted({rep(i) for i in range(len(table.classes))})
-    one = rep(table.identity)
-    divs, gens = _structure(elements, mul, one, table.keys.__getitem__)
-    classes = table.classes
-    return ClassGroupStructure(
-        flavor,
-        len(elements),
-        divs,
-        tuple(classes[i] for i in gens),
-        tuple(classes[i] for i in elements),
-        None if flavor == "narrow" else classes[table.sign],
-        _table=table,
-    )
+    by the sign class: h counted from the table, the elementary divisors
+    the invariant factors of its relation lattice, whose determinant is h."""
+    divs = tuple(invariant_factors(table.relations(flavor)))
+    h = len(table.cycles) // (1 if flavor == "narrow" else table.sign_order)
+    if prod(divs) != h:
+        raise ArithmeticError(
+            f"relation divisors {divs} do not multiply to h = {h} at discriminant {table.D}"
+        )
+    return ClassGroupStructure(flavor, h, divs, _table=table)
 
 
 def class_group(F: QuadraticField, flavor: str = "wide") -> ClassGroupStructure:
@@ -462,7 +533,7 @@ def class_group(F: QuadraticField, flavor: str = "wide") -> ClassGroupStructure:
 def class_data(F: QuadraticField) -> tuple[int, ClassGroupStructure]:
     """(narrow class number, wide structure) from one class table."""
     table = _ClassTable(F.disc)
-    return len(table.classes), _group_structure(table, "wide")
+    return len(table.cycles), _group_structure(table, "wide")
 
 
 def prime_form_raw(F: QuadraticField, ell: int) -> BinaryQuadraticForm:
@@ -532,6 +603,17 @@ def minkowski_class_number(F: QuadraticField) -> int:
 
 
 def _ideal_cycle_canonical(D: int, P: int, Q: int) -> tuple[int, int]:
+    """The least state of the cycle that the walk from (P, Q) enters.
+
+    From 0 < Q < 2*sqrt(D) a step gives P' = x*Q - P in (sqrt(D) - Q,
+    sqrt(D)) and Q' = (D - P'^2)/Q in (0, 2*sqrt(D)), so the walk from an
+    ideal under the Minkowski bound (Q = 2a <= sqrt(D)) meets at most
+    sum(Q for Q <= 2s + 1) = (2s + 1)(s + 1) states after its first, s =
+    isqrt(D): the cap grows with D, as ideal cycles grow with the
+    regulator.
+    """
+    s = isqrt(D)
+    cap = (2 * s + 1) * (s + 1) + 1
     seen: dict[tuple[int, int], int] = {}
     states: list[tuple[int, int]] = []
     while (P, Q) not in seen:
@@ -540,6 +622,6 @@ def _ideal_cycle_canonical(D: int, P: int, Q: int) -> tuple[int, int]:
         x = floor_quadsurd(P, Q, D)
         P = x * Q - P
         Q = (D - P * P) // Q
-        if len(states) > _MAX_REDUCE_STEPS:
+        if len(states) > cap:
             raise ArithmeticError("ideal cycle walk did not close")
     return min(states[seen[(P, Q)] :])

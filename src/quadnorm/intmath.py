@@ -185,6 +185,48 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def invariant_factors(rows: list[list[int]]) -> list[int]:
+    """The invariant factors > 1, ascending, of a square nonsingular integer
+    matrix: the diagonal d1 | d2 | ... of its Smith normal form (Cohen, GTM
+    138, 2.4.3).
+
+    Each pass moves an entry of least absolute value to the pivot and
+    clears its row and column by division with remainder; once they are
+    clear, a row holding an entry that the pivot does not divide is added
+    to the pivot row, and the pass repeats with a smaller pivot.
+    """
+    a = [row[:] for row in rows]
+    n = len(a)
+    out = []
+    for t in range(n):
+        while True:
+            least = [(abs(x), i, j) for i in range(t, n) for j, x in enumerate(a[i][t:], t) if x]
+            if not least:
+                raise ValueError("invariant_factors expects a nonsingular matrix")
+            _, i, j = min(least)
+            a[t], a[i] = a[i], a[t]
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, n):
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):
+                q = a[t][j] // p
+                if q:
+                    for row in a[t:]:
+                        row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1 :]):
+                continue
+            rest = [i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1 :])]
+            if not rest:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[rest[0]])]
+        out.append(abs(a[t][t]))
+    return [x for x in out if x > 1]
+
+
 def poly_resultant(f: list[int], g: list[int]) -> int:
     """Resultant of two integer polynomials (ascending coefficients)."""
     while f and f[-1] == 0:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from quadnorm import formclass
 from quadnorm.formclass import (
     BinaryQuadraticForm,
-    ClassGroupStructure,
     DiscriminantCongruenceError,
     DiscriminantMismatchError,
     FormClass,
@@ -39,6 +38,7 @@ from quadnorm.cyclicext import period_polynomial
 from quadnorm.harness import abelian_group_types
 from quadnorm.intmath import (
     factorize,
+    floor_quadsurd,
     is_square,
     is_squarefree,
     kronecker,
@@ -311,10 +311,9 @@ class TestClassTable:
             divs, gens = _structure(
                 elements, lambda x, y: wide_rep(x * y, J), wide_rep(one, J)
             )
-        expected = ClassGroupStructure(
-            flavor, len(elements), divs, gens, tuple(elements), J, _table=None
-        )
-        assert class_group(F, flavor) == expected
+        got = class_group(F, flavor)
+        assert (got.flavor, got.h, got.elementary_divisors) == (flavor, len(elements), divs)
+        assert (got.generators, got.elements, got._sign_class) == (gens, tuple(elements), J)
 
     def test_class_data_to_3000_is_pinned(self):
         # pins the class numbers, the elementary divisors and the choice of
@@ -359,7 +358,8 @@ class TestClassTable:
             table = _ClassTable(D)
             got = [(c.canonical.as_tuple(), c.cycle_length) for c in table.classes]
             assert got == [(least, len(cycle)) for least, cycle in cycles], D
-            assert table.index == {f: i for i, (_, cycle) in enumerate(cycles) for f in cycle}
+            ranked = {f: table.rank[i] for f, i in table.index.items()}
+            assert ranked == {f: i for i, (_, cycle) in enumerate(cycles) for f in cycle}
             assert table.classes[table.identity] == principal_class(D), D
             assert table.classes[table.sign] == sign_class(D), D
 
@@ -390,8 +390,8 @@ class TestClassTable:
         calls = 0
         reps = {table.wide_rep(i) for i in range(h_plus)}
         assert calls == 0 and len(reps) in (h_plus, h_plus // 2)
-        _group_structure(table, "wide")
-        assert calls == len(table._products)  # each a product the law memoised
+        _group_structure(table, "wide").generators
+        assert calls == len(table._products) > 0  # each a product the law memoised
 
     def test_prime_triples_only_for_primes_outside_the_subgroup_to_10000(
         self, monkeypatch
@@ -598,8 +598,8 @@ class TestBasisAgainstCosetMinima:
             return mul(self, i, j)
 
         monkeypatch.setattr(_ClassTable, "mul", counted)
-        h_plus, _ = class_data(make_field(d))
-        assert calls <= 10 * h_plus, (calls, h_plus)
+        h_plus, group = class_data(make_field(d))
+        assert group.generators and 0 < calls <= 10 * h_plus, (calls, h_plus)
 
 
 class TestClassGroup:
@@ -804,6 +804,31 @@ class TestStructureWithoutTheBasis:
                     assert count == prod(gcd(k, m) for m in divs), (d, flavor, k)
 
 
+class TestRelationsAgainstTheBasis:
+    def test_every_discriminant_to_10000(self):
+        # fundamental or not: h and the divisors read off the power relations
+        # against the basis that ``_structure`` finds on the table's law
+        fields = 0
+        for D in range(5, 10_001):
+            if D % 4 > 1 or is_square(D):
+                continue
+            table = _ClassTable(D)
+            for flavor in ("narrow", "wide"):
+                group = _group_structure(table, flavor)
+                rep, mul = table.law(flavor)
+                elements = sorted({rep(i) for i in range(len(table.classes))})
+                divs, _ = _structure(elements, mul, rep(table.identity), table.keys.__getitem__)
+                assert (group.h, group.elementary_divisors) == (len(elements), divs), (D, flavor)
+            fields += 1
+        assert fields == 4900
+
+    def test_basis_that_disagrees_is_refused(self, monkeypatch):
+        group = class_group(make_field(399), "wide")
+        monkeypatch.setattr(formclass, "_structure", lambda *args: ((8,), (0,)))
+        with pytest.raises(ArithmeticError, match=r"basis orders \(8,\) differ"):
+            group.generators
+
+
 class TestReducedFormEnumeration:
     def test_matches_brute_force_to_2000(self):
         # a reduced form has |a| < sqrt(D) and b < sqrt(D), so the double
@@ -916,6 +941,22 @@ class TestReducedFormSieve:
 
 
 class TestMinkowskiOracle:
+    def test_long_ideal_cycle_closes_near_1e8(self, monkeypatch):
+        # the principal ideal cycle of d = 100000039 is longer than the
+        # reduction's fixed step cap
+        steps = 0
+
+        def counted(P, Q, D):
+            nonlocal steps
+            steps += 1
+            return floor_quadsurd(P, Q, D)
+
+        monkeypatch.setattr(formclass, "floor_quadsurd", counted)
+        D = make_field(100000039).disc
+        least = formclass._ideal_cycle_canonical(D, 0, 2)
+        assert steps > formclass._MAX_REDUCE_STEPS
+        assert formclass._ideal_cycle_canonical(D, *least) == least
+
     def test_agrees_with_forms_to_600(self):
         for d in range(2, 601):
             if not is_squarefree(d):

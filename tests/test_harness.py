@@ -1,16 +1,18 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import quadnorm
-from quadnorm import cli, harness
+from quadnorm import cli, formclass, harness
 from quadnorm.normtest import MAX_QMAX
-from quadnorm.quadfield import MAX_RADICAND
+from quadnorm.quadfield import MAX_RADICAND, make_field
 from quadnorm.harness import (
     MAX_WORKERS,
     EmptyInputError,
@@ -27,6 +29,13 @@ from quadnorm.harness import (
     transfer_survey,
     verify_example_79,
 )
+
+# the canonical outputs' SHA-256, each with the command that prints it
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden.json").read_text())
+
+
+def golden_argv(name: str) -> list[str]:
+    return GOLDEN[name]["command"].split()[1:]
 
 
 class TestVerifyScenarios:
@@ -136,16 +145,34 @@ class TestScan:
         # SHA-256 of the --out file as the residue-test search wrote it,
         # before the search decided its conductors by the inert lemma
         out = tmp_path / "scan.jsonl"
-        code = cli.main([
-            "scan", "--dmax", "2000", "--p", "3", "--p", "5", "--qmax", "1000",
-            "--oracle-check", "--out", str(out),
-        ])
+        code = cli.main(golden_argv("scan_oracle_check") + ["--out", str(out)])
         data = out.read_bytes()
         assert code == 0
         assert len(data.splitlines()) == 1214
-        assert hashlib.sha256(data).hexdigest() == (
-            "bbc54fbff7b63e21abe1e588c4d682b0634edefb9d63f9ce8bc9aad7666be2b0"
-        )
+        assert hashlib.sha256(data).hexdigest() == GOLDEN["scan_oracle_check"]["sha256"]
+
+    def test_canonical_scan_output_is_pinned(self, capsys):
+        # in process, with one worker
+        assert cli.main(golden_argv("scan")) == 0
+        data = capsys.readouterr().out.encode()
+        assert len(data.splitlines()) == 3041
+        assert hashlib.sha256(data).hexdigest() == GOLDEN["scan"]["sha256"]
+
+    def test_record_needs_no_basis_and_no_class_names(self, monkeypatch):
+        # h, h+ and the divisors come from the table's power relations
+        ds = (5, 79, 130, 399, 4002, 9994)
+        want = [harness.scan_one(d, (3, 5), 0, False).to_json_line() for d in ds]
+
+        def refuse(*args):
+            raise AssertionError("a scan record reads no basis and no class names")
+
+        monkeypatch.setattr(formclass, "_abelian_basis", refuse)
+        monkeypatch.setattr(formclass, "_class_key", refuse)
+        assert [harness.scan_one(d, (3, 5), 0, False).to_json_line() for d in ds] == want
+        groups = [formclass.class_data(make_field(d))[1] for d in ds]
+        monkeypatch.undo()
+        for d, group in zip(ds, groups):
+            assert group.generators == formclass.class_group(make_field(d), "wide").generators
 
 
 class TestConfig:

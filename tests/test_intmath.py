@@ -1,12 +1,17 @@
 import itertools
+from math import gcd, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadnorm.harness import abelian_group_types
 from quadnorm.intmath import (
+    bareiss_det,
     closure,
     crt,
     cycle,
+    invariant_factors,
     kronecker,
     p_part,
     power,
@@ -242,3 +247,50 @@ def test_crt_matches_scan():
     for residues, x in first.items():
         assert crt(residues, moduli) == x
         assert crt([a + 2 * n for a, n in zip(residues, moduli)], moduli) == x
+
+
+# The invariant factors from their definition, an oracle that shares no
+# step with the Smith form: s_k = d_k / d_(k-1), d_k the gcd of the k x k
+# minors and d_0 = 1 (Cohen, GTM 138, 2.4.3).
+
+
+def determinantal_factors(rows: list[list[int]]) -> list[int]:
+    n = len(rows)
+    d = [1]
+    for k in range(1, n + 1):
+        g = 0
+        for I in itertools.combinations(range(n), k):
+            for J in itertools.combinations(range(n), k):
+                g = gcd(g, bareiss_det([[rows[i][j] for j in J] for i in I]))
+        d.append(g)
+    return [d[k] // d[k - 1] for k in range(1, n + 1)]
+
+
+NONSINGULAR = (
+    st.integers(1, 4)
+    .flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+    ))
+    .filter(lambda rows: bareiss_det(rows) != 0)
+)
+
+
+class TestInvariantFactors:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=NONSINGULAR)
+    @example(rows=[[4, 0], [0, 6]])  # a diagonal that is not a chain
+    @example(rows=[[2, 0, 0], [-1, 4, 0], [0, -2, 4]])  # a class group's relations
+    @example(rows=[[0, 0, 3], [0, 5, 0], [7, 0, 0]])  # no pivot on the diagonal
+    def test_match_the_determinantal_divisors(self, rows):
+        got = invariant_factors(rows)
+        assert got == [x for x in determinantal_factors(rows) if x > 1]
+        assert all(b % a == 0 for a, b in zip(got, got[1:])), got
+        assert prod(got) == abs(bareiss_det(rows))
+
+    def test_empty_and_unimodular_have_none(self):
+        assert invariant_factors([]) == []
+        assert invariant_factors([[2, 1], [1, 1]]) == []
+
+    def test_singular_is_refused(self):
+        with pytest.raises(ValueError, match="nonsingular"):
+            invariant_factors([[1, 2], [2, 4]])
