@@ -316,7 +316,7 @@ def p_power_order(x, p: int, n: int, pth, one) -> int:
     return order
 
 
-def closure(gens, mul, one, base=None) -> frozenset:
+def closure(gens, mul, one, base=None, floor=None) -> frozenset | None:
     """All products of the generators, the identity included.
 
     In a finite group this is the subgroup the generators generate: the
@@ -327,6 +327,9 @@ def closure(gens, mul, one, base=None) -> frozenset:
     last.  A product leaves ``base`` only through a right factor equal to
     the last generator, so the walk starts from base * last and never
     revisits the elements of ``base``.
+
+    ``floor``, if given, makes the result None as soon as a product outside
+    ``base`` ({one} without a base) is below it.
     """
     gens = tuple(gens)
     if base is None:
@@ -337,6 +340,8 @@ def closure(gens, mul, one, base=None) -> frozenset:
         for b in base:
             y = mul(b, last)
             if y not in out:
+                if floor is not None and y < floor:
+                    return None
                 out.add(y)
                 frontier.append(y)
     while frontier:
@@ -344,6 +349,8 @@ def closure(gens, mul, one, base=None) -> frozenset:
         for g in gens:
             y = mul(x, g)
             if y not in out:
+                if floor is not None and y < floor:
+                    return None
                 out.add(y)
                 frontier.append(y)
     return frozenset(out)

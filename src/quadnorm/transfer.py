@@ -4,9 +4,10 @@ Groups are explicit multiplication tables, validated on construction and
 capped in size.  Nothing in the set-up of a group or a subgroup is cubic:
 associativity is checked by Light's test on a generating set (Clifford-
 Preston, *The Algebraic Theory of Semigroups*, vol. 1), ``all_subgroups``
-joins each subgroup with one element per left coset, walking each join
-<H, g> from H*g rather than from the identity, and the derived subgroup H'
-is closed from the commutators of H with H itself.  Powers are read from
+finds each subgroup once, along its greedy generating tuple (McKay, J.
+Algorithms 26, 1998), walking each join <H, g> from H*g and stopping it at
+the first element outside H below g, and the derived subgroup H' is closed
+from the commutators of H with H itself.  Powers are read from
 the ``intmath.cycle`` e, a, a^2, ... of each element, walked once.
 
 The transfer map is a homomorphism that does not depend on the
@@ -171,10 +172,11 @@ class FiniteGroup:
             )
         return ctx
 
-    def subgroup_closure(self, seed, base=None) -> frozenset[int]:
+    def subgroup_closure(self, seed, base=None, floor=None) -> frozenset[int] | None:
         """<seed>; ``base``, if given, is the subgroup generated by every
-        element of the tuple ``seed`` but the last."""
-        return closure(seed, self.mul, self.identity, base)
+        element of the tuple ``seed`` but the last.  With ``floor``, None
+        as soon as an element of <seed> outside ``base`` is below it."""
+        return closure(seed, self.mul, self.identity, base, floor)
 
     def _coset_minima(self, K) -> list[int]:
         """For every x, the least element of the left coset xK of the
@@ -188,21 +190,25 @@ class FiniteGroup:
         return least
 
     def all_subgroups(self) -> list[frozenset[int]]:
-        """Every subgroup, each closed from a generating tuple.  The join
-        <H, g> equals <H, gh>, so one g per left coset of H is enough, and
-        its closure walk starts from H*g."""
+        """Every subgroup once, from its greedy generating tuple: each gi
+        is the least element outside <g1, ..., g(i-1)>, as in
+        ``_generating_set``.  For H with tuple gens, K = <H, g> has tuple
+        gens + (g,) exactly when g > gens[-1] is the least element of K
+        outside H, as each element of K outside H then lies above each gi.
+        An element of gH below g lies in K outside H, so g is the least of
+        gH, and the walk of K stops at any element outside H below g."""
         trivial = frozenset([self.identity])
-        found = {trivial}
+        found = [trivial]
         frontier = [(trivial, ())]
         while frontier:
             H, gens = frontier.pop()
             least = self._coset_minima(H)
-            for g in range(self.n):
+            for g in range(gens[-1] + 1 if gens else 0, self.n):
                 if least[g] != g or g in H:
                     continue
-                K = self.subgroup_closure(gens + (g,), H)
-                if K not in found:
-                    found.add(K)
+                K = self.subgroup_closure(gens + (g,), H, floor=g)
+                if K is not None:
+                    found.append(K)
                     frontier.append((K, gens + (g,)))
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
@@ -303,7 +309,7 @@ def _generating_set(G: FiniteGroup) -> tuple[int, ...]:
     for x in range(G.n):
         if x not in span:
             gens += (x,)
-            span = closure(gens, G.mul, G.identity)
+            span = closure(gens, G.mul, G.identity, base=span)
     return gens
 
 

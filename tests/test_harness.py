@@ -158,6 +158,24 @@ class TestScan:
         assert len(data.splitlines()) == 3041
         assert hashlib.sha256(data).hexdigest() == GOLDEN["scan"]["sha256"]
 
+    def test_two_worker_scan_output_is_pinned(self):
+        # the worker pool must write the one-worker bytes, in d order
+        src = os.path.dirname(os.path.dirname(quadnorm.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "quadnorm.cli", *golden_argv("scan"), "--workers", "2"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
+        )
+        assert out.returncode == 0 and out.stderr == b""
+        assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN["scan"]["sha256"]
+
+    @pytest.mark.parametrize("name", ["verify_ex79", "verify_appendixa"])
+    def test_verify_output_is_pinned(self, capsys, name):
+        code = cli.main(golden_argv(name))
+        out = capsys.readouterr()
+        assert code == GOLDEN[name]["exit_code"]
+        assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN[name]["stdout_sha256"]
+        assert hashlib.sha256(out.err.encode()).hexdigest() == GOLDEN[name]["stderr_sha256"]
+
     def test_record_needs_no_basis_and_no_class_names(self, monkeypatch):
         # h, h+ and the divisors come from the table's power relations
         ds = (5, 79, 130, 399, 4002, 9994)

@@ -19,7 +19,7 @@ from quadnorm.intmath import (
     sqrt_mod_prime,
 )
 from quadnorm.transfer import FiniteGroup
-from test_transfer import oracle_groups, symmetric
+from test_transfer import _generators, oracle_groups, symmetric
 
 
 # Newton's identities, the relative charpoly's route before it was read off
@@ -141,6 +141,22 @@ class TestClosure:
                 for g in range(G.n):
                     seeded = closure(gens + (g,), G.mul, G.identity, base=H)
                     assert seeded == closure(gens + (g,), G.mul, G.identity)
+
+    def test_floor_stops_exactly_below_it(self):
+        """With a floor f, the seeded walk returns None exactly when <H, g>
+        has an element outside H below f, and <H, g> otherwise."""
+        stopped = 0
+        for G in oracle_groups():
+            for H in G.all_subgroups():
+                gens = _generators(G, H)
+                for g in range(G.n):
+                    full = closure(gens + (g,), G.mul, G.identity)
+                    lowest = min(full - H, default=G.n)
+                    for f in range(G.n + 1):
+                        got = closure(gens + (g,), G.mul, G.identity, base=H, floor=f)
+                        assert got == (None if lowest < f else full)
+                        stopped += got is None
+        assert stopped > 0
 
     def test_empty_generators_give_identity(self):
         assert closure([], mulmod(7), 1) == frozenset({1})

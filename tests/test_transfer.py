@@ -481,6 +481,52 @@ class TestSubgroupEnumeration:
         for G in groups:
             assert G.all_subgroups() == subgroups_by_full_closure(G)
 
+    def test_relabelled_symmetric_groups_match_full_closure(self):
+        for seed in (1, 2, 3):
+            G = relabel(symmetric(4), seed)
+            assert G.all_subgroups() == subgroups_by_full_closure(G)
+        S5 = relabel(symmetric(5, max_order=120), 7)
+        subgroups = S5.all_subgroups()
+        assert len(subgroups) == 156
+        assert subgroups == subgroups_by_full_closure(S5)
+
+    def test_c2_6_has_every_subspace_of_f2_6(self):
+        # subspaces of F_2^6 by dimension: the Gaussian binomials [6, k]_2
+        subgroups = FiniteGroup.cyclic_product([2] * 6).all_subgroups()
+        assert len(subgroups) == 2825
+        sizes = [sum(len(K) == 2**k for K in subgroups) for k in range(7)]
+        assert sizes == [1, 63, 651, 1395, 651, 63, 1]
+
+    @staticmethod
+    def closed_subgroups(G, monkeypatch):
+        """all_subgroups, with every (seed, result) that its subgroup_closure
+        calls return other than None."""
+        calls, close = [], G.subgroup_closure
+
+        def recording(seed, base=None, floor=None):
+            K = close(seed, base, floor)
+            if K is not None:
+                calls.append((seed, K))
+            return K
+
+        monkeypatch.setattr(G, "subgroup_closure", recording)
+        return G.all_subgroups(), calls
+
+    def test_each_subgroup_is_closed_once(self, monkeypatch):
+        for factors in abelian_group_types(36):
+            G = FiniteGroup.cyclic_product(factors, max_order=36)
+            subgroups, calls = self.closed_subgroups(G, monkeypatch)
+            assert len(calls) == len(subgroups) - 1 == len(set(subgroups)) - 1
+            assert {K for _, K in calls} == set(subgroups) - {frozenset([G.identity])}
+
+    def test_whole_group_comes_from_the_light_test_generators(self, monkeypatch):
+        # all_subgroups and _generating_set take generators by one greedy rule
+        groups = oracle_groups() + [FiniteGroup.cyclic_product(t) for t in abelian_group_types(36)]
+        for G in groups:
+            _, calls = self.closed_subgroups(G, monkeypatch)
+            whole = [seed for seed, K in calls if len(K) == G.n]
+            assert whole == ([G._gens] if G.n > 1 else [])
+
 
 class TestDerivedSubgroup:
     def test_generator_commutators_match_all_pairs(self):
