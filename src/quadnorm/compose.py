@@ -32,8 +32,8 @@ from math import comb, isqrt, prod
 from operator import add
 
 from .cyclicext import CyclicExtensionDescriptor, order_q_root, period_mul, primes_one_mod_2q
-from .formclass import FormClass, _ClassTable
-from .intmath import crt, cycle, kronecker, sqrt_mod_prime
+from .formclass import FormClass, _ClassTable, _group_structure
+from .intmath import crt, kronecker, sqrt_mod_prime
 from .quadfield import QuadInteger, QuadraticField, RamifiedPrimeError, fundamental_unit
 
 
@@ -367,27 +367,24 @@ def composition_check(
 
     P and Q carry classes of full order p^n whose product must again have
     order p^n and must be the class attached to the witness polynomial W.
-    Orders and the product are taken by the wide law of the class table of
-    P's discriminant; a Q of another discriminant raises
+    Orders and the product are taken in the wide class group of P's
+    discriminant; a Q of another discriminant raises
     ``DiscriminantMismatchError``.
     """
     if P.attached_class is None or Q.attached_class is None or W.attached_class is None:
         raise ValueError("all three polynomials need attached classes")
     e = P.descriptor.degree
     D = P.attached_class.disc
-    table = _ClassTable(D)
-    rep, mul = table.law("wide")
-    one, h = rep(table.identity), len(table.classes)
-    pq = (P.attached_class, Q.attached_class)
-    if any(len(cycle(rep(table.index_of(c)), mul, one, h)) != e for c in pq):
+    group = _group_structure(_ClassTable(D), "wide")
+    if any(group.order_of(c) != e for c in (P.attached_class, Q.attached_class)):
         raise OrderViolationError("attached classes must have order p^n")
-    product = mul(*(rep(table.index_of(c)) for c in pq))
-    if len(cycle(product, mul, one, h)) != e:
+    product = group.mul(P.attached_class, Q.attached_class)
+    if group.order_of(product) != e:
         raise OrderViolationError("product class does not have order p^n")
     lhs = P.certified_constant * Q.certified_constant
     rhs = W.certified_constant * W.certified_constant
     constant_ok = lhs == rhs
-    class_ok = W.attached_class.disc == D and product == rep(table.index_of(W.attached_class))
+    class_ok = W.attached_class.disc == D and product == group.rep(W.attached_class)
     return CompositionCheck(
         constant_identity=constant_ok,
         class_correspondence=class_ok,

@@ -8,15 +8,17 @@ generation is a presentation of the group: each prime that grows it
 leaves one power relation, and h and the elementary divisors are the
 invariant factors of the relation lattice.  The classes' names, the
 elements and the generators (by ``_abelian_basis``) are built only when
-read.  Every class group, and ``compose.composition_check``, works on the
-table's class indices; the wide group is the quotient of the narrow one by
-the class of a form representing -1.  A separate ideal-cycle enumeration
-under the Minkowski bound provides an independent class-number oracle.
+read.  Every class group works on the table's class indices, the
+generation numbers, which only this module handles; the wide group is the
+quotient of the narrow one by the class of a form representing -1.  A
+separate ideal-cycle enumeration under the Minkowski bound provides an
+independent class-number oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from math import gcd, isqrt, prod
 from operator import itemgetter
@@ -211,10 +213,6 @@ def all_reduced_forms(D: int) -> list[BinaryQuadraticForm]:
     return [BinaryQuadraticForm(*f) for f in _ClassTable(D).index]
 
 
-# the _ClassTable attributes that name the classes, built on first read
-_NAMES = frozenset({"classes", "rank", "negation", "keys", "identity", "sign"})
-
-
 class _ClassTable:
     """The narrow class group of one discriminant on class indices.
 
@@ -246,13 +244,17 @@ class _ClassTable:
     class at which its loop stops, read from ``index``; ``relations`` lists
     them as a lattice whose Smith form is the group's structure.
 
-    The names are built on first read: ``classes`` in ``_class_key`` order,
-    ``rank`` from generation numbers to that order, and ``negation``,
-    ``keys``, ``identity`` and ``sign`` on ranks.  A product composes the
+    Class indices are the generation numbers: ``identity`` is 0, ``sign``
+    is m - 1, and i ^ sign numbers the negated cycle of i, class i*sign.
+    ``classes``, ``keys`` (repr order) and ``class_keys`` (``_class_key``
+    order, which decides only the wide representative and the order of a
+    structure's elements) are built on first read.  A product composes the
     two canonical triples, takes the few rho steps to the first reduced
     triple and looks it up; products are memoised, so the table is a lazily
     filled Cayley table that lives as long as the structure that owns it.
     """
+
+    identity = 0
 
     def __init__(self, D: int):
         if D <= 0 or is_square(D):
@@ -299,6 +301,7 @@ class _ClassTable:
         self.cycles = cycles
         self.index = index
         self.sign_order = len(cycles) // len(H)  # 1 when the sign class is principal
+        self.sign = self.sign_order - 1  # the class of the principal cycle's negation
         self._powers = powers
         self._products: dict[tuple[int, int], int] = {}
 
@@ -318,38 +321,23 @@ class _ClassTable:
             rows.append(row)
         return rows if flavor == "narrow" else [row[1:] for row in rows[1:]]
 
-    def __getattr__(self, name: str):
-        # the names, built on the first read of any of them
-        if name not in _NAMES:
-            raise AttributeError(name)
-        classes = [_cycle_class(cyc) for cyc in self.cycles]
-        order = sorted(range(len(classes)), key=lambda i: _class_key(classes[i]))
-        rank = [0] * len(order)
-        for r, i in enumerate(order):
-            rank[i] = r
-        flip = self.sign_order - 1  # i ^ flip numbers the negated cycle of i
-        self.classes = [classes[i] for i in order]
-        self.rank = rank
-        # the class of the negated cycle, class * sign
-        self.negation = [rank[i ^ flip] for i in order]
-        # keys in repr(FormClass) order, in which _abelian_basis picks
-        # generators: the repr's text up to the form's ")", as two classes
-        # never share a form
-        self.keys = ["%d, b=%d, c=%d)" % c.canonical.as_tuple() for c in self.classes]
-        self.identity = rank[0]
-        self.sign = rank[flip]  # represents -1
-        return getattr(self, name)
+    @cached_property
+    def classes(self) -> list[FormClass]:
+        return [_cycle_class(cyc) for cyc in self.cycles]
+
+    @cached_property
+    def keys(self) -> list[str]:
+        # repr(FormClass) order, in which _abelian_basis picks generators:
+        # the repr's text up to the form's ")", as two classes never share a form
+        return ["%d, b=%d, c=%d)" % c.canonical.as_tuple() for c in self.classes]
+
+    @cached_property
+    def class_keys(self) -> list[tuple[int, int, int, int]]:
+        return [_class_key(c) for c in self.classes]
 
     def class_of(self, f: tuple[int, int, int]) -> int:
         """Index of the class of f, a primitive triple of discriminant D."""
-        return self.rank[self.index[_reduce(f, self.D, self.s)]]
-
-    def index_of(self, cls: FormClass) -> int:
-        if cls.disc != self.D:
-            raise DiscriminantMismatchError(
-                f"discriminants differ: {cls.disc} vs {self.D}"
-            )
-        return self.class_of(cls.canonical.as_tuple())
+        return self.index[_reduce(f, self.D, self.s)]
 
     def mul(self, i: int, j: int) -> int:
         key = (i, j) if i <= j else (j, i)
@@ -360,10 +348,9 @@ class _ClassTable:
         return k
 
     def wide_rep(self, i: int) -> int:
-        """Wide representative of class i: the lesser of i and i*sign, sign
-        being the class of a form representing -1 (index order is
-        ``_class_key`` order), and i*sign the class of the negated cycle."""
-        return min(i, self.negation[i])
+        """Wide representative of class i: the lesser in ``_class_key``
+        order of i and i*sign = i ^ sign, the class of the negated cycle."""
+        return min(i, i ^ self.sign, key=self.class_keys.__getitem__)
 
     def law(self, flavor: str):
         """(representative, product) on indices in the narrow or wide group."""
@@ -404,7 +391,8 @@ class ClassGroupStructure:
             value = None if self.flavor == "narrow" else table.classes[table.sign]
         else:
             rep, mul = table.law(self.flavor)
-            indices = sorted({rep(i) for i in range(len(table.cycles))})
+            by_key = table.class_keys.__getitem__
+            indices = sorted({rep(i) for i in range(len(table.cycles))}, key=by_key)
             if name == "elements":
                 value = tuple(table.classes[i] for i in indices)
             else:
@@ -420,8 +408,11 @@ class ClassGroupStructure:
         return value
 
     def _index(self, cls: FormClass) -> int:
-        rep, _ = self._table.law(self.flavor)
-        return rep(self._table.index_of(cls))
+        table = self._table
+        if cls.disc != table.D:
+            raise DiscriminantMismatchError(f"discriminants differ: {cls.disc} vs {table.D}")
+        rep, _ = table.law(self.flavor)
+        return rep(table.class_of(cls.canonical.as_tuple()))
 
     def rep(self, cls: FormClass) -> FormClass:
         """Canonical representative of cls inside this group's element set."""

@@ -6,9 +6,11 @@ associativity is checked by Light's test on a generating set (Clifford-
 Preston, *The Algebraic Theory of Semigroups*, vol. 1), ``all_subgroups``
 finds each subgroup once, along its greedy generating tuple (McKay, J.
 Algorithms 26, 1998), walking each join <H, g> from H*g and stopping it at
-the first element outside H below g, and the derived subgroup H' is closed
-from the commutators of H with H itself.  Powers are read from
-the ``intmath.cycle`` e, a, a^2, ... of each element, walked once.
+the first element outside H below g, and a subgroup H is read through its
+greedy generating tuple S: H' is closed from the commutators of H with S,
+and normality and the restricted transfer's well-definedness are decided
+on S alone.  Powers are read from the ``intmath.cycle`` e, a, a^2, ... of
+each element, walked once.
 
 The transfer map is a homomorphism that does not depend on the
 transversal (Isaacs, *Finite Group Theory*, ch. 5), so its coset-product
@@ -23,10 +25,11 @@ case H = G, I_G/I_G^2 = G/G', decides membership in I_G^2.  The
 module is a falsification instrument: vanishing verdicts are reported,
 never assumed.
 
-What the transfer needs about H (the checked H, least coset elements as
-representatives, the coset map, the factor r(x)^-1 x of every x, with r(x)
-the greatest element of xH, the least element of xH' for every x, and
-whether H is normal) is a ``TransferContext``, computed once.  The context
+What the transfer needs about H (the checked H, its generating tuple S,
+least coset elements as representatives, the coset map, the factor
+r(x)^-1 x of every x, with r(x) the greatest element of xH, the least
+element of xH' for every x, and whether H is normal) is a
+``TransferContext``, computed once.  The context
 also keeps the transfer image of every g once the first is asked for, so
 each (G, H) pays for its coset products once per generator.
 ``G.context(H)`` keeps one in a one-slot cache, replaced when H changes,
@@ -81,27 +84,21 @@ class FiniteGroup:
         self.table = table
         self.n = n
         self.name = name
-        ident = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                ident = e
-                break
-        if ident is None:
+        # a left identity equals every right identity, so the first row
+        # that is the identity map is the only candidate
+        ones = tuple(range(n))
+        ident = table.index(ones) if ones in table else None
+        if ident is None or any(row[ident] != x for x, row in enumerate(table)):
             raise GroupTableError("no identity element")
         self.identity = ident
-        inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if table[x][y] == ident:
-                    inv[x] = y
-                    break
-            if inv[x] is None or table[inv[x]][x] != ident:
+        self.inverse = tuple(row.index(ident) if ident in row else None for row in table)
+        for x, y in enumerate(self.inverse):
+            if y is None or table[y][x] != ident:
                 raise GroupTableError(f"element {x} has no two-sided inverse")
-        self.inverse = tuple(inv)
         # Light's test: the s with (xs)y = x(sy) for all x, y are closed
         # under products, and right products of the generators reach every
         # element, so checking s in the generators alone is exact
-        self._gens = _generating_set(self)
+        self._gens = _generating_set(self, range(n))
         for s in self._gens:
             row_s = table[s]
             for x in range(n):
@@ -155,15 +152,17 @@ class FiniteGroup:
         Hset = frozenset(H)
         if ctx is None or ctx.Hset != Hset:
             Hset = self.check_subgroup(Hset)
+            gens = _generating_set(self, sorted(Hset))
             least = self._coset_minima(Hset)
             reps = tuple(x for x in range(self.n) if least[x] == x)
             greatest = dict(zip(least, range(self.n)))  # the last x of each coset
-            mod_derived = self._coset_minima(_derived_of_subgroup(self, Hset, Hset))
-            # g = rk with k in H conjugates H as r does: n lookups decide it
+            mod_derived = self._coset_minima(_derived_of_subgroup(self, Hset, gens))
+            # g = rk with k in H conjugates H as r does, onto <r*s*r^-1 for s in gens>
             table, inverse = self.table, self.inverse
-            normal = all(table[table[r][h]][inverse[r]] in Hset for r in reps for h in Hset)
+            normal = all(table[table[r][s]][inverse[r]] in Hset for r in reps for s in gens)
             ctx = self._context = TransferContext(
                 Hset,
+                gens,
                 reps,
                 tuple(least),
                 tuple(table[inverse[greatest[r]]][x] for x, r in enumerate(least)),
@@ -195,8 +194,9 @@ class FiniteGroup:
         ``_generating_set``.  For H with tuple gens, K = <H, g> has tuple
         gens + (g,) exactly when g > gens[-1] is the least element of K
         outside H, as each element of K outside H then lies above each gi.
-        An element of gH below g lies in K outside H, so g is the least of
-        gH, and the walk of K stops at any element outside H below g."""
+        An element of gH or g^-1 H below g lies in K outside H, so g is the
+        least of gH and of g^-1 H, and the walk of K stops at any element
+        outside H below g."""
         trivial = frozenset([self.identity])
         found = [trivial]
         frontier = [(trivial, ())]
@@ -204,7 +204,7 @@ class FiniteGroup:
             H, gens = frontier.pop()
             least = self._coset_minima(H)
             for g in range(gens[-1] + 1 if gens else 0, self.n):
-                if least[g] != g or g in H:
+                if least[g] != g or g in H or least[self.inverse[g]] < g:
                     continue
                 K = self.subgroup_closure(gens + (g,), H, floor=g)
                 if K is not None:
@@ -251,6 +251,7 @@ class TransferContext:
     images of all of G once the first one is asked for."""
 
     Hset: frozenset[int]
+    gens: tuple[int, ...]  # the greedy generating tuple of H, from sorted(H)
     reps: tuple[int, ...]  # one representative per left coset of H
     coset_of: tuple[int, ...]  # coset_of[x]: the representative of xH
     factors: tuple[int, ...]  # factors[x]: r(x)^-1 x, r(x) the greatest element of xH
@@ -302,11 +303,12 @@ def _coset_product(G: FiniteGroup, ctx: TransferContext, g: int) -> int:
     return ctx.mod_derived[prod]
 
 
-def _generating_set(G: FiniteGroup) -> tuple[int, ...]:
-    """Generators of G, taken greedily: the least element not yet among the
-    products of the earlier ones."""
+def _generating_set(G: FiniteGroup, elements) -> tuple[int, ...]:
+    """Generators of the subgroup on the ascending ``elements``, taken
+    greedily: the least element not yet among the products of the earlier
+    ones."""
     gens, span = (), {G.identity}
-    for x in range(G.n):
+    for x in elements:
         if x not in span:
             gens += (x,)
             span = closure(gens, G.mul, G.identity, base=span)
@@ -355,7 +357,8 @@ def restricted_transfer(G: FiniteGroup, H) -> TransferResult:
     ctx = _quotient_context(G, H)
     Hset = ctx.Hset
     identity_coset = ctx.mod_derived[G.identity]
-    well_defined = all(transfer(G, Hset, h) == identity_coset for h in Hset)
+    # the transfer is a homomorphism: trivial on H once trivial on its generators
+    well_defined = all(transfer(G, Hset, s) == identity_coset for s in ctx.gens)
     index = G.n // len(Hset)
     images = tuple((r, transfer(G, Hset, r)) for r in ctx.reps)
     vanishes = well_defined and all(img == identity_coset for _, img in images)

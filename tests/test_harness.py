@@ -158,15 +158,24 @@ class TestScan:
         assert len(data.splitlines()) == 3041
         assert hashlib.sha256(data).hexdigest() == GOLDEN["scan"]["sha256"]
 
-    def test_two_worker_scan_output_is_pinned(self):
-        # the worker pool must write the one-worker bytes, in d order
+    @staticmethod
+    def two_worker_scan(name: str) -> subprocess.CompletedProcess:
         src = os.path.dirname(os.path.dirname(quadnorm.__file__))
-        out = subprocess.run(
-            [sys.executable, "-m", "quadnorm.cli", *golden_argv("scan"), "--workers", "2"],
+        return subprocess.run(
+            [sys.executable, "-m", "quadnorm.cli", *golden_argv(name), "--workers", "2"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
         )
+
+    def test_two_worker_scan_output_is_pinned(self):
+        # the worker pool must write the one-worker bytes, in d order
+        out = self.two_worker_scan("scan")
         assert out.returncode == 0 and out.stderr == b""
         assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN["scan"]["sha256"]
+
+    def test_two_worker_witness_scan_output_is_pinned(self):
+        out = self.two_worker_scan("scan_oracle_check")
+        assert out.returncode == 0 and out.stderr == b""
+        assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN["scan_oracle_check"]["sha256"]
 
     @pytest.mark.parametrize("name", ["verify_ex79", "verify_appendixa"])
     def test_verify_output_is_pinned(self, capsys, name):

@@ -348,6 +348,21 @@ class TestGroupValidation:
             with pytest.raises(GroupTableError, match="table is not associative"):
                 FiniteGroup(table)
 
+    @pytest.mark.parametrize("table, message", [
+        ([[1, 1], [1, 1]], "no identity element"),  # no row is the identity map
+        ([[0, 1], [0, 1]], "no identity element"),  # row 0 is, column 0 is not
+        ([[0, 1, 2], [1, 1, 1], [2, 1, 2]], "element 1 has no two-sided inverse"),
+        ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "element 1 has no two-sided inverse"),
+    ])
+    def test_identity_and_inverse_messages(self, table, message):
+        with pytest.raises(GroupTableError, match=f"^{message}$"):
+            FiniteGroup(table)
+
+    def test_identity_need_not_be_element_0(self):
+        # C3 on g, g^2, e
+        G = FiniteGroup([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+        assert G.identity == 2 and G.inverse == (1, 0, 2)
+
     def test_subgroup_elements_must_be_in_range(self):
         C4 = FiniteGroup.cyclic_product([4])
         for H in ([0, 9], [0, -1], [0, -2], [0, 2, 4]):
@@ -519,6 +534,23 @@ class TestSubgroupEnumeration:
             assert len(calls) == len(subgroups) - 1 == len(set(subgroups)) - 1
             assert {K for _, K in calls} == set(subgroups) - {frozenset([G.identity])}
 
+    def test_inverse_cosets_skip_walks(self, monkeypatch):
+        # g^-1 H below g rejects g before its walk: the 1 113 subgroups of the
+        # survey's groups take 1 603 walks, where the floor of gH alone leaves 2 536
+        walks, close = 0, FiniteGroup.subgroup_closure
+
+        def counted(self, *args, **kwargs):
+            nonlocal walks
+            walks += 1
+            return close(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteGroup, "subgroup_closure", counted)
+        found = sum(
+            len(FiniteGroup.cyclic_product(t, max_order=36).all_subgroups())
+            for t in abelian_group_types(36)
+        )
+        assert found == 1113 and walks <= 1603, walks
+
     def test_whole_group_comes_from_the_light_test_generators(self, monkeypatch):
         # all_subgroups and _generating_set take generators by one greedy rule
         groups = oracle_groups() + [FiniteGroup.cyclic_product(t) for t in abelian_group_types(36)]
@@ -532,6 +564,15 @@ class TestDerivedSubgroup:
     def test_generator_commutators_match_all_pairs(self):
         for G in small_groups() + [relabel(symmetric(4), 3)]:
             assert G.derived_subgroup() == _derived_of_subgroup(G, range(G.n))
+
+    def test_context_commutators_match_all_pairs(self):
+        # the context closes H' from H's generating tuple
+        for G in oracle_groups() + [relabel(symmetric(4), 3)]:
+            for H in G.all_subgroups():
+                ctx = G.context(H)
+                one = ctx.mod_derived[G.identity]
+                derived = {x for x in range(G.n) if ctx.mod_derived[x] == one}
+                assert derived == _derived_of_subgroup(G, H), (G.name, sorted(H))
 
 
 class TestRestrictedTransfer:
@@ -583,6 +624,40 @@ class TestRestrictedTransfer:
             CommutatorNotContainedError, match="^derived subgroup must lie in H$"
         ):
             diagram_check(S4, vier)
+
+    def test_well_defined_matches_every_element_of_h(self):
+        # the verdict reads H's generating tuple alone
+        verdicts = []
+        for G in oracle_groups():
+            for H in _quotient_subgroups(G):
+                res = restricted_transfer(G, H)
+                one = transfer(G, H, G.identity)
+                verdicts.append(res.well_defined_on_quotient)
+                assert verdicts[-1] == all(transfer(G, H, h) == one for h in H)
+        assert set(verdicts) == {True, False}
+
+    def test_transfer_calls_depend_on_h_alone(self, monkeypatch):
+        # a frozenset iterates in insertion order where hashes collide, as 0,
+        # 4 and 8 do in {0, 4, 8}; the count must not follow that order
+        module = _module()
+        calls, original = 0, module.transfer
+
+        def counted(G, H, g):
+            nonlocal calls
+            calls += 1
+            return original(G, H, g)
+
+        monkeypatch.setattr(module, "transfer", counted)
+        for factors in abelian_group_types(36):
+            # one group per order, so that neither reuses the other's context
+            groups = [FiniteGroup.cyclic_product(factors, max_order=36) for _ in range(2)]
+            for H in groups[0].all_subgroups():
+                counts = []
+                for G, Hset in zip(groups, (sorted(H), sorted(H, reverse=True))):
+                    calls = 0
+                    restricted_transfer(G, frozenset(Hset))
+                    counts.append(calls)
+                assert counts[0] == counts[1], (factors, sorted(H), counts)
 
     def test_context_verdict_matches_full_check(self):
         """Conjugating H by the coset representatives alone decides
