@@ -13,7 +13,11 @@ norms and characteristic polynomials are read off one ring map onto
 under which the e Galois conjugates are e linear forms in the period
 images (``_conjugates``): the norm is their product and the charpoly the
 product of the e linear factors x - sigma^j(alpha), lifted symmetrically
-with M above twice a proven bound.
+with M above twice a proven bound.  The products run through the ring
+image's reduction, modulo a multiple N of M: below the Kronecker
+ceiling N = 2^(wq) - 1 and reducing is adding the bits above wq to the
+bits below, with no division.  Only the results are taken modulo M,
+before the lift.
 The charpoly checks each coefficient against its bound and its
 x^(e-1) coefficient against the trace, the sum of the coordinates.  The
 bounded norm search reduces its candidates modulo two auxiliary primes
@@ -31,7 +35,13 @@ from itertools import islice
 from math import comb, isqrt, prod
 from operator import add
 
-from .cyclicext import CyclicExtensionDescriptor, order_q_root, period_mul, primes_one_mod_2q
+from .cyclicext import (
+    CyclicExtensionDescriptor,
+    RingImage,
+    order_q_root,
+    period_mul,
+    primes_one_mod_2q,
+)
 from .formclass import FormClass, _ClassTable, _group_structure
 from .intmath import crt, kronecker, sqrt_mod_prime
 from .quadfield import QuadInteger, QuadraticField, RamifiedPrimeError, fundamental_unit
@@ -113,9 +123,14 @@ class RelativeExtension:
         self.desc = desc
         self.field = F
         self.degree = desc.degree
-        self._rows = desc.rows
         self._zero = QuadInteger(F.d, 0, 0)
         self._one = QuadInteger(F.d, 1, 0)
+
+    @cached_property
+    def _rows(self):
+        """The descriptor's cyclotomic rows, read on the first product: the
+        norms, charpolys and the sieve run on period images alone."""
+        return self.desc.rows
 
     def _same(self, other: "RelativeExtension") -> None:
         if other is not self and (other.desc is not self.desc or other.field != self.field):
@@ -150,20 +165,22 @@ class RelativeExtension:
         i %= self.degree
         return RelativeElement(self, alpha.coords[-i:] + alpha.coords[:-i])
 
-    def _conjugates(self, x, pad: int = 0) -> tuple[int, int, list[int], list[int]]:
-        """(M, h, us, vs) for a pair vector x: an odd M > 2 * (h + pad)^e
-        and the images us[j] + vs[j]*t of 2 * sigma^j(x) under one ring map
-        onto (Z/M)[t]/(t^2 - d): zeta -> z with Phi_q(z) = 0 (mod M) and
-        sqrt(d) -> t (``CyclicExtensionDescriptor.ring_image``).  There
+    def _conjugates(self, x, pad: int = 0) -> tuple[RingImage, int, list[int], list[int]]:
+        """(image, h, us, vs) for a pair vector x: a ring image
+        (``CyclicExtensionDescriptor.ring_image``) of odd modulus
+        M > 2 * (h + pad)^e, and the images us[j] + vs[j]*t of
+        2 * sigma^j(x) under one ring map onto (Z/M)[t]/(t^2 - d):
+        zeta -> z with Phi_q(z) = 0 (mod M) and sqrt(d) -> t.  There
         sigma^j(x) is the linear form sum over m of x_m * P[(m + j) mod e]
-        in the period images P, e^2 multiply-adds for all e forms.  Every
-        period has |eta| <= f, so every conjugate of 2x is at most h = f * L
-        in absolute value, with L = sum of |u_m| + |v_m| * (isqrt(d) + 1)."""
+        in the period images P, e^2 multiply-adds for all e forms, left
+        unreduced for the products that follow.  Every period has
+        |eta| <= f, so every conjugate of 2x is at most h = f * L in
+        absolute value, with L = sum of |u_m| + |v_m| * (isqrt(d) + 1)."""
         e = self.degree
         r = isqrt(self.field.d) + 1
         h = self.desc.f * sum(abs(u) + abs(v) * r for u, v in x)
-        M, P = self.desc.ring_image(2 * (h + pad) ** e)
-        P = P + P
+        image = self.desc.ring_image(2 * (h + pad) ** e)
+        P = image.periods * 2
         # forms j of the u and the v parts, added up row by row: x_m
         # contributes x_m * P[m + j] to form j
         us, vs = [0] * e, [0] * e
@@ -172,18 +189,21 @@ class RelativeExtension:
                 us = [s + u * p for s, p in zip(us, P[m : m + e])]
             if v:
                 vs = [s + v * p for s, p in zip(vs, P[m : m + e])]
-        return M, h, us, vs
+        return image, h, us, vs
 
     def _pair_norm(self, x) -> tuple[int, int]:
         """Relative norm of a pair vector, as a pair: the product of the e
         conjugate forms of ``_conjugates``, lifted symmetrically from the
-        basis {1, t}.  Its pair (u, v) has |u| and |v| at most h^e, so
-        M > 2 * h^e makes the lift exact; a lift above it raises ArithmeticError."""
+        basis {1, t}.  The product runs through the image's reduction and
+        is taken modulo M at the end.  Its pair (u, v) has |u| and |v| at most
+        h^e, so M > 2 * h^e makes the lift exact; a lift above it raises
+        ArithmeticError."""
         d = self.field.d
-        M, h, us, vs = self._conjugates(x)
+        image, h, us, vs = self._conjugates(x)
+        M, reduce = image.modulus, image.reduce
         a, b = 1, 0  # the product so far, a + b*t
         for s, t in zip(us, vs):
-            a, b = (a * s + d * b * t) % M, (a * t + b * s) % M
+            a, b = reduce(a * s + d * b * t), reduce(a * t + b * s)
         # x_m maps to (u_m + v_m*t)/2 and the norm to (u + v*t)/2, so
         # a + b*t is 2^(e-1) * (u + v*t): divide by 2^(e-1) modulo M
         inv = pow(2, 1 - self.degree, M)
@@ -202,7 +222,8 @@ class RelativeExtension:
         """Characteristic polynomial of multiplication by alpha over the
         quadratic ring: the product of the e linear factors x - sigma^j(alpha)
         over (Z/M)[t]/(t^2 - d), from the conjugate forms of
-        ``_conjugates``.  Twice the coefficient of x^k is a pair (u, v)
+        ``_conjugates``, through the image's reduction and taken modulo M
+        at the end.  Twice the coefficient of x^k is a pair (u, v)
         with |u| and |v| at most C(e, k) * h^(e-k), and these bounds add
         up to (h + 1)^e, so M > 2 * (h + 1)^e makes every lift exact.
         Raises ArithmeticError when a lifted coefficient exceeds its bound
@@ -211,13 +232,14 @@ class RelativeExtension:
         self._same(alpha.ext)
         x = _pairs(alpha.coords)
         e, d = self.degree, self.field.d
-        M, h, us, vs = self._conjugates(x, 1)
+        image, h, us, vs = self._conjugates(x, 1)
+        M, reduce = image.modulus, image.reduce
         half = (M + 1) // 2
         A, B = [1], [0]  # the product so far, coefficients A[k] + B[k]*t
-        for u, v in zip(us, vs):  # times x - (u + v*t)/2
-            a, b = u * half % M, v * half % M
-            A, B = ([(c - a * y - d * b * w) % M for c, y, w in zip([0] + A, A + [0], B + [0])],
-                    [(c - a * w - b * y) % M for c, y, w in zip([0] + B, A + [0], B + [0])])
+        for u, v in zip(us, vs):  # times x + (a + b*t) = x - (u + v*t)/2
+            a, b = reduce(-u * half), reduce(-v * half)
+            A, B = ([reduce(c + a * y + d * b * w) for c, y, w in zip([0] + A, A + [0], B + [0])],
+                    [reduce(c + a * w + b * y) for c, y, w in zip([0] + B, A + [0], B + [0])])
         pairs = []
         for k in range(e):
             bound = comb(e, k) * h ** (e - k)

@@ -6,40 +6,45 @@ residue degree of a prime ell is the order of ell^((q-1)/p^n), at most
 n + 1 modular powers, and the rest is computed on first read and cached:
 the primitive root g and the period tables.  These start from a label
 table of q bytes, labels[g^i] = i mod p^n from one walk of the powers of
-g.  The period multiplication table T[i][j][k] = T[0][j-i][k-i] is kept
-as its row 0 alone: the p^n cyclotomic rows R[m] = T[0][m], whose
-entries are the cyclotomic numbers (m, k), counted as the consecutive
-labels (label(x), label(x + 1)) in one pass, and stored as their
-nonzero entries (at most (q-1)/p^n for m != 0).
+g, and its p^n bit masks, masks[m] = sum of 2^x over the x with label m,
+one ``bytes.translate`` and one base-2 ``int`` each.  The period
+multiplication table T[i][j][k] = T[0][j-i][k-i] is kept as its row 0
+alone: the p^n cyclotomic rows R[m] = T[0][m], whose entries are the
+cyclotomic numbers (m, k), the consecutive labels (label(x),
+label(x + 1)), counted as popcount(masks[m] & (masks[k] >> 1)) once per
+unordered pair, and stored as their nonzero entries (at most (q-1)/p^n
+for m != 0).
 ``period_mul`` is the one product over the rows, for the relative
 arithmetic of ``compose``.  Tables are built only up to the conductor
 MAX_TABLE_CONDUCTOR and the degree MAX_TABLE_DEGREE, and no descriptor is
-made above the conductor MAX_CONDUCTOR.  ``period_images`` gives the
-periods' images in Z/M under a ring map zeta -> z with Phi_q(z) = 0
-(mod M), from one blocked pass over the label table.  ``ring_image`` takes
-them for the relative norms and charpolys of ``compose``: M = Phi_q(2^w)
-and z = 2^w up to KRONECKER_MAX_CONDUCTOR, and above it M = ell^k for the
-least prime ell = 1 (mod 2q), sized by the bound and not by q.  The period
-polynomial is read off the same images modulo ell^k > 2 (2f)^e, every
-period being at most f in absolute value: its coefficients from the
-product of the linear factors x - P[m], and the index I of one period's
-power basis in the ring of integers from the norms of the period
-differences, whose product squared is the discriminant q^(p^n - 1) I^2.
-Each value is lifted symmetrically and checked against its bound, and
-q^((p^n - 1)/2) must divide the norms' product; the literal identity
-disc = q^(p^n - 1) holds only where I is 1.  Admissibility
-conditions on a compositum with a real quadratic field (class prime
-inert, tower, inert conductor) are decided here.
+made above the conductor MAX_CONDUCTOR.  ``ring_image`` gives the
+periods' images under a ring map zeta -> z with Phi_q(z) = 0 (mod M), for
+the relative norms and charpolys of ``compose``, with a reduction that
+goes with them.  Up to KRONECKER_MAX_CONDUCTOR, z = 2^w and the images
+are the masks with bit x moved to bit w*x, taken modulo
+N = 2^(wq) - 1 = (2^w - 1) Phi_q(2^w), where reducing is adding the high
+bits to the low ones; M = Phi_q(2^w) divides N.  Above it M = ell^k for
+the least prime ell = 1 (mod 2q), sized by the bound and not by q, and
+the images come from ``period_images``, one blocked pass over the label
+table.  The period polynomial is read off that pass modulo
+ell^k > 2 (2f)^e, every period being at most f in absolute value: its
+coefficients from the product of the linear factors x - P[m], and the
+index I of one period's power basis in the ring of integers from the
+norms of the period differences, whose product squared is the
+discriminant q^(p^n - 1) I^2.  Each value is lifted symmetrically and
+checked against its bound, and q^((p^n - 1)/2) must divide the norms'
+product; the literal identity disc = q^(p^n - 1) holds only where I is
+1.  Admissibility conditions on a compositum with a real quadratic field
+(class prime inert, tower, inert conductor) are decided here.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .intmath import (
     factorize,
@@ -133,15 +138,17 @@ MAX_TABLE_DEGREE = 61
 
 # Largest conductor whose ring images (``ring_image``) are taken modulo
 # Phi_q(2^w); above it they are taken modulo ell^k.  The three norms of a
-# sparse alpha, beta and alpha*beta on a descriptor with fresh images took,
-# in ms, Phi_q(2^w) / ell^k on a 2-core host (medians of three runs of nine):
-#   degree 3:  0.22/0.31 at q = 997, 0.42/0.55 at 1297, 0.35/0.51 at 1531,
-#     0.59/0.64 at 1801, 0.45/0.52 at 1999, 0.86/0.88 at 2503, 0.77/0.61 at
-#     3001 and 1.12/0.75 at 4003;
-#   degree 25: 1.40/1.82 at q = 1051, 1.84/2.32 at 1301, 2.46/2.44 at 1601,
-#     2.99/2.90 at 1801, 4.14/2.66 at 2251, 5.10/2.93 at 2551, 6.47/3.37 at
-#     3001 and 10.82/3.72 at 4001.
-# The crossover lies near q = 1600 at degree 25 and near 2500 at degree 3.
+# sparse alpha, beta and alpha*beta on a descriptor with fresh images (the
+# label table built, the masks not) took, in ms, Phi_q(2^w) / ell^k on a
+# 2-core host (medians of three sets of three runs of nine):
+#   degree 3:  0.11/0.25 at q = 997, 0.13/0.32 at 1297, 0.17/0.32 at 1531,
+#     0.21/0.37 at 1801, 0.20/0.38 at 1999, 0.32/0.55 at 2503, 0.43/0.52 at
+#     3001 and 0.67/0.61 at 4003;
+#   degree 25: 0.85/1.54 at q = 1051, 1.05/2.03 at 1301, 1.38/2.13 at 1601,
+#     1.58/2.28 at 1801, 2.14/2.04 at 2251, 2.52/2.16 at 2551, 3.19/2.95 at
+#     3001 and 5.10/2.77 at 4001.
+# The crossover lies near q = 2200 at degree 25 and between 3001 and 4003
+# at degree 3, both above this ceiling.
 KRONECKER_MAX_CONDUCTOR = 2000
 
 
@@ -167,13 +174,62 @@ def image_block(q: int, degree: int) -> int:
     return max(8 * degree, isqrt(q * degree))
 
 
+class RingImage(NamedTuple):
+    """The periods' images under a ring map zeta -> z with Phi_q(z) = 0
+    (mod ``modulus``), for an odd ``modulus`` M, and ``reduce``, which
+    takes any integer to a nonnegative one congruent to it modulo a
+    multiple N of M, of at most the bit length of N.  Products of images
+    stay modulo N through ``reduce``; only the final values are taken
+    modulo M.  Images carried modulo M itself reduce by ``M.__rmod__``,
+    x -> x % M."""
+
+    modulus: int
+    periods: tuple[int, ...]
+    reduce: Callable[[int], int]
+
+
+def mersenne_reduction(width: int) -> Callable[[int], int]:
+    """x -> r with r = x modulo N = 2^width - 1 and 0 <= r < 2^width.
+
+    As 2^width = 1 (mod N), x = hi * 2^width + lo is hi + lo modulo N: two
+    bit operations and an addition, repeated while the value has bits at
+    or above ``width`` (for a negative x the shift is -1 or less, so the
+    loop runs until the value is nonnegative).  Crandall & Pomerance,
+    *Prime Numbers*, section 9.2.3.
+    """
+    N = (1 << width) - 1
+
+    def reduce(x: int) -> int:
+        high = x >> width
+        while high:
+            x = (x & N) + high
+            high = x >> width
+        return x
+
+    return reduce
+
+
+def spread_bits(x: int, w: int) -> int:
+    """x >= 0 with bit i moved to bit w * i, from its base-2 digits read in
+    base 2^w (``int`` takes the bases 2^w up to 32 in linear time), or,
+    for w > 5, spaced by w - 1 zero digits and read in base 2."""
+    if w == 1:
+        return x
+    digits = format(x, "b").encode()
+    if w <= 5:
+        return int(digits, 1 << w)
+    spaced = bytearray(b"0") * (w * (len(digits) - 1) + 1)
+    spaced[::w] = digits
+    return int(spaced, 2)
+
+
 class CyclicExtensionDescriptor:
     """Degree p^n cyclic field of prime conductor q (q = 1 mod p^n).
 
     Holds the checked conductor and degree; ``residue_degree`` needs no
-    more.  The primitive root ``g``, the q-byte label table of the rows and
-    period images, the rows, the dense ``struct_constants`` and the period
-    polynomial are cached properties, computed on first read.
+    more.  The primitive root ``g``, the q-byte label table, its bit masks,
+    the rows, the dense ``struct_constants`` and the period polynomial are
+    cached properties, computed on first read.
     """
 
     def __init__(self, q: int, p: int, n: int):
@@ -197,7 +253,7 @@ class CyclicExtensionDescriptor:
         which names the coset of x modulo the period subgroup; one byte per
         residue (the degree is at most MAX_TABLE_DEGREE), from one walk of
         the powers of g: labels[g^i] = i mod e, as (g^i)^f = (g^f)^i.
-        Built on first use, by the rows or the period images."""
+        Built on first use, by the masks or the period images."""
         q, e = self.q, self.degree
         check_table(q, e)
         g = self.g  # a local: the cached property is slow to read in a loop
@@ -207,6 +263,20 @@ class CyclicExtensionDescriptor:
             labels[x] = i % e
             x = x * g % q
         return labels
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """masks[m] = sum of 2^x over the x in [1, q) with label m: bit 0 is
+        never set and the popcounts add up to q - 1.  Each is one
+        ``bytes.translate`` of the label table, reversed so that x = q - 1
+        comes first, to "1" at label m and "0" elsewhere, read as a base-2
+        ``int`` (Python's limit on int digits spares power-of-two bases)."""
+        zeros = b"0" * 256
+        tail = self.labels[:0:-1]  # the labels of x = q - 1, ..., 1
+        return tuple(
+            int(tail.translate(zeros[:m] + b"1" + zeros[m + 1 :]), 2) << 1
+            for m in range(self.degree)
+        )
 
     def residue_degree(self, ell: int) -> int:
         """Order of ell in (Z/q)^* modulo the period subgroup H.
@@ -226,7 +296,8 @@ class CyclicExtensionDescriptor:
     def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """R[m] = T[0][m], the coefficients of period_0 * period_m, as the
         nonzero (k, t) pairs; the whole table is T[i][j][k] = R[j-i][k-i],
-        indices mod the degree, by the cyclic Galois action."""
+        indices mod the degree, by the cyclic Galois action.  Counted from
+        the label bit masks, one popcount per unordered pair (m, k)."""
         return self._build_struct()
 
     @cached_property
@@ -251,7 +322,10 @@ class CyclicExtensionDescriptor:
     def period_images(self, z: int, modulus: int) -> tuple[int, ...]:
         """P[m] = sum of z^x over the x with label m, mod ``modulus``: the
         periods under zeta -> z, for a z with Phi_q(z) = 0 modulo
-        ``modulus``, in one pass over the label table.
+        ``modulus``, in one pass over the label table.  It serves the
+        period polynomial modulo ell^k, the ring images above
+        KRONECKER_MAX_CONDUCTOR and the residue sieve of ``compose``; the
+        Kronecker images are read off the masks instead.
 
         The pass runs in blocks of B = ``image_block(q, degree)`` residues:
         for x = s + j in the block from s, z^x = z^s * z^j, so each residue
@@ -277,31 +351,48 @@ class CyclicExtensionDescriptor:
             zs = zs * step % modulus
         return tuple(s % modulus for s in sums)
 
-    def ring_image(self, bound: int) -> tuple[int, tuple[int, ...]]:
-        """An odd modulus M > ``bound`` and the period images P modulo M
-        under a ring map zeta -> z, Phi_q(z) = 0 (mod M): M = Phi_q(2^w)
-        up to the conductor KRONECKER_MAX_CONDUCTOR, else M = ell^k.  A
-        one-slot cache keeps the widest M built so far."""
-        if self._ring_image is None or self._ring_image[0] <= bound:
-            if self.q <= KRONECKER_MAX_CONDUCTOR:
-                M, z = kronecker_modulus(self.q, bound)
+    def ring_image(self, bound: int) -> RingImage:
+        """The period images under a ring map zeta -> z with
+        Phi_q(z) = 0 (mod M), for an odd modulus M > ``bound``.
+
+        Up to the conductor KRONECKER_MAX_CONDUCTOR, M = Phi_q(2^w) and
+        z = 2^w: the image of period m is masks[m] with bit x moved to bit
+        w*x, below M, and products are carried modulo
+        N = 2^(wq) - 1 = (2^w - 1) M by ``mersenne_reduction``.  As
+        zeta -> 2^w maps Z[x]/(x^q - 1) onto Z/N, every product of images
+        modulo N is the image of the product, and modulo M it is that of
+        the product in the period field.  Above the ceiling M = ell^k and
+        the images come from ``period_images``.  A one-slot cache keeps
+        the widest M built so far."""
+        if self._ring_image is None or self._ring_image.modulus <= bound:
+            q = self.q
+            if q <= KRONECKER_MAX_CONDUCTOR:
+                M, z = kronecker_modulus(q, bound)
+                w = z.bit_length() - 1
+                images = tuple(spread_bits(mask, w) for mask in self.masks)
+                self._ring_image = RingImage(M, images, mersenne_reduction(w * q))
             else:
-                M, z = prime_power_modulus(self.q, bound)
-            self._ring_image = (M, self.period_images(z, M))
+                M, z = prime_power_modulus(q, bound)
+                self._ring_image = RingImage(M, self.period_images(z, M), M.__rmod__)
         return self._ring_image
 
     def _build_struct(self):
         # period_0 * period_m = sum over h in H of period_label(1 + g^m h),
         # so R[m][k] is the cyclotomic number (m, k): the count of x with
-        # label(x) = m and label(x + 1) = k.  The one x = -1, whose x + 1
-        # is 0, adds f * 1 = -f * (sum of periods); -1 = (g^e)^(f/2) lies
-        # in H (f is even), so that correction is -f on row 0.
-        e, labels = self.degree, self.labels
-        counts = Counter(zip(islice(labels, 1, None), islice(labels, 2, None)))
-        counts.subtract({(0, k): self.f for k in range(e)})
-        return tuple(
-            tuple((k, counts[m, k]) for k in range(e) if counts[m, k]) for m in range(e)
-        )
+        # label(x) = m and label(x + 1) = k, the set bits of
+        # masks[m] & (masks[k] >> 1).  -1 = (g^e)^(f/2) lies in H (f is
+        # even), so x -> -1 - x swaps the two labels and (m, k) = (k, m):
+        # each unordered pair is counted once.  The one x = -1, whose x + 1
+        # is 0 and has no bit, adds f * 1 = -f * (sum of periods), so that
+        # correction is -f on row 0.
+        masks = self.masks
+        counts = [[0] * self.degree for _ in masks]
+        for k, mask in enumerate(masks):
+            after = mask >> 1  # bit x set when label(x + 1) = k
+            for m in range(k + 1):
+                counts[m][k] = counts[k][m] = (masks[m] & after).bit_count()
+        counts[0] = [c - self.f for c in counts[0]]
+        return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in counts)
 
     @property
     def period_poly(self) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ from quadnorm.harness import scan_one
 from quadnorm.intmath import is_prime
 from quadnorm.transfer import FiniteGroup
 
+from test_harness import GOLDEN
 from test_transfer import symmetric
 
 
@@ -25,48 +26,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-CLASSGROUP_SHA256 = {
-    "79": "0c70139962bc60da9b271945b91985ace9fe8af5e77b829811ba340bbd6b2dde",
-    "79 --narrow": "e8dbe2d6bf96927800bc426466e5f7024e7d50416b7568d6d594d29ffeb39c38",
-    "4002": "6bed3ef46e91dc14c15937e46c5eede704b90fd2545c9ace0fa1cb9753571487",
-    "4002 --narrow": "0b04017adf594b6eb01e870888d66d64cc9104b884cb8072bc7a3703a6734999",
-    "9994": "67a6b6bd74896318fd7ba33de404985ec78cdbed7e46a0473066881874afe4a4",
-    "9994 --narrow": "aab776f25bb3db03b9f096283fcf5f793ebab4d81edcfd455072df718b7caa23",
-    "100000001": "40ba64bbb29e5a881bcbcb2999efa9c351f00ba2e8c0f58c271d81c546c05130",
-    "100000001 --narrow": "69434e5e107030714051967f93a6531056ded19948a7812c89e5e9176b032bf9",
-    "100000002": "9df4733a3fc250c81af3f63345283d7bec51c73fc60d66c8f70990572dba6d3f",
-    "100000002 --narrow": "ee3f6fa18db193ec93935ba0c223f6196e68790860090ce7f0aea09b868b97a2",
-}
-
-
-# SHA-256 of f"{exit code}\n{stdout}\n{stderr}": normindex at split, inert and
+# the classgroup text at five fields, both flavours, and the SHA-256 of
+# f"{exit code}\n{stdout}\n{stderr}" of normindex at split, inert and
 # ramified q, detect, and verify thm14
-CONDUCTOR_SHA256 = {
-    "normindex --d 79 --q 7 --p 3": (
-        "13d63f4ea80d5d8201ef95e057195e42cd391a1f2ae293662e0834e6ea1a1036"
-    ),
-    "normindex --d 79 --q 37 --p 3": (
-        "2e799cb650defb3707bee792132139dda144bc96aacaedf2eba4b622c482c1b4"
-    ),
-    "normindex --d 10 --q 7 --p 3": (
-        "4bde9df16a5fa48ea5bc2a2b37dee15e471ab14e1d9e4aa637c9b199ae81d0f4"
-    ),
-    "normindex --d 37 --q 37 --p 3": (
-        "e8bc72ac5da6a18eadd23d3ab3f18af661b713cacd19e0bdd743e14b9437264f"
-    ),
-    "detect --d 79 --p 3 --qmax 2000": (
-        "b10eed5f718723cc3ec13ffca292786ed3af961b034e6c72ce6d20b86829de57"
-    ),
-    "detect --d 10 --p 5 --qmax 5000": (
-        "942456d3138b3626a9e7cbdfdb6e25b26f3247ae821b7da0d41a20a82fcdefa6"
-    ),
-    "verify thm14 --d 10 --l 3 --p 3 --qmax 200": (
-        "4a819cf3c8c904a8ad9ed1f648b777e4080144f15dafc5c6424fd1666be90e9e"
-    ),
-    "verify thm14 --d 79 --l 3 --p 3 --qmax 1000": (
-        "74a81b02004d8d812328532f93b78e65991215157c115a9eae01d864c33c8a63"
-    ),
-}
+CLASSGROUP_SHA256 = GOLDEN["classgroup"]["stdout_sha256"]
+CONDUCTOR_SHA256 = GOLDEN["conductor_layer"]["sha256"]
 
 
 class TestBasicCommands:
@@ -656,33 +620,22 @@ class TestLargeUnits:
         assert out.startswith("p=3: 0/1 = 0.000000")
 
 
-# SHA-256 of f"{exit code}\n{stdout}\n{stderr}" of ``transfer`` on the
-# group's table and the subgroup of the given labels: S4 over its Klein four
-# subgroup (normal, but not containing A4), S3 over A3, and C2 x C4 over
-# <(0, 2)>, where the diagram runs
-TRANSFER_SHA256 = {
-    "S4/V4": (
-        lambda: symmetric(4),
-        ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
-        "380bfc1cb8b9d4c1d9b4789a94364cf70364edf474fd310bc335a023e8157d78",
-    ),
-    "S3/A3": (
-        lambda: symmetric(3),
-        ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
-        "25b2444116e260c531b9bc1b6d67564e4abbd02f506bf2ac4828d0b51589e1d8",
-    ),
-    "C2xC4/C2": (
-        lambda: FiniteGroup.cyclic_product([2, 4]),
-        ((0, 0), (0, 2)),
-        "30e3a48cea4648b868c7098adda4112e0565c29a81b38bfa7f89334630609482",
-    ),
+# ``transfer`` on the group's table and the subgroup of the given labels:
+# S4 over its Klein four subgroup (normal, but not containing A4), S3 over
+# A3, and C2 x C4 over <(0, 2)>, where the diagram runs; the SHA-256 of
+# f"{exit code}\n{stdout}\n{stderr}" of each is in the golden file
+TRANSFER_CASES = {
+    "S4/V4": (lambda: symmetric(4), ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))),
+    "S3/A3": (lambda: symmetric(3), ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+    "C2xC4/C2": (lambda: FiniteGroup.cyclic_product([2, 4]), ((0, 0), (0, 2))),
 }
 
 
 class TestTransferCommand:
-    @pytest.mark.parametrize("case", list(TRANSFER_SHA256))
+    @pytest.mark.parametrize("case", list(TRANSFER_CASES))
     def test_output_is_pinned(self, capsys, tmp_path, case):
-        build, labels, want = TRANSFER_SHA256[case]
+        build, labels = TRANSFER_CASES[case]
+        want = GOLDEN["transfer"]["sha256"][case]
         G = build()
         table = tmp_path / "g.table"
         table.write_text("\n".join(" ".join(str(x) for x in row) for row in G.table) + "\n")

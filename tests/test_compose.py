@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadnorm import cyclicext
 from quadnorm.compose import (
     NOT_FOUND,
     CompositionCheck,
@@ -19,6 +20,7 @@ from quadnorm.compose import (
 )
 from quadnorm.cyclicext import (
     KRONECKER_MAX_CONDUCTOR,
+    RingImage,
     cyclic_descriptor,
     kronecker_modulus,
     period_mul,
@@ -116,6 +118,16 @@ class TestRelativeNorm:
         )
         cp = ext.charpoly(a)
         assert cp.constant == -ext.relative_norm(a)
+
+    def test_norms_and_charpolys_build_no_rows(self):
+        # they run on the period images alone; the first product reads the rows
+        ext = RelativeExtension(period_polynomial(101, 5, 2), make_field(13))
+        alpha = ext.period(0) + ext.period(7)
+        ext.relative_norm(alpha)
+        ext.charpoly(alpha)
+        assert "rows" not in vars(ext.desc)
+        alpha * alpha
+        assert "rows" in vars(ext.desc)
 
 
 class TestStructConstants:
@@ -298,7 +310,8 @@ class TestCharpolyChecks:
     @staticmethod
     def _crafted(images):
         ext = RelativeExtension(cyclic_descriptor(31, 3, 1), make_field(10))
-        ext.desc._ring_image = (10**9 + 7, images)
+        M = 10**9 + 7
+        ext.desc._ring_image = RingImage(M, images, M.__rmod__)
         return ext
 
     def test_trace_check(self):
@@ -590,6 +603,28 @@ class TestRingImage:
         q = conductor[0]
         modulus = kronecker_modulus if q <= KRONECKER_MAX_CONDUCTOR else prime_power_modulus
         assert ext.desc._ring_image[0] == modulus(q, 2 * bound)[0]
+
+    @pytest.mark.parametrize(
+        "q,p,n", [(7, 3, 1), (31, 3, 1), (19, 3, 2), (101, 5, 2), (751, 5, 2), (1999, 3, 1)]
+    )
+    def test_kronecker_image_agrees_with_the_prime_power_route(self, q, p, n, monkeypatch):
+        # the Kronecker images are carried modulo 2^(wq) - 1 and reduced by
+        # folding; the ell^k images are carried and reduced modulo M
+        rng = random.Random(q)
+        kron = RelativeExtension(cyclic_descriptor(q, p, n), make_field(13))
+        elements = []
+        for height in (1, 1000, 10**12):
+            coords = [QuadInteger(13, 0, 0)] * kron.degree
+            for i in rng.sample(range(kron.degree), min(kron.degree, 4)):
+                a, b = rng.choice([(1, 1), (-1, 1), (2, 0), (0, -2)])
+                coords[i] = QuadInteger(13, a * height, b * height, 2)
+            elements.append(kron.element(coords))
+        got = [(kron.relative_norm(a), kron.charpoly(a)) for a in elements]
+        monkeypatch.setattr(cyclicext, "KRONECKER_MAX_CONDUCTOR", 0)
+        ell = RelativeExtension(cyclic_descriptor(q, p, n), make_field(13))
+        elements = [ell.element(a.coords) for a in elements]
+        assert [(ell.relative_norm(a), ell.charpoly(a)) for a in elements] == got
+        assert ell.desc._ring_image.modulus != kron.desc._ring_image.modulus
 
     @pytest.mark.parametrize("q", [7, 4003])
     def test_norm_after_the_cache_grows_and_is_reused(self, q):

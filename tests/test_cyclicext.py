@@ -4,6 +4,8 @@ import tracemalloc
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadnorm.cyclicext import (
     ClassPrimeNotSplitError,
@@ -13,12 +15,14 @@ from quadnorm.cyclicext import (
     cyclic_descriptor,
     image_block,
     kronecker_modulus,
+    mersenne_reduction,
     period_mul,
     period_polynomial,
     prime_power_modulus,
     properness_report,
     relative_discriminant,
     same_field_by_split_patterns,
+    spread_bits,
     tower_certificate,
 )
 from quadnorm.intmath import bareiss_det, poly_discriminant, primes_up_to
@@ -499,6 +503,81 @@ class TestLabelTable:
         )
         M, z = modulus(q, 2**64)
         assert desc.period_images(z, M) == coset_walk_period_images(desc, z, M)
+
+
+class TestLabelMasks:
+    @pytest.mark.parametrize(
+        "q,p,n", [(7, 3, 1), (997, 3, 1), (19, 3, 2), (919, 3, 2), (101, 5, 2), (601, 5, 2)]
+    )
+    def test_masks_are_the_labels_bit_by_bit(self, q, p, n):
+        desc = cyclic_descriptor(q, p, n)
+        labels, masks = desc.labels, desc.masks
+        assert len(masks) == desc.degree
+        for m, mask in enumerate(masks):
+            assert not mask & 1 and mask.bit_length() <= q
+            assert all((mask >> x & 1) == (labels[x] == m) for x in range(1, q))
+            assert mask.bit_count() == desc.f
+        assert sum(mask.bit_count() for mask in masks) == q - 1
+
+    def test_kronecker_images_match_the_coset_walk_below_1000(self):
+        # at the least w, 1, where the images are the masks themselves,
+        # and at w = 3, where the masks' digits are read in base 8
+        count = 0
+        for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
+            for q in primes_up_to(999):
+                if q % p**n != 1:
+                    continue
+                desc = cyclic_descriptor(q, p, n)
+                for bound in (0, kronecker_modulus(q, kronecker_modulus(q, 0)[0])[0]):
+                    desc._ring_image = None
+                    image = desc.ring_image(bound)
+                    M, z = kronecker_modulus(q, bound)
+                    w = z.bit_length() - 1
+                    assert w == (1 if bound == 0 else 3)
+                    assert image.modulus == M and all(0 <= P < M for P in image.periods)
+                    assert image.reduce(-1) == (1 << w * q) - 2  # modulo 2^(wq) - 1
+                    want = coset_walk_period_images(desc, z, M)
+                    assert tuple(P % M for P in image.periods) == want, (q, w)
+                count += 1
+        assert count == 154
+
+    @pytest.mark.parametrize("w", [6, 7, 12])
+    def test_kronecker_images_at_wide_digits(self, w):
+        # above w = 5 int() has no base 2^w: the digits are spaced instead
+        desc = cyclic_descriptor(31, 3, 1)
+        bound = ((1 << (w - 1) * 31) - 1) // ((1 << w - 1) - 1)
+        M, z = kronecker_modulus(31, bound)
+        assert z == 1 << w
+        P = desc.ring_image(bound).periods
+        assert tuple(x % M for x in P) == coset_walk_period_images(desc, z, M)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(x=st.integers(0, 2**300), w=st.integers(1, 40))
+    def test_spread_bits(self, x, w):
+        assert spread_bits(x, w) == sum(1 << w * i for i in range(x.bit_length()) if x >> i & 1)
+
+
+class TestMersenneReduction:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(width=st.integers(1, 2500), data=st.data())
+    def test_agrees_with_the_remainder(self, width, data):
+        N = (1 << width) - 1
+        reduce = mersenne_reduction(width)
+        # negative values, values at and above N, and products of residues
+        # up to 2^(3 * width), far above 2^(2 * width)
+        xs = [
+            data.draw(st.integers(-(1 << 3 * width), -1)),
+            data.draw(st.integers(N, N + (1 << width + 1))),
+            data.draw(st.integers(0, N)) * data.draw(st.integers(0, N)) * 13,
+            -data.draw(st.integers(0, N)) * data.draw(st.integers(0, N)) << width,
+            N,
+            -1,
+            -N,
+        ]
+        for x in xs:
+            r = reduce(x)
+            assert 0 <= r < 1 << width
+            assert r % N == x % N
 
 
 class TestTower:
