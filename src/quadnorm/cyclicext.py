@@ -210,14 +210,11 @@ def mersenne_reduction(width: int) -> Callable[[int], int]:
 
 
 def spread_bits(x: int, w: int) -> int:
-    """x >= 0 with bit i moved to bit w * i, from its base-2 digits read in
-    base 2^w (``int`` takes the bases 2^w up to 32 in linear time), or,
-    for w > 5, spaced by w - 1 zero digits and read in base 2."""
+    """x >= 0 with bit i moved to bit w * i: its base-2 digits spaced by
+    w - 1 zero digits and read back in base 2."""
     if w == 1:
         return x
     digits = format(x, "b").encode()
-    if w <= 5:
-        return int(digits, 1 << w)
     spaced = bytearray(b"0") * (w * (len(digits) - 1) + 1)
     spaced[::w] = digits
     return int(spaced, 2)
@@ -238,7 +235,7 @@ class CyclicExtensionDescriptor:
         self.p = p
         self.n = n
         self.f = (q - 1) // self.degree
-        self._ring_image: tuple[int, tuple[int, ...]] | None = None
+        self._ring_image: RingImage | None = None
 
     def __repr__(self) -> str:
         return f"CyclicExtensionDescriptor(q={self.q}, p={self.p}, n={self.n})"

@@ -521,7 +521,7 @@ class TestLabelMasks:
 
     def test_kronecker_images_match_the_coset_walk_below_1000(self):
         # at the least w, 1, where the images are the masks themselves,
-        # and at w = 3, where the masks' digits are read in base 8
+        # and at w = 3, where the masks' digits are spaced by two zeros
         count = 0
         for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
             for q in primes_up_to(999):
@@ -543,7 +543,7 @@ class TestLabelMasks:
 
     @pytest.mark.parametrize("w", [6, 7, 12])
     def test_kronecker_images_at_wide_digits(self, w):
-        # above w = 5 int() has no base 2^w: the digits are spaced instead
+        # wider spacings than the sweep's w = 3, at the images' full width
         desc = cyclic_descriptor(31, 3, 1)
         bound = ((1 << (w - 1) * 31) - 1) // ((1 << w - 1) - 1)
         M, z = kronecker_modulus(31, bound)
